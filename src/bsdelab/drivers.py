@@ -14,6 +14,7 @@ import numpy as np
 
 __all__ = [
     "DriverGradients",
+    "DriverLinearization",
     "Driver",
     "AnalyticDriver",
     "TruncatedDriver",
@@ -38,6 +39,21 @@ class DriverGradients:
     dtheta: np.ndarray
 
 
+@dataclass(frozen=True)
+class DriverLinearization:
+    """Value and input derivatives of a driver at a batch of points, with the
+    parameter derivatives kept as a pullback.
+
+    value: (m,); dy: (m,); dz: (m, d); pullback maps weights w (m,) to
+    sum_i w_i dtheta_i (P,) without forming the (m, P) per-sample gradients.
+    """
+
+    value: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    pullback: Callable
+
+
 @runtime_checkable
 class Driver(Protocol):
     params: np.ndarray
@@ -45,6 +61,8 @@ class Driver(Protocol):
     def value(self, t, x, y, z) -> np.ndarray: ...
 
     def full_gradients(self, t, x, y, z) -> DriverGradients: ...
+
+    def linearize(self, t, x, y, z) -> DriverLinearization: ...
 
     def with_params(self, params: np.ndarray) -> "Driver": ...
 
@@ -105,6 +123,11 @@ class AnalyticDriver:
         dz = np.broadcast_to(np.asarray(dz, dtype=np.float64), (m, d))
         dtheta = np.broadcast_to(np.asarray(dtheta, dtype=np.float64), (m, self.n_params))
         return DriverGradients(value=val.copy(), dy=dy.copy(), dz=dz.copy(), dtheta=dtheta.copy())
+
+    def linearize(self, t, x, y, z) -> DriverLinearization:
+        g = self.full_gradients(t, x, y, z)
+        return DriverLinearization(value=g.value, dy=g.dy, dz=g.dz,
+                                   pullback=lambda w: np.asarray(w, dtype=np.float64) @ g.dtheta)
 
     def with_params(self, params) -> "AnalyticDriver":
         return replace(self, params=np.asarray(params, dtype=np.float64).ravel())
@@ -192,12 +215,18 @@ class TruncatedDriver:
         y_clamped = np.clip(y, -self.k_level, self.k_level)
         return self.base.value(t, x, y_clamped, z)
 
+    def _inside(self, y, shape) -> np.ndarray:
+        return (np.abs(np.broadcast_to(y, shape)) <= self.k_level).astype(np.float64)
+
     def full_gradients(self, t, x, y, z) -> DriverGradients:
         y = np.asarray(y, dtype=np.float64)
-        y_clamped = np.clip(y, -self.k_level, self.k_level)
-        g = self.base.full_gradients(t, x, y_clamped, z)
-        inside = (np.abs(np.broadcast_to(y, g.dy.shape)) <= self.k_level).astype(np.float64)
-        return DriverGradients(value=g.value, dy=g.dy * inside, dz=g.dz, dtheta=g.dtheta)
+        g = self.base.full_gradients(t, x, np.clip(y, -self.k_level, self.k_level), z)
+        return replace(g, dy=g.dy * self._inside(y, g.dy.shape))
+
+    def linearize(self, t, x, y, z) -> DriverLinearization:
+        y = np.asarray(y, dtype=np.float64)
+        lin = self.base.linearize(t, x, np.clip(y, -self.k_level, self.k_level), z)
+        return replace(lin, dy=lin.dy * self._inside(y, lin.dy.shape))
 
     def with_params(self, params) -> "TruncatedDriver":
         return TruncatedDriver(base=self.base.with_params(params), k_level=self.k_level)

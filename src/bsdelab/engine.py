@@ -177,14 +177,14 @@ class BsdeSolution:
     y0_standard_error: float
     regression_cond: np.ndarray
     z_clip_count: np.ndarray
-    z_clip_mask: np.ndarray    # (m, n_steps, d) boolean, True where clipped
     max_abs_y: float
     grid: TimeGrid
     problem: BsdeProblem
 
 
 def _clip_z(z: np.ndarray, mult: float):
-    mask = np.zeros(z.shape, dtype=bool)
+    """Clip each column to median +- mult * IQR; returns (clipped, count)."""
+    count = 0
     out = z.copy()
     for j in range(z.shape[1]):
         q1, med, q3 = np.percentile(z[:, j], [25.0, 50.0, 75.0])
@@ -192,9 +192,9 @@ def _clip_z(z: np.ndarray, mult: float):
         if iqr <= 0:
             continue
         lo, hi = med - mult * iqr, med + mult * iqr
-        mask[:, j] = (z[:, j] < lo) | (z[:, j] > hi)
+        count += int(np.count_nonzero((z[:, j] < lo) | (z[:, j] > hi)))
         out[:, j] = np.clip(z[:, j], lo, hi)
-    return out, mask
+    return out, count
 
 
 def _backward_solve(
@@ -217,7 +217,6 @@ def _backward_solve(
     cont = np.full((m, n), np.nan)
     conds = np.zeros(n)
     clips = np.zeros(n, dtype=int)
-    clip_mask = np.zeros((m, n, d), dtype=bool)
 
     top = n if start_step is None else start_step
     y[:, top] = terminal_values
@@ -240,9 +239,7 @@ def _backward_solve(
         )
         z_k = design @ coef_z / dt
         if opts.z_clip is not None and np.isfinite(opts.z_clip):
-            z_k, mask_k = _clip_z(z_k, opts.z_clip)
-            clips[k] = int(mask_k.sum())
-            clip_mask[:, k, :] = mask_k
+            z_k, clips[k] = _clip_z(z_k, opts.z_clip)
 
         y_k = c_k
         for _ in range(passes):
@@ -257,7 +254,7 @@ def _backward_solve(
         cont[:, k] = c_k
         conds[k] = max(cond_z, cond_y)
 
-    return y, z, cont, conds, clips, clip_mask
+    return y, z, cont, conds, clips
 
 
 def solve_bsde_lsmc(
@@ -275,8 +272,7 @@ def solve_bsde_lsmc(
     xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal functional produced non-finite values")
-    y, z, cont, conds, clips, clip_mask = _backward_solve(ens, xi, problem.driver,
-                                                          basis, opts)
+    y, z, cont, conds, clips = _backward_solve(ens, xi, problem.driver, basis, opts)
     m = ens.n_paths
     # Monte Carlo error of the root value, estimated from the pathwise
     # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt).
@@ -288,7 +284,6 @@ def solve_bsde_lsmc(
         y0_standard_error=se,
         regression_cond=conds,
         z_clip_count=clips,
-        z_clip_mask=clip_mask,
         max_abs_y=float(np.max(np.abs(y))),
         grid=ens.grid,
         problem=problem,
@@ -539,7 +534,7 @@ def check_dynamic_consistency(
         design, _ = basis.fit_design(x_s)
         coef, _ = _regress(design, direct.y[:, ks], ks, opts.cond_limit)
         smoothed = design @ coef
-        y, _, _, _, _, _ = _backward_solve(
+        y, _, _, _, _ = _backward_solve(
             ens, smoothed, problem.driver, basis, opts, start_step=ks
         )
         nested_y0 = float(y[0, 0])

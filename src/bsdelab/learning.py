@@ -1,16 +1,22 @@
-"""Parameter sensitivities via the differentiated linear BSDE, and training.
+"""Exact parameter gradients by the discrete adjoint, and training.
 
-The sensitivity pass solves, per parameter coordinate, the linear backward
-equation whose drift is grad_theta f + (df/dy) V + <df/dz, Zx> with zero
-terminal data, with all coefficients frozen along the primary solution's
-paths. Linearity is exploited: each step uses a single least-squares
-factorization shared across all coordinates, and the update mirrors the
-primary scheme's inner fixed-point passes so that finite differences of
-full re-solves match the sensitivity output closely.
+The gradient of the discrete Y0 with respect to the driver parameters
+solves a linear backward scheme: the sensitivity V = dY/dtheta has drift
+grad_theta f + (df/dy) V + <df/dz, Z_V>, zero terminal data, and
+coefficients frozen along the primary solution's paths, with the update
+mirroring the primary's inner fixed-point passes so that finite
+differences of full re-solves match it closely. Solving it forward for
+every coordinate carries (m, P) arrays. Because the scheme is linear and
+its least-squares projections are symmetric, its transpose gives the same
+gradient from one m-vector carried forward in time, with each driver
+evaluation contributing through a pullback w -> sum_i w_i grad_theta f_i
+(Giles & Glasserman, "Smoking adjoints: fast Monte Carlo Greeks", Risk,
+2006). The cost per step is two regressions and one reverse pass of the
+driver, whatever the number of parameters.
 
-Gradients of the learning loss are assembled from these sensitivities by
-the chain rule; the descent loop is plain gradient descent on a fixed
-noise bundle (common random numbers across iterations).
+Gradients of the learning loss are assembled from these adjoints by the
+chain rule; the descent loop is plain gradient descent on a fixed noise
+bundle (common random numbers across iterations).
 """
 
 from __future__ import annotations
@@ -59,15 +65,79 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SensitivitySolution:
-    """Gradient of the value process with respect to the driver parameters.
-
-    grad_y0 has one entry per raw parameter. Full per-path gradients are
-    retained only when requested (they are large).
-    """
+    """Gradient of the root value with respect to the raw driver parameters."""
 
     grad_y0: np.ndarray
     primary: BsdeSolution
-    grad_y: np.ndarray | None = None      # (m, n_steps + 1, P) when stored
+
+
+def _adjoint_gradient(
+    primary: BsdeSolution,
+    driver: Driver,
+    basis: RegressionBasis,
+    opts: SolveOptions,
+    root: np.ndarray,
+    continuation_weights: np.ndarray | None = None,
+) -> np.ndarray:
+    """Parameter gradient of root . V_0 + sum_k continuation_weights[:, k] . C_k.
+
+    V_k is the sensitivity slice dY_k/dtheta and C_k that of the regressed
+    continuation values, both of the discrete scheme along the primary
+    solution. The scheme is linear in (V, C), so the gradient is read from
+    its transpose: one adjoint m-vector lam_k, carried forward in time, with
+    V_0's weights root and V_n = 0.
+
+    Per step the linearized update is, pass by pass from v = C_k,
+        v <- C_k + (dtheta f + dz f . Z_k + dy f v) dt,
+        C_k = Pi V_{k+1},  Z_k,j = Pi((V_{k+1} - C_k) dW_j) / dt,
+    with Pi the least-squares projection onto the step's design. The
+    transpose of the passes runs last pass first; Pi is symmetric, so
+        lam_{k+1} = Pi a_cont + (I - Pi)(sum_j dW_j Pi b_j) / dt
+    for the adjoints a_cont of C_k and b of Z_k. The z clip of the primary
+    is not differentiated, as in the forward scheme.
+    """
+    ens = primary.problem.realize()
+    grid = primary.grid
+    m, n = ens.n_paths, grid.n_steps
+    dt = grid.dt
+    inc = ens.bundle.increments
+    passes = max(1, opts.inner_picard_iters)
+
+    grad = np.zeros(driver.params.size)
+    lam = root
+    for k in range(n):
+        x_k = ens.states[:, k, :]
+        z_k = primary.z[:, k, :]
+        cont = primary.continuation[:, k]
+
+        # Linearize f where the primary evaluated it: the inner-pass y
+        # iterates are rebuilt from the stored continuation values.
+        lins = []
+        y_iter = cont
+        for _ in range(passes):
+            lin = driver.linearize(grid.nodes[k], x_k, y_iter, z_k)
+            lins.append(lin)
+            y_iter = cont + lin.value * dt
+
+        a = lam
+        a_cont = np.zeros(m) if continuation_weights is None else continuation_weights[:, k].copy()
+        b = np.zeros_like(z_k)
+        for lin in reversed(lins):
+            a_dt = a * dt
+            grad += lin.pullback(a_dt)
+            a_cont += a
+            b += a_dt[:, None] * lin.dz
+            a = lin.dy * a_dt
+        a_cont += a
+
+        if k + 1 == n:
+            break   # V_n = 0: the terminal data do not depend on the parameters
+        design, _ = basis.fit_design(x_k)
+        coef_b, _ = _regress(design, b, k, opts.cond_limit)
+        mart = np.sum((design @ coef_b) * inc[:, k, :], axis=1) / dt
+        coef, _ = _regress(design, a_cont - mart, k, opts.cond_limit)
+        lam = design @ coef + mart
+    return grad
 
 
 def solve_sensitivity_bsde(
@@ -75,57 +145,18 @@ def solve_sensitivity_bsde(
     driver: Driver | None = None,
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
-    store_paths: bool = False,
 ) -> SensitivitySolution:
-    """Solve the linear sensitivity system along the primary solution.
+    """Exact gradient of the discrete Y0 with respect to the driver parameters.
 
-    The terminal slice is zero (the terminal functional does not depend on
-    the parameters); coefficients are evaluated at the stored (Y, Z) data.
+    The discrete adjoint of the linear sensitivity system: coefficients are
+    frozen at the primary's (Y, Z) data, and Y0 is read from path 0 of the
+    root slice, as the primary reads it.
     """
     driver = primary.problem.driver if driver is None else driver
-    ens = primary.problem.realize()
-    grid = primary.grid
-    m, n = ens.n_paths, grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    inc = ens.bundle.increments
-    n_params = driver.params.size
-
-    v_next = np.zeros((m, n_params))
-    stored = np.zeros((m, n + 1, n_params)) if store_paths else None
-    passes = max(1, opts.inner_picard_iters)
-
-    for k in range(n - 1, -1, -1):
-        x_k = ens.states[:, k, :]
-        design, _ = basis.fit_design(x_k)
-
-        coef_c, _ = _regress(design, v_next, k, opts.cond_limit)
-        cont = design @ coef_c
-
-        # One factorization per step shared across all parameter coordinates.
-        resid = v_next - cont
-        d = inc.shape[2]
-        z_theta = np.empty((m, n_params, d))
-        for j in range(d):
-            coef_z, _ = _regress(design, resid * inc[:, k, j:j + 1], k, opts.cond_limit)
-            z_theta[:, :, j] = design @ coef_z / dt
-
-        # Differentiate the primary update pass by pass: the y iterates are
-        # reconstructed from the stored continuation values so every
-        # coefficient is evaluated exactly where the primary evaluated f.
-        z_k = primary.z[:, k, :]
-        y_iter = primary.continuation[:, k]
-        v = cont
-        for _ in range(passes):
-            g = driver.full_gradients(nodes[k], x_k, y_iter, z_k)
-            source = g.dtheta + np.einsum("md,mpd->mp", g.dz, z_theta)
-            v = cont + (source + g.dy[:, None] * v) * dt
-            y_iter = primary.continuation[:, k] + g.value * dt
-        v_next = v
-        if stored is not None:
-            stored[:, k, :] = v
-
-    return SensitivitySolution(grad_y0=v_next[0].copy(), primary=primary, grad_y=stored)
+    root = np.zeros(primary.y.shape[0])
+    root[0] = 1.0
+    grad = _adjoint_gradient(primary, driver, basis, opts, root)
+    return SensitivitySolution(grad_y0=grad, primary=primary)
 
 
 @dataclass(frozen=True)
@@ -295,14 +326,20 @@ def loss_and_gradient(
         grad += (2.0 * residual / n_records) * sens.grad_y0
 
         if lam_norm != 0.0:
+            # d/dtheta of mean f^2 at (Ytilde_k, 0): the direct term by the
+            # driver's pullback, the term through Ytilde_k = C_k by one more
+            # adjoint solve weighted on the continuation slices.
+            m = ens.n_paths
             z0 = np.zeros_like(sol.z[:, 0, :])
+            cont_weights = np.empty((m, dataset.grid.n_steps))
+            scale = lam_norm * 2.0 * dt / n_records
             for k in range(dataset.grid.n_steps):
-                g = driver.full_gradients(nodes[k], ens.states[:, k, :],
-                                          sol.continuation[:, k], z0)
-                norm_term += float(np.mean(g.value ** 2)) * dt / n_records
-                grad += lam_norm * (2.0 * dt / n_records) * np.mean(
-                    g.value[:, None] * g.dtheta, axis=0
-                )
+                lin = driver.linearize(nodes[k], ens.states[:, k, :], sol.continuation[:, k], z0)
+                norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
+                grad += scale * lin.pullback(lin.value / m)
+                cont_weights[:, k] = lin.value * lin.dy / m
+            grad += scale * _adjoint_gradient(sol, driver, basis, opts, np.zeros(m),
+                                              cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
     grad += 2.0 * lam_reg * driver.params

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .drivers import Driver, DriverGradients, _normalize_inputs
+from .drivers import Driver, DriverGradients, DriverLinearization, _normalize_inputs
 from .errors import InvalidArchitectureError
 from .stochastic import split_seed
 
@@ -65,16 +65,19 @@ class ArchitectureKind(str, Enum):
 # ---------------------------------------------------------------------------
 
 def _softplus(x):
-    return np.where(x > 0, x + np.log1p(np.exp(-np.abs(x))), np.log1p(np.exp(x)))
+    return np.logaddexp(0.0, x)
 
 
+# Activations return (post, derivative); they may overwrite pre, which the
+# forward pass allocates for them.
 def _act_tanh(pre):
-    post = np.tanh(pre)
-    return post, 1.0 - post * post
+    post = np.tanh(pre, out=pre)
+    deriv = post * post
+    return post, np.subtract(1.0, deriv, out=deriv)
 
 
 def _act_softplus(pre):
-    return _softplus(pre), expit(pre)
+    return _softplus(pre), expit(pre, out=pre)
 
 
 def _act_relu(pre):
@@ -161,29 +164,46 @@ class _BlockStack:
             prev = post
         return prev[:, 0], caches
 
-    def backward(self, caches: list, delta_out: np.ndarray, dtheta: np.ndarray, dsources: dict):
-        """delta_out (m,): gradient of the scalar output. Writes per-sample
-        parameter gradients into dtheta (m, P) and accumulates gradients of
-        the named inputs into dsources."""
+    def backward(self, caches: list, delta_out: np.ndarray, dsources: dict) -> list:
+        """delta_out (m,): gradient of the scalar output. Accumulates
+        per-sample gradients of the named inputs into dsources and returns
+        the tape the parameter gradients are built from: per layer, output
+        layer first, (delta, inputs, t_derivs) with delta (m, n_out) the
+        per-sample gradient of the layer's pre-activation. Each delta is
+        written over the layer's cached activation derivative, which is not
+        read again."""
         delta = delta_out[:, None]
+        tape = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
             if cache["act_deriv"] is not None:
-                delta = delta * cache["act_deriv"]
-            dtheta[:, layer.b_slice] += delta
+                delta = np.multiply(delta, cache["act_deriv"], out=cache["act_deriv"])
+            tape.append((delta, cache["inputs"], cache["t_deriv"]))
             delta_prev = None
-            for block, a_in, w_eff, t_deriv in zip(
-                layer.blocks, cache["inputs"], cache["w_eff"], cache["t_deriv"]
-            ):
-                dw = delta[:, :, None] * a_in[:, None, :] * t_deriv[None, :, :]
-                dtheta[:, block.w_slice] += dw.reshape(dw.shape[0], -1)
-                da = delta @ w_eff
+            for block, w_eff in zip(layer.blocks, cache["w_eff"]):
                 if block.source == "prev":
-                    delta_prev = da
+                    delta_prev = delta @ w_eff
                 else:
-                    dsources[block.source] += da
+                    dsources[block.source] += delta @ w_eff
             delta = delta_prev
             if delta is None:
                 break
+        return tape
+
+    def param_gradients(self, tape: list, dtheta: np.ndarray) -> None:
+        """Writes per-sample parameter gradients into dtheta (m, P)."""
+        for layer, (delta, inputs, t_derivs) in zip(reversed(self.layers), tape):
+            dtheta[:, layer.b_slice] += delta
+            for block, a_in, t_deriv in zip(layer.blocks, inputs, t_derivs):
+                dw = delta[:, :, None] * a_in[:, None, :] * t_deriv[None, :, :]
+                dtheta[:, block.w_slice] += dw.reshape(dw.shape[0], -1)
+
+    def pullback(self, tape: list, weights: np.ndarray, grad: np.ndarray) -> None:
+        """Adds sum_i weights_i * (parameter gradient of sample i) into grad (P,),
+        reducing over samples layer by layer."""
+        for layer, (delta, inputs, t_derivs) in zip(reversed(self.layers), tape):
+            grad[layer.b_slice] += weights @ delta
+            for block, a_in, t_deriv in zip(layer.blocks, inputs, t_derivs):
+                grad[block.w_slice] += (((delta * weights[:, None]).T @ a_in) * t_deriv).ravel()
 
 
 def _mlp_layers(n_in: int, hidden: Sequence[int], activation: str,
@@ -412,31 +432,34 @@ class DriverNet:
         raw_b, _ = self._stacks["interaction"].forward(self.theta, sources, x.shape[0])
         return self.layout.interaction_bound * np.tanh(raw_b)
 
-    def full_gradients(self, t, x, y, z) -> DriverGradients:
+    def _reverse(self, t, x, y, z):
+        """Forward pass and one reverse pass with unit output weight.
+
+        Returns the value, dy, dz and, per stack, the tape that parameter
+        gradients are built from.
+        """
         t, x, y, z = _normalize_inputs(t, x, y, z)
         self._check_dims(x, z)
         m = x.shape[0]
         sources = self._sources(t, x, y, z)
         out, caches = self._forward(sources, m)
-        dtheta = np.zeros((m, self.n_params))
         dsources = {key: np.zeros_like(val) for key, val in sources.items()}
         ones = np.ones(m)
         k = self.kind
         if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
-            self._stacks["main"].backward(caches["main"], ones, dtheta, dsources)
+            seeds = {"main": ones}
         elif k is ArchitectureKind.SEPARABLE:
-            self._stacks["txz"].backward(caches["txz"], ones, dtheta, dsources)
-            self._stacks["y"].backward(caches["y"], ones, dtheta, dsources)
+            seeds = {"txz": ones, "y": ones}
         elif k is ArchitectureKind.BOUNDED_INTERACTION:
-            self._stacks["txz"].backward(caches["txz"], ones, dtheta, dsources)
-            self._stacks["interaction"].backward(
-                caches["interaction"], caches["squash_deriv"] * caches["c_out"], dtheta, dsources
-            )
-            self._stacks["y"].backward(caches["y"], caches["squash"], dtheta, dsources)
+            seeds = {"txz": ones,
+                     "interaction": caches["squash_deriv"] * caches["c_out"],
+                     "y": caches["squash"]}
         else:
-            self._stacks["icnn"].backward(caches["icnn"], ones, dtheta, dsources)
+            seeds = {"icnn": ones}
+        tapes = {name: self._stacks[name].backward(caches[name], seed, dsources)
+                 for name, seed in seeds.items()}
 
-        n, d = self.layout.state_dim, self.layout.z_dim
+        n = self.layout.state_dim
         if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
             din = dsources["in"]
             dy = din[:, 1 + n]
@@ -447,7 +470,28 @@ class DriverNet:
         else:
             dy = dsources["u"][:, 0]
             dz = dsources["u"][:, 1:]
-        return DriverGradients(value=out, dy=dy, dz=dz.copy(), dtheta=dtheta)
+        return out, dy, dz.copy(), tapes
+
+    def full_gradients(self, t, x, y, z) -> DriverGradients:
+        out, dy, dz, tapes = self._reverse(t, x, y, z)
+        dtheta = np.zeros((out.shape[0], self.n_params))
+        for name, tape in tapes.items():
+            self._stacks[name].param_gradients(tape, dtheta)
+        return DriverGradients(value=out, dy=dy, dz=dz, dtheta=dtheta)
+
+    def linearize(self, t, x, y, z) -> DriverLinearization:
+        """Value and input derivatives, with a pullback that reuses this
+        call's forward and reverse pass."""
+        out, dy, dz, tapes = self._reverse(t, x, y, z)
+
+        def pullback(weights):
+            weights = np.asarray(weights, dtype=np.float64)
+            grad = np.zeros(self.n_params)
+            for name, tape in tapes.items():
+                self._stacks[name].pullback(tape, weights, grad)
+            return grad
+
+        return DriverLinearization(value=out, dy=dy, dz=dz, pullback=pullback)
 
     def with_params(self, params) -> "DriverNet":
         return DriverNet(self.kind, self.layout, params)

@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bsdelab.drivers import (
     AnalyticDriver,
+    TruncatedDriver,
     entropic_driver,
     linear_z_driver,
+    quadratic_z_driver,
     scaled_constant_driver,
 )
-from bsdelab.engine import BsdeProblem, RegressionBasis, solve_bsde_lsmc
+from bsdelab.engine import BsdeProblem, RegressionBasis, SolveOptions, solve_bsde_lsmc
 from bsdelab.errors import TrainingDivergedError
 from bsdelab.learning import (
     Dataset,
@@ -20,7 +24,14 @@ from bsdelab.learning import (
     train,
 )
 from bsdelab.nets import NetLayout, build_driver, verify_convexity, verify_monotone
-from bsdelab.stochastic import brownian_model, make_time_grid, sample_brownian, split_seed
+from bsdelab.stochastic import (
+    brownian_model,
+    make_time_grid,
+    sample_brownian,
+    simulate_forward,
+    split_seed,
+)
+from sensitivity_reference import forward_sensitivity
 
 W_T = lambda ens: ens.states[:, -1, 0]
 
@@ -66,9 +77,11 @@ class TestSensitivitySolve:
         assert double.grad_y0[0] == 2.0 * single.grad_y0[0]
 
     def test_terminal_slice_is_zero(self):
+        # Checked on the forward-mode reference, the only solve that keeps
+        # per-path sensitivities; the adjoint never forms them.
         problem = brownian_problem(entropic_driver(1.0), n_paths=1_000, n_steps=8)
-        sens = solve_sensitivity_bsde(solve_bsde_lsmc(problem), store_paths=True)
-        np.testing.assert_array_equal(sens.grad_y[:, -1, :], 0.0)
+        _, grad_y = forward_sensitivity(solve_bsde_lsmc(problem), store_paths=True)
+        np.testing.assert_array_equal(grad_y[:, -1, :], 0.0)
 
     def test_entropic_analytic_derivative(self):
         # dY0/dtheta = -T/2 for the entropic family; both routes within 1%.
@@ -95,7 +108,6 @@ class TestSensitivitySolve:
         problem = brownian_problem(net, n_paths=20_000, n_steps=20, seed=5)
         rng = np.random.default_rng(0)
         coords = rng.choice(net.n_params, size=5, replace=False)
-        from bsdelab.engine import SolveOptions
         report = fd_gradient_check(problem, coords=coords, h=1e-4,
                                    opts=SolveOptions(z_clip=None))
         assert report.max_relative_error <= 1e-3
@@ -104,6 +116,74 @@ class TestSensitivitySolve:
         problem = brownian_problem(entropic_driver(1.0), n_paths=500, n_steps=4)
         with pytest.raises(ValueError):
             fd_gradient_check(problem, coords=[0], h=0.0)
+
+
+KINDS = ("Free", "Separable", "BoundedInteraction", "MonotoneY", "IcnnYZ")
+
+
+def assert_matches_reference(primary, opts):
+    adjoint = solve_sensitivity_bsde(primary, opts=opts).grad_y0
+    reference, _ = forward_sensitivity(primary, opts=opts)
+    scale = max(np.max(np.abs(reference)), 1e-300)
+    assert np.max(np.abs(adjoint - reference)) <= 1e-10 * scale
+
+
+class TestAdjointAgainstForwardMode:
+    """The adjoint is the transpose of the forward-mode scheme, so the two
+    agree to roundoff whatever the driver, dimension, passes and clipping."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_networks(self, kind, d):
+        lay = NetLayout(state_dim=d, z_dim=d, hidden=(5, 4), n2_hidden=(3,),
+                        activation="softplus" if kind == "IcnnYZ" else "tanh")
+        net = build_driver(kind, lay, init_seed=3 + d)
+        grid = make_time_grid(1.0, 6)
+        bundle = sample_brownian(grid, 800, d, seed=5)
+        terminal = lambda ens: np.sin(ens.states[:, -1, 0]) + 0.3 * ens.states[:, -1, -1] ** 2
+        problem = BsdeProblem(driver=net, terminal=terminal, model=brownian_model(d),
+                              grid=grid, bundle=bundle)
+        for passes in (1, 2, 3):
+            for z_clip in (None, 0.5):
+                opts = SolveOptions(inner_picard_iters=passes, z_clip=z_clip)
+                primary = solve_bsde_lsmc(problem, opts=opts)
+                if z_clip is not None:
+                    assert primary.z_clip_count.sum() > 0
+                assert_matches_reference(primary, opts)
+
+    @pytest.mark.parametrize("driver", [
+        entropic_driver(1.0), linear_z_driver(0.3), scaled_constant_driver(0.7, 2.5),
+        quadratic_z_driver(0.5), dead_coordinate_driver(0.7, 2.0),
+    ], ids=lambda drv: drv.name)
+    def test_analytic_drivers(self, driver):
+        problem = brownian_problem(driver, n_paths=2_000, n_steps=10, seed=3)
+        for opts in (SolveOptions(z_clip=None), SolveOptions(inner_picard_iters=3)):
+            assert_matches_reference(solve_bsde_lsmc(problem, opts=opts), opts)
+
+    def test_truncated_driver(self):
+        net = build_driver("MonotoneY", NetLayout(hidden=(5,)), init_seed=2)
+        truncated = TruncatedDriver(net, 0.4)
+        problem = brownian_problem(truncated, n_paths=1_000, n_steps=8, seed=9)
+        opts = SolveOptions(z_clip=None)
+        primary = solve_bsde_lsmc(problem, opts=opts)
+        assert np.any(np.abs(primary.y) > 0.4)
+        assert_matches_reference(primary, opts)
+
+    def test_peak_memory_does_not_scale_with_parameters(self):
+        # One (m, P) float array here would be 10 000 x 1 249 x 8 B = 100 MB.
+        net = build_driver("Free", NetLayout(hidden=(32, 32)), init_seed=1)
+        assert net.n_params == 1_249
+        grid = make_time_grid(1.0, 25)
+        ens = simulate_forward(brownian_model(1), grid, sample_brownian(grid, 10_000, 1, seed=3))
+        opts = SolveOptions(z_clip=None)
+        primary = solve_bsde_lsmc(BsdeProblem(driver=net, terminal=W_T, ensemble=ens), opts=opts)
+        tracemalloc.start()
+        try:
+            solve_sensitivity_bsde(primary, opts=opts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 def small_dataset(theta_true=1.0, n_paths=2_000, n_steps=10, scales=(0.5, 1.0)):
@@ -154,6 +234,30 @@ class TestLoss:
         report = loss_and_gradient(dataset, scaled_constant_driver(1.0, 1.0),
                                    lam_norm=1.0, seed=2)
         assert report.norm_term == pytest.approx(1.0, rel=1e-9)
+
+    def test_normalization_gradient_against_fd(self):
+        # The penalty depends on theta directly and through the regressed
+        # continuation values; both routes must be in the gradient.
+        dataset = small_dataset(n_paths=2_000, n_steps=10)
+        net = build_driver("Free", NetLayout(hidden=(5,)), init_seed=3)
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=4)
+        opts = SolveOptions(z_clip=None)
+        loss = lambda drv: loss_and_gradient(dataset, drv, lam_norm=1.0, opts=opts,
+                                             bundle=bundle)
+        report = loss(net)
+        assert report.norm_term > 0.0
+        grad = report.gradient
+        h = 1e-4
+        coords = np.random.default_rng(2).choice(net.n_params, size=6, replace=False)
+        for j in coords:
+            bump = np.zeros(net.n_params)
+            bump[j] = h
+            fd = (loss(net.with_params(net.params + bump)).loss
+                  - loss(net.with_params(net.params - bump)).loss) / (2 * h)
+            # Criterion-3 rule: relative to the larger value, floored at 1e-3
+            # of the gradient's overall scale.
+            scale = max(abs(grad[j]), abs(fd), 1e-3 * np.max(np.abs(grad)))
+            assert abs(grad[j] - fd) <= 1e-3 * scale
 
     def test_regularizer_terms(self):
         dataset = small_dataset()

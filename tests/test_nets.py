@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from bsdelab.drivers import entropic_driver, linear_z_driver, zero_driver
+from bsdelab.drivers import TruncatedDriver, entropic_driver, linear_z_driver, zero_driver
 from bsdelab.errors import InvalidArchitectureError
 from bsdelab.nets import (
+    _softplus,
     ArchitectureKind,
     DriverNet,
     NetLayout,
@@ -256,6 +259,55 @@ class TestGradients:
             rng.normal(size=(10_000, 1)),
         )
         assert np.all(g.dy <= 0.0)
+
+
+    @pytest.mark.parametrize("kind", KINDS + ["IcnnYZ-relu"])
+    def test_linearize_matches_full_gradients(self, kind):
+        # full_gradients' per-sample dtheta is the reference for the pullback.
+        if kind == "IcnnYZ-relu":
+            lay = NetLayout(state_dim=2, z_dim=2, hidden=(6, 5), activation="relu")
+            kind = "IcnnYZ"
+        else:
+            lay = layout_for(kind, state_dim=2, z_dim=2)
+        net = build_driver(kind, lay, init_seed=11)
+        rng = np.random.default_rng(4)
+        m = 300
+        t, x, y, z = (rng.uniform(0, 1, m), rng.normal(size=(m, 2)), rng.normal(size=m),
+                      rng.normal(size=(m, 2)))
+        g = net.full_gradients(t, x, y, z)
+        lin = net.linearize(t, x, y, z)
+        np.testing.assert_array_equal(lin.value, g.value)
+        np.testing.assert_array_equal(lin.dy, g.dy)
+        np.testing.assert_array_equal(lin.dz, g.dz)
+        for w in (np.ones(m), rng.normal(size=m)):
+            expected = w @ g.dtheta
+            np.testing.assert_allclose(lin.pullback(w), expected, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(expected)))
+
+    def test_analytic_and_truncated_linearize(self):
+        rng = np.random.default_rng(5)
+        m = 50
+        t, x, y, z = (0.3, rng.normal(size=(m, 1)), 2.0 * rng.normal(size=m),
+                      rng.normal(size=(m, 1)))
+        w = rng.normal(size=m)
+        for driver in (entropic_driver(0.7), linear_z_driver(0.4),
+                       TruncatedDriver(build_driver("MonotoneY", layout_for("MonotoneY"), 1), 1.0)):
+            g = driver.full_gradients(t, x, y, z)
+            lin = driver.linearize(t, x, y, z)
+            np.testing.assert_array_equal(lin.value, g.value)
+            np.testing.assert_array_equal(lin.dy, g.dy)
+            np.testing.assert_array_equal(lin.dz, g.dz)
+            np.testing.assert_allclose(lin.pullback(w), w @ g.dtheta, rtol=1e-12, atol=1e-14)
+
+
+class TestActivations:
+    def test_softplus_extremes_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _softplus(np.array([-1000.0, 0.0, 1000.0]))
+        assert out[0] == 0.0
+        assert out[1] == np.log(2.0)
+        assert out[2] == 1000.0
 
 
 class TestBoundedInteraction:
