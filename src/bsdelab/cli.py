@@ -58,7 +58,7 @@ class ExperimentConfig:
             raise ConfigError("kind", f"unknown kind '{raw['kind']}'")
         if "seed" not in raw:
             raise ConfigError("seed", "missing (runs must be seeded)")
-        if not isinstance(raw["seed"], int):
+        if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
             raise ConfigError("seed", "must be an integer")
         options = {k: v for k, v in raw.items() if k not in ("kind", "seed", "out")}
         return ExperimentConfig(kind=raw["kind"], seed=raw["seed"],

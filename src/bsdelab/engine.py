@@ -1,12 +1,19 @@
 """Backward least-squares Monte Carlo solver and its verification harnesses.
 
-The discrete scheme is the standard martingale-increment LSMC recursion:
-terminal values anchor the last slice, then per step the control is read
-from the regression of Y_{k+1} dW / dt on state features and the value is
-the regressed continuation plus the driver increment, optionally refined by
-inner fixed-point passes for implicitness in y. Conditional expectations
-use global polynomial least squares on standardized monomials; condition
-numbers are recorded per step.
+The discrete scheme is the martingale-increment LSMC recursion (Gobet,
+Lemor & Warin, 2005): terminal values anchor the last slice, then per step
+the control is read from the regression of Y_{k+1} dW / dt on state
+features and the value is the regressed continuation plus the driver
+increment, optionally refined by inner fixed-point passes for implicitness
+in y. `_backward_solve` is that loop for the primary solve, the
+dynamic-consistency tail and the fluctuation system's V loop. Conditional
+expectations use global polynomial least squares on standardized
+monomials with one factorization per step and solve: the R factor of the
+design's QR, whose singular values give the rank (count above
+eps * max(m, p) * sigma_max) and the condition number checked against
+cond_limit; a response b projects as A R^-1 R^-T A^T b. The solution
+carries its fits, so the adjoint, the Picard fields and the
+dynamic-consistency smoothing do not factor again.
 """
 
 from __future__ import annotations
@@ -59,14 +66,25 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# regression basis
+# regression basis and the projection layer
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DesignTransform:
+    """Standardization and monomial exponents of one step's design."""
+
     mean: np.ndarray
     scale: np.ndarray
     exponents: tuple
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The design at states x: a constant column, then one per exponent."""
+        u = (np.atleast_2d(x) - self.mean) / self.scale
+        top = max((max(e) for e in self.exponents), default=0)
+        powers = np.cumprod(np.repeat(u[:, :, None], top, axis=2), axis=2)   # u_i ** (p + 1)
+        cols = [np.prod([powers[:, i, p - 1] for i, p in enumerate(e) if p], axis=0)
+                for e in self.exponents]
+        return np.column_stack([np.ones(u.shape[0])] + cols)
 
 
 @dataclass(frozen=True)
@@ -79,54 +97,55 @@ class RegressionBasis:
     """
 
     degree: int = 3
-    features: tuple = ("x",)
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be >= 0")
 
-    def _exponents(self, n: int):
-        exps = []
-        for total in range(1, self.degree + 1):
-            for combo in itertools.combinations_with_replacement(range(n), total):
-                e = [0] * n
-                for i in combo:
-                    e[i] += 1
-                exps.append(tuple(e))
-        return exps
-
     def fit_design(self, x: np.ndarray):
         x = np.atleast_2d(x)
-        n = x.shape[1]
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
-        ok = scale > 0
+        live = [i for i in range(x.shape[1]) if scale[i] > 0]
         exps = tuple(
-            e for e in self._exponents(n)
-            if all(ok[i] for i in range(n) if e[i] > 0)
+            tuple(combo.count(i) for i in range(x.shape[1]))
+            for total in range(1, self.degree + 1)
+            for combo in itertools.combinations_with_replacement(live, total)
         )
-        tr = DesignTransform(mean=mean, scale=np.where(ok, scale, 1.0), exponents=exps)
-        return self.apply_design(x, tr), tr
-
-    def apply_design(self, x: np.ndarray, tr: DesignTransform) -> np.ndarray:
-        x = np.atleast_2d(x)
-        u = (x - tr.mean) / tr.scale
-        cols = [np.ones(x.shape[0])]
-        for e in tr.exponents:
-            col = np.ones(x.shape[0])
-            for i, p in enumerate(e):
-                if p:
-                    col = col * u[:, i] ** p
-            cols.append(col)
-        return np.column_stack(cols)
+        tr = DesignTransform(mean=mean, scale=np.where(scale > 0, scale, 1.0), exponents=exps)
+        return tr.apply(x), tr
 
 
-def _regress(design: np.ndarray, response: np.ndarray, step: int, cond_limit: float):
-    coef, _, rank, sv = np.linalg.lstsq(design, response, rcond=None)
+@dataclass(frozen=True)
+class Projection:
+    """Least-squares projection onto one step's design A, from R^-1 of A's QR.
+
+    The transform rebuilds A from the step's states; it is None for designs
+    that are not a basis of the state alone.
+    """
+
+    r_inv: np.ndarray
+    cond: float
+    transform: DesignTransform | None = None
+
+    def coef(self, design: np.ndarray, response: np.ndarray) -> np.ndarray:
+        return self.r_inv @ (self.r_inv.T @ (design.T @ response))
+
+    def project(self, design: np.ndarray, response: np.ndarray) -> np.ndarray:
+        return design @ self.coef(design, response)
+
+
+def fit_projection(design: np.ndarray, step: int, cond_limit: float,
+                   transform: DesignTransform | None = None) -> Projection:
+    """Factor a design; raises SingularRegressionError when the singular
+    values of R give a rank below p or a condition number above cond_limit."""
+    r = np.linalg.qr(design, mode="r")
+    sv = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.count_nonzero(sv > np.finfo(np.float64).eps * max(design.shape) * sv[0]))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if rank < design.shape[1] or cond > cond_limit:
         raise SingularRegressionError(step=step, cond=cond)
-    return coef, cond
+    return Projection(np.linalg.inv(r), cond, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +194,7 @@ class BsdeSolution:
     continuation: np.ndarray   # (m, n_steps) regressed continuation values
     y0: float
     y0_standard_error: float
-    regression_cond: np.ndarray
+    fits: tuple                # per step, the Projection with its condition number
     z_clip_count: np.ndarray
     max_abs_y: float
     grid: TimeGrid
@@ -183,78 +202,68 @@ class BsdeSolution:
 
 
 def _clip_z(z: np.ndarray, mult: float):
-    """Clip each column to median +- mult * IQR; returns (clipped, count)."""
-    count = 0
-    out = z.copy()
-    for j in range(z.shape[1]):
-        q1, med, q3 = np.percentile(z[:, j], [25.0, 50.0, 75.0])
-        iqr = q3 - q1
-        if iqr <= 0:
-            continue
-        lo, hi = med - mult * iqr, med + mult * iqr
-        count += int(np.count_nonzero((z[:, j] < lo) | (z[:, j] > hi)))
-        out[:, j] = np.clip(z[:, j], lo, hi)
-    return out, count
+    """Clip each column to median +- mult * IQR (none if the IQR is 0); returns (clipped, count)."""
+    q1, med, q3 = np.percentile(z, [25.0, 50.0, 75.0], axis=0)
+    iqr = q3 - q1
+    lo = np.where(iqr > 0, med - mult * iqr, -np.inf)
+    hi = np.where(iqr > 0, med + mult * iqr, np.inf)
+    return np.clip(z, lo, hi), int(np.count_nonzero((z < lo) | (z > hi)))
 
 
 def _backward_solve(
-    ens: PathEnsemble,
     terminal_values: np.ndarray,
-    driver: Driver,
-    basis: RegressionBasis,
-    opts: SolveOptions,
-    start_step: int | None = None,
+    increments: np.ndarray,
+    dt: float,
+    step_design: Callable,
+    step_value: Callable,
+    passes: int,
+    z_clip: float | None = None,
 ):
-    grid = ens.grid
-    m, n = ens.n_paths, grid.n_steps
-    d = ens.bundle.dim
-    dt = grid.dt
-    nodes = grid.nodes
-    inc = ens.bundle.increments
+    """The LSMC recursion over the steps of increments, from terminal values.
 
-    y = np.full((m, n + 1), np.nan)
+    step_design(k) gives step k's (design, Projection) and step_value(k, y, z)
+    the driver value there. Returns (y, z, continuation, fits, clip counts).
+    """
+    m, n, d = increments.shape
+    y = np.empty((m, n + 1))
     z = np.zeros((m, n, d))
-    cont = np.full((m, n), np.nan)
-    conds = np.zeros(n)
+    cont = np.empty((m, n))
+    fits = [None] * n
     clips = np.zeros(n, dtype=int)
 
-    top = n if start_step is None else start_step
-    y[:, top] = terminal_values
-    if not np.all(np.isfinite(y[:, top])):
+    y[:, n] = terminal_values
+    if not np.all(np.isfinite(y[:, n])):
         raise SolverDivergedError("non-finite terminal values")
 
-    passes = max(1, opts.inner_picard_iters)
-    for k in range(top - 1, -1, -1):
-        x_k = ens.states[:, k, :]
-        design, _tr = basis.fit_design(x_k)
-
-        coef_y, cond_y = _regress(design, y[:, k + 1], k, opts.cond_limit)
-        c_k = design @ coef_y
+    for k in range(n - 1, -1, -1):
+        design, fit = step_design(k)
+        c_k = fit.project(design, y[:, k + 1])
 
         # Martingale-increment regression for Z with the continuation value
         # as control variate: E[(Y - c)dW | X] = E[Y dW | X], at far lower
         # response variance (the compounding term of the plain estimator).
-        coef_z, cond_z = _regress(
-            design, (y[:, k + 1] - c_k)[:, None] * inc[:, k, :], k, opts.cond_limit
-        )
-        z_k = design @ coef_z / dt
-        if opts.z_clip is not None and np.isfinite(opts.z_clip):
-            z_k, clips[k] = _clip_z(z_k, opts.z_clip)
+        z_k = fit.project(design, (y[:, k + 1] - c_k)[:, None] * increments[:, k, :]) / dt
+        if z_clip is not None and np.isfinite(z_clip):
+            z_k, clips[k] = _clip_z(z_k, z_clip)
 
         y_k = c_k
-        for _ in range(passes):
+        for _ in range(max(1, passes)):
             if not np.all(np.isfinite(y_k)):
                 raise SolverDivergedError(f"non-finite values at step {k}")
-            y_k = c_k + driver.value(nodes[k], x_k, y_k, z_k) * dt
+            y_k = c_k + step_value(k, y_k, z_k) * dt
         if not np.all(np.isfinite(y_k)):
             raise SolverDivergedError(f"non-finite values at step {k}")
 
         y[:, k] = y_k
         z[:, k, :] = z_k
         cont[:, k] = c_k
-        conds[k] = max(cond_z, cond_y)
+        fits[k] = fit
 
-    return y, z, cont, conds, clips
+    return y, z, cont, fits, clips
+
+
+def _driver_value(driver: Driver, ens: PathEnsemble) -> Callable:
+    return lambda k, y_k, z_k: driver.value(ens.grid.nodes[k], ens.states[:, k, :], y_k, z_k)
 
 
 def solve_bsde_lsmc(
@@ -272,7 +281,15 @@ def solve_bsde_lsmc(
     xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal functional produced non-finite values")
-    y, z, cont, conds, clips = _backward_solve(ens, xi, problem.driver, basis, opts)
+
+    def step_design(k):
+        design, tr = basis.fit_design(ens.states[:, k, :])
+        return design, fit_projection(design, k, opts.cond_limit, tr)
+
+    y, z, cont, fits, clips = _backward_solve(
+        xi, ens.bundle.increments, ens.grid.dt, step_design,
+        _driver_value(problem.driver, ens), opts.inner_picard_iters, z_clip=opts.z_clip,
+    )
     m = ens.n_paths
     # Monte Carlo error of the root value, estimated from the pathwise
     # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt).
@@ -282,7 +299,7 @@ def solve_bsde_lsmc(
         y=y, z=z, continuation=cont,
         y0=float(y[0, 0]),
         y0_standard_error=se,
-        regression_cond=conds,
+        fits=tuple(fits),
         z_clip_count=clips,
         max_abs_y=float(np.max(np.abs(y))),
         grid=ens.grid,
@@ -324,7 +341,8 @@ def closed_form_oracle(
 
     zero: plain mean. entropic: -(1/theta) log mean exp(-theta xi), evaluated
     in log space. linear: mean under the exponential reweighting built from
-    the terminal Brownian motion (self-normalized).
+    the terminal Brownian motion (self-normalized), one row per sample:
+    shape (m,) for d = 1, or (m, d).
     """
     xi = np.asarray(xi_samples, dtype=np.float64).ravel()
     if xi.size == 0:
@@ -346,9 +364,11 @@ def closed_form_oracle(
         if b is None or horizon is None or terminal_motion is None:
             raise ValueError("linear oracle requires b, horizon and terminal_motion")
         bvec = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        w = np.atleast_2d(np.asarray(terminal_motion, dtype=np.float64))
-        if w.shape[0] != xi.size:
-            w = w.T
+        w = np.asarray(terminal_motion, dtype=np.float64)
+        if w.ndim == 1:
+            w = w[:, None]
+        if w.ndim != 2 or w.shape[0] != xi.size:
+            raise ValueError(f"terminal_motion must be (m,) or (m, d) with m = {xi.size}")
         logw = w @ bvec - 0.5 * float(bvec @ bvec) * horizon
         val = float(softmax(logw) @ xi)
         if not np.isfinite(val):
@@ -530,12 +550,15 @@ def check_dynamic_consistency(
     if ks == ens.grid.n_steps:
         nested_y0 = direct.y0
     else:
-        x_s = ens.states[:, ks, :]
-        design, _ = basis.fit_design(x_s)
-        coef, _ = _regress(design, direct.y[:, ks], ks, opts.cond_limit)
-        smoothed = design @ coef
+        def stored_design(k):
+            fit = direct.fits[k]
+            return fit.transform.apply(ens.states[:, k, :]), fit
+
+        design, fit = stored_design(ks)
         y, _, _, _, _ = _backward_solve(
-            ens, smoothed, problem.driver, basis, opts, start_step=ks
+            fit.project(design, direct.y[:, ks]), ens.bundle.increments[:, :ks], ens.grid.dt,
+            stored_design, _driver_value(problem.driver, ens), opts.inner_picard_iters,
+            z_clip=opts.z_clip,
         )
         nested_y0 = float(y[0, 0])
     return DynamicConsistencyReport(
@@ -679,31 +702,22 @@ def dual_lower_bound(
 class FieldTable:
     """Regressed (y, z) fields, evaluable at new states per step."""
 
-    basis: RegressionBasis
-    transforms: list
-    coef_y: list
-    coef_z: list
+    fits: tuple
+    coefs: list      # per step, the coefficients of [Y_k, Z_k] on the step's design
 
     def y_field(self, k: int, x: np.ndarray) -> np.ndarray:
-        a = self.basis.apply_design(x, self.transforms[k])
-        return a @ self.coef_y[k]
+        return self.fits[k].transform.apply(x) @ self.coefs[k][:, 0]
 
     def z_field(self, k: int, x: np.ndarray) -> np.ndarray:
-        a = self.basis.apply_design(x, self.transforms[k])
-        return a @ self.coef_z[k]
+        return self.fits[k].transform.apply(x) @ self.coefs[k][:, 1:]
 
 
-def _fit_fields(ens: PathEnsemble, sol: BsdeSolution, basis: RegressionBasis,
-                opts: SolveOptions) -> FieldTable:
-    transforms, coefs_y, coefs_z = [], [], []
-    for k in range(ens.grid.n_steps):
-        design, tr = basis.fit_design(ens.states[:, k, :])
-        cy, _ = _regress(design, sol.y[:, k], k, opts.cond_limit)
-        cz, _ = _regress(design, sol.z[:, k, :], k, opts.cond_limit)
-        transforms.append(tr)
-        coefs_y.append(cy)
-        coefs_z.append(cz)
-    return FieldTable(basis=basis, transforms=transforms, coef_y=coefs_y, coef_z=coefs_z)
+def _fit_fields(ens: PathEnsemble, sol: BsdeSolution) -> FieldTable:
+    return FieldTable(fits=sol.fits, coefs=[
+        fit.coef(fit.transform.apply(ens.states[:, k, :]),
+                 np.column_stack([sol.y[:, k], sol.z[:, k, :]]))
+        for k, fit in enumerate(sol.fits)
+    ])
 
 
 @dataclass(frozen=True)
@@ -744,7 +758,7 @@ def solve_fbsde_picard(
     sol = solve_bsde_lsmc(
         BsdeProblem(driver=driver, terminal=terminal, ensemble=ens), basis, opts
     )
-    fields = _fit_fields(ens, sol, basis, opts)
+    fields = _fit_fields(ens, sol)
 
     residuals = []
     for iteration in range(1, max_iters + 1):
@@ -756,7 +770,7 @@ def solve_fbsde_picard(
                     BsdeProblem(driver=driver, terminal=terminal, ensemble=new_ens),
                     basis, opts,
                 )
-                new_fields = _fit_fields(new_ens, new_sol, basis, opts)
+                new_fields = _fit_fields(new_ens, new_sol)
         except (SimulationDivergedError, SolverDivergedError, SingularRegressionError) as exc:
             # A blown-up iterate is the strongest evidence of non-contraction.
             raise NoContractionError(residuals + [float("inf")]) from exc
@@ -800,7 +814,7 @@ def export_solution_csv(solution: BsdeSolution, path) -> None:
             if k < n:
                 norm_z = np.sqrt(np.sum(solution.z[:, k, :] ** 2, axis=1)).mean()
                 row += [repr(float(norm_z)), int(solution.z_clip_count[k]),
-                        repr(float(solution.regression_cond[k]))]
+                        repr(solution.fits[k].cond)]
             else:
                 row += ["", "", ""]
             writer.writerow(row)

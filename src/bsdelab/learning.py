@@ -11,8 +11,14 @@ its least-squares projections are symmetric, its transpose gives the same
 gradient from one m-vector carried forward in time, with each driver
 evaluation contributing through a pullback w -> sum_i w_i grad_theta f_i
 (Giles & Glasserman, "Smoking adjoints: fast Monte Carlo Greeks", Risk,
-2006). The cost per step is two regressions and one reverse pass of the
-driver, whatever the number of parameters.
+2006). The cost per step is two projections onto the designs the primary
+solve already factored and one reverse pass of the driver, whatever the
+number of parameters.
+
+The Z clip is not differentiated: clipped Z entries count as unclipped,
+so the gradient is exact only where the primary's `z_clip_count` is all
+zero. `train` defaults to `z_clip=10`; at `z_clip=2` a Free net with a
+cubic terminal showed a 4.3e-3 gap to finite differences of the loss.
 
 Gradients of the learning loss are assembled from these adjoints by the
 chain rule; the descent loop is plain gradient descent on a fixed noise
@@ -28,14 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drivers import Driver
-from .engine import (
-    BsdeProblem,
-    BsdeSolution,
-    RegressionBasis,
-    SolveOptions,
-    _regress,
-    solve_bsde_lsmc,
-)
+from .engine import BsdeProblem, BsdeSolution, RegressionBasis, SolveOptions, solve_bsde_lsmc
 from .errors import SimulationDivergedError, SolverDivergedError, TrainingDivergedError
 from .stochastic import (
     BrownianBundle,
@@ -74,7 +73,6 @@ class SensitivitySolution:
 def _adjoint_gradient(
     primary: BsdeSolution,
     driver: Driver,
-    basis: RegressionBasis,
     opts: SolveOptions,
     root: np.ndarray,
     continuation_weights: np.ndarray | None = None,
@@ -90,8 +88,9 @@ def _adjoint_gradient(
     Per step the linearized update is, pass by pass from v = C_k,
         v <- C_k + (dtheta f + dz f . Z_k + dy f v) dt,
         C_k = Pi V_{k+1},  Z_k,j = Pi((V_{k+1} - C_k) dW_j) / dt,
-    with Pi the least-squares projection onto the step's design. The
-    transpose of the passes runs last pass first; Pi is symmetric, so
+    with Pi the least-squares projection onto the step's design, read from
+    the fits the primary solve stored. The transpose of the passes runs
+    last pass first; Pi is symmetric, so
         lam_{k+1} = Pi a_cont + (I - Pi)(sum_j dW_j Pi b_j) / dt
     for the adjoints a_cont of C_k and b of Z_k. The z clip of the primary
     is not differentiated, as in the forward scheme.
@@ -132,30 +131,29 @@ def _adjoint_gradient(
 
         if k + 1 == n:
             break   # V_n = 0: the terminal data do not depend on the parameters
-        design, _ = basis.fit_design(x_k)
-        coef_b, _ = _regress(design, b, k, opts.cond_limit)
-        mart = np.sum((design @ coef_b) * inc[:, k, :], axis=1) / dt
-        coef, _ = _regress(design, a_cont - mart, k, opts.cond_limit)
-        lam = design @ coef + mart
+        fit = primary.fits[k]
+        design = fit.transform.apply(x_k)
+        mart = np.sum(fit.project(design, b) * inc[:, k, :], axis=1) / dt
+        lam = fit.project(design, a_cont - mart) + mart
     return grad
 
 
 def solve_sensitivity_bsde(
     primary: BsdeSolution,
     driver: Driver | None = None,
-    basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
 ) -> SensitivitySolution:
     """Exact gradient of the discrete Y0 with respect to the driver parameters.
 
     The discrete adjoint of the linear sensitivity system: coefficients are
-    frozen at the primary's (Y, Z) data, and Y0 is read from path 0 of the
-    root slice, as the primary reads it.
+    frozen at the primary's (Y, Z) data, projections are the primary's
+    stored fits, and Y0 is read from path 0 of the root slice, as the
+    primary reads it. opts must be the options of the primary solve.
     """
     driver = primary.problem.driver if driver is None else driver
     root = np.zeros(primary.y.shape[0])
     root[0] = 1.0
-    grad = _adjoint_gradient(primary, driver, basis, opts, root)
+    grad = _adjoint_gradient(primary, driver, opts, root)
     return SensitivitySolution(grad_y0=grad, primary=primary)
 
 
@@ -185,7 +183,7 @@ def fd_gradient_check(
     ens = problem.realize()
     shared = replace(problem, ensemble=ens)
     primary = solve_bsde_lsmc(shared, basis, opts)
-    sens = solve_sensitivity_bsde(primary, basis=basis, opts=opts)
+    sens = solve_sensitivity_bsde(primary, opts=opts)
 
     theta = shared.driver.params
     coords = tuple(range(theta.size)) if coords is None else tuple(coords)
@@ -312,7 +310,7 @@ def loss_and_gradient(
         try:
             prob = BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens)
             sol = solve_bsde_lsmc(prob, basis, opts)
-            sens = solve_sensitivity_bsde(sol, basis=basis, opts=opts)
+            sens = solve_sensitivity_bsde(sol, opts=opts)
         except Exception as exc:
             try:
                 wrapped = type(exc)(f"record {i} ('{rec.label}'): {exc}")
@@ -338,8 +336,7 @@ def loss_and_gradient(
                 norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
                 grad += scale * lin.pullback(lin.value / m)
                 cont_weights[:, k] = lin.value * lin.dy / m
-            grad += scale * _adjoint_gradient(sol, driver, basis, opts, np.zeros(m),
-                                              cont_weights)
+            grad += scale * _adjoint_gradient(sol, driver, opts, np.zeros(m), cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
     grad += 2.0 * lam_reg * driver.params

@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import BsdeProblem, BsdeSolution, RegressionBasis, SolveOptions, _regress, solve_bsde_lsmc
+from .engine import BsdeProblem, BsdeSolution, RegressionBasis, SolveOptions, solve_bsde_lsmc
+from .engine import _backward_solve, fit_projection
 from .errors import IncompleteCoefficientsError, NoFixedPointError
 from .stochastic import (
     BrownianBundle,
@@ -591,8 +592,9 @@ def solve_fluctuation_system(
     E'[dmu_sigma U'] + G_sigma) dW, with E' approximated by the within-world
     cloud average and G the optional sampling forcing (one ghost realization
     per world, shared by its members). Backward: the linear BSDE for (V, Z)
-    with terminal dx_g U_T + E'[dmu_g U'_T] + G_g, solved by regression on
-    state features augmented with standardized-U columns.
+    with terminal dx_g U_T + E'[dmu_g U'_T] + G_g, solved on the engine's
+    backward kernel, without Z clipping, by regression on state features
+    augmented with standardized-U columns.
     """
     coeffs.validate()
     if include_sampling_noise and n_worlds < 2:
@@ -622,64 +624,44 @@ def solve_fluctuation_system(
             g_x0 = np.asarray(model.initial_sampler(1, split_seed(seed, "fluct-ghost-x0", w)))
             ghost, _ = _simulate_cloud(model, grid, g_inc, g_x0, flow=flow)
 
+        def linear_term(dx, dmu, sampling, k):
+            """dx U + E'[dmu U'], plus the centered sampling forcing, at node k."""
+            x_k, f_k, u_k = states[:, k], flow[k], u[:, k]
+            out = (_broadcast(dx(nodes[k], x_k, f_k), per_world) * u_k
+                   + _pair_term(dmu, nodes[k], x_k, f_k, x_k, u_k))
+            if ghost is not None and sampling is not None:
+                out = out + _centered_forcing(sampling, nodes[k], x_k, f_k, ghost[0, k], x_k)
+            return out
+
+        # The backward forcing from U depends on forward data only, so it is
+        # collected in the forward pass.
         u = np.empty((per_world, n + 1))
+        forcing = np.empty((per_world, n))
+        dy_f = np.empty((per_world, n))
+        dz_f = np.empty((per_world, n))
         u[:, 0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
         for k in range(n):
-            x_k = states[:, k]
-            f_k = flow[k]
-            drift = (_broadcast(coeffs.dx_b(nodes[k], x_k, f_k), per_world) * u[:, k]
-                     + _pair_term(coeffs.dmu_b, nodes[k], x_k, f_k, x_k, u[:, k]))
-            diff = (_broadcast(coeffs.dx_sigma(nodes[k], x_k, f_k), per_world) * u[:, k]
-                    + _pair_term(coeffs.dmu_sigma, nodes[k], x_k, f_k, x_k, u[:, k]))
-            if ghost is not None and coeffs.sampling_b is not None:
-                drift = drift + _centered_forcing(coeffs.sampling_b, nodes[k], x_k, f_k,
-                                                  ghost[0, k], x_k)
-            if ghost is not None and coeffs.sampling_sigma is not None:
-                diff = diff + _centered_forcing(coeffs.sampling_sigma, nodes[k], x_k, f_k,
-                                                ghost[0, k], x_k)
+            drift = linear_term(coeffs.dx_b, coeffs.dmu_b, coeffs.sampling_b, k)
+            diff = linear_term(coeffs.dx_sigma, coeffs.dmu_sigma, coeffs.sampling_sigma, k)
+            forcing[:, k] = linear_term(coeffs.dx_f, coeffs.dmu_f, coeffs.sampling_f, k)
+            dy_f[:, k] = _broadcast(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
+            dz_f[:, k] = _broadcast(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
             u[:, k + 1] = u[:, k] + drift * dt + diff * inc[:, k, 0]
+        # Terminal derivatives take no time argument.
+        timeless = lambda fn: None if fn is None else (lambda t, *args: fn(*args))
+        v_t = linear_term(timeless(coeffs.dx_g), timeless(coeffs.dmu_g),
+                          timeless(coeffs.sampling_g), n)
 
-        v = np.empty((per_world, n + 1))
-        zv = np.zeros((per_world, n))
-        x_t = states[:, n]
-        g_mat = np.broadcast_to(
-            np.asarray(coeffs.dmu_g(x_t, flow[n], x_t), dtype=np.float64),
-            (per_world, per_world),
-        )
-        v[:, n] = (_broadcast(coeffs.dx_g(x_t, flow[n]), per_world) * u[:, n]
-                   + g_mat @ u[:, n] / per_world)
-        if ghost is not None and coeffs.sampling_g is not None:
-            at_ghost = np.broadcast_to(
-                np.asarray(coeffs.sampling_g(x_t, flow[n], np.atleast_1d(ghost[0, n]))),
-                (per_world, 1),
-            )[:, 0]
-            at_cloud = np.broadcast_to(
-                np.asarray(coeffs.sampling_g(x_t, flow[n], x_t)), (per_world, per_world)
-            )
-            v[:, n] = v[:, n] + (at_ghost - at_cloud.mean(axis=1))
-        passes = max(1, opts.inner_picard_iters)
-        for k in range(n - 1, -1, -1):
-            x_k = states[:, k]
-            f_k = flow[k]
-            design = _augmented_design(basis, x_k, u[:, k])
-            coef_c, _ = _regress(design, v[:, k + 1], k, opts.cond_limit)
-            cont = design @ coef_c
-            coef_z, _ = _regress(design, (v[:, k + 1] - cont) * inc[:, k, 0], k,
-                                 opts.cond_limit)
-            z_k = design @ coef_z / dt
+        def step_design(k):
+            design = _augmented_design(basis, states[:, k], u[:, k])
+            return design, fit_projection(design, k, opts.cond_limit)
 
-            source = (_broadcast(coeffs.dx_f(nodes[k], x_k, f_k), per_world) * u[:, k]
-                      + _broadcast(coeffs.dz_f(nodes[k], x_k, f_k), per_world) * z_k
-                      + _pair_term(coeffs.dmu_f, nodes[k], x_k, f_k, x_k, u[:, k]))
-            if ghost is not None and coeffs.sampling_f is not None:
-                source = source + _centered_forcing(coeffs.sampling_f, nodes[k], x_k, f_k,
-                                                    ghost[0, k], x_k)
-            dy = _broadcast(coeffs.dy_f(nodes[k], x_k, f_k), per_world)
-            v_k = cont
-            for _ in range(passes):
-                v_k = cont + (source + dy * v_k) * dt
-            v[:, k] = v_k
-            zv[:, k] = z_k
+        def step_value(k, v_k, z_k):
+            return forcing[:, k] + dz_f[:, k] * z_k[:, 0] + dy_f[:, k] * v_k
+
+        v, zv, _, _, _ = _backward_solve(v_t, inc, dt, step_design, step_value,
+                                         opts.inner_picard_iters)
+        zv = zv[:, :, 0]
 
         all_u.append(u)
         all_v.append(v)

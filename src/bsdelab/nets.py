@@ -656,10 +656,12 @@ def estimate_growth_and_lipschitz(driver, radius: float = 2.0, n_samples: int = 
     xnorm = np.sqrt(np.sum(x * x, axis=1))
     znorm2 = 0.5 * np.sum(z * z, axis=1)
 
+    from .engine import fit_projection   # engine imports this module
+
     best = None
     for p in (1, 2):
         design = np.column_stack([np.ones(n_samples), xnorm ** p, np.abs(y), znorm2])
-        coef, res, _, _ = np.linalg.lstsq(design, f, rcond=None)
+        coef = fit_projection(design, step=0, cond_limit=np.inf).coef(design, f)
         resid = float(np.sum((design @ coef - f) ** 2))
         if best is None or resid < best[0]:
             best = (resid, p, coef)

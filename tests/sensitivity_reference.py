@@ -5,16 +5,17 @@ equation whose drift is grad_theta f + (df/dy) V + <df/dz, Z_V> with zero
 terminal data, coefficients frozen along the primary solution's paths, and
 the update mirroring the primary's inner passes. It carries (m, P)
 sensitivities and builds the (m, P) per-sample driver gradients, so it is
-kept for tests only.
+kept for tests only. Its regressions are least squares by lstsq on degree-3
+designs, independent of the library's projection layer.
 """
 
 import numpy as np
 
-from bsdelab.engine import RegressionBasis, SolveOptions, _regress
+from bsdelab.engine import SolveOptions
+from lstsq_reference import fit_design, regress
 
 
-def forward_sensitivity(primary, driver=None, basis=RegressionBasis(), opts=SolveOptions(),
-                        store_paths=False):
+def forward_sensitivity(primary, driver=None, opts=SolveOptions(), store_paths=False):
     """Returns (grad_y0 (P,), grad_y (m, n_steps + 1, P) or None)."""
     driver = primary.problem.driver if driver is None else driver
     ens = primary.problem.realize()
@@ -31,16 +32,16 @@ def forward_sensitivity(primary, driver=None, basis=RegressionBasis(), opts=Solv
 
     for k in range(n - 1, -1, -1):
         x_k = ens.states[:, k, :]
-        design, _ = basis.fit_design(x_k)
+        design, _ = fit_design(x_k)
 
-        coef_c, _ = _regress(design, v_next, k, opts.cond_limit)
+        coef_c, _ = regress(design, v_next, k, opts.cond_limit)
         cont = design @ coef_c
 
         resid = v_next - cont
         d = inc.shape[2]
         z_theta = np.empty((m, n_params, d))
         for j in range(d):
-            coef_z, _ = _regress(design, resid * inc[:, k, j:j + 1], k, opts.cond_limit)
+            coef_z, _ = regress(design, resid * inc[:, k, j:j + 1], k, opts.cond_limit)
             z_theta[:, :, j] = design @ coef_z / dt
 
         z_k = primary.z[:, k, :]

@@ -48,6 +48,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"kind": "solve", "seed": "abc"})
 
+    def test_bool_seed_rejected(self, tmp_path, capsys):
+        # bool is a subclass of int, so true used to pass as seed 1.
+        cfg = write_config(tmp_path, dict(SMALL_ORACLE, seed=True, out=str(tmp_path / "out")))
+        assert main(["verify", "--config", cfg]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_missing_seed_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "oracle-suite",
                                       "out": str(tmp_path / "out")})

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from bsdelab import engine
 from bsdelab.drivers import (
+    TruncatedDriver,
     entropic_driver,
     linear_z_driver,
     quadratic_z_driver,
@@ -33,6 +35,7 @@ from bsdelab.errors import (
     OracleOverflowError,
     SingularRegressionError,
 )
+from bsdelab.learning import solve_sensitivity_bsde
 from bsdelab.nets import NetLayout, build_driver, build_homogeneous_icnn
 from bsdelab.stochastic import (
     BrownianBundle,
@@ -41,7 +44,10 @@ from bsdelab.stochastic import (
     brownian_model,
     make_time_grid,
     sample_brownian,
+    simulate_forward,
 )
+
+import lstsq_reference
 
 W_T = lambda ens: ens.states[:, -1, 0]
 
@@ -80,6 +86,21 @@ class TestClosedFormOracle:
     def test_overflow_raises(self):
         with pytest.raises(OracleOverflowError):
             closed_form_oracle("entropic", [1e308, -1e308], theta=10.0)
+
+    def test_linear_motion_shapes(self):
+        grid = make_time_grid(1.0, 1)
+        w = sample_brownian(grid, 1_000, 2, seed=5).terminal_motion()
+        xi = w[:, 0]
+        flat = closed_form_oracle("linear", xi, horizon=1.0, b=0.3, terminal_motion=w[:, 0])
+        column = closed_form_oracle("linear", xi, horizon=1.0, b=0.3,
+                                    terminal_motion=w[:, :1])
+        assert flat == column
+        closed_form_oracle("linear", xi, horizon=1.0, b=[0.3, 0.1], terminal_motion=w)
+        # A (d, m) array used to be transposed silently.
+        with pytest.raises(ValueError):
+            closed_form_oracle("linear", xi, horizon=1.0, b=[0.3, 0.1], terminal_motion=w.T)
+        with pytest.raises(ValueError):
+            closed_form_oracle("linear", xi, horizon=1.0, b=0.3, terminal_motion=w[:500, 0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -183,6 +204,74 @@ class TestSolver:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "step,t,mean_Y,sd_Y,mean_normZ,clip_count,regression_cond"
         assert len(rows) == 1 + 8 + 1
+
+
+def reference_driver(name, d):
+    net = build_driver("Free", NetLayout(state_dim=d, z_dim=d, hidden=(5, 4)), init_seed=3 + d)
+    return {
+        "zero": zero_driver(),
+        "linear": linear_z_driver([0.3, -0.2][:d]),
+        "entropic": entropic_driver(1.0),
+        "free-net": net,
+        "truncated": TruncatedDriver(net, 0.4),
+    }[name]
+
+
+class TestProjectionLayer:
+    """The R-factor projection against the lstsq solve it replaced."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["zero", "linear", "entropic", "free-net", "truncated"])
+    def test_backward_solve_matches_lstsq(self, name, d):
+        grid = make_time_grid(1.0, 8)
+        ens = simulate_forward(brownian_model(d), grid, sample_brownian(grid, 3_000, d, seed=21))
+        terminal = lambda e: np.sin(e.states[:, -1, 0]) + 0.3 * e.states[:, -1, -1] ** 2
+        problem = BsdeProblem(driver=reference_driver(name, d), terminal=terminal, ensemble=ens)
+        for z_clip in (None, 0.5):
+            opts = SolveOptions(z_clip=z_clip)
+            sol = solve_bsde_lsmc(problem, opts=opts)
+            if z_clip is not None:
+                assert sol.z_clip_count.sum() > 0
+            y, z = lstsq_reference.backward_solve(ens, terminal(ens), problem.driver, opts)
+            assert abs(sol.y0 - y[0, 0]) <= 1e-12
+            assert np.max(np.abs(sol.y - y)) <= 1e-11 * np.max(np.abs(y))
+            assert np.max(np.abs(sol.z - z)) <= 1e-11 * np.max(np.abs(z))
+
+    def test_picard_matches_lstsq(self):
+        grid = make_time_grid(0.2, 10)
+        bundle = sample_brownian(grid, 20_000, 1, seed=7)
+        model = coupled_drift_model(0.1)
+        res = solve_fbsde_picard(model, grid, bundle, W_T, zero_driver(), tol=1e-10)
+        y0 = lstsq_reference.picard_y0(model, grid, bundle, W_T, zero_driver(), SolveOptions(),
+                                       tol=1e-10)
+        assert abs(res.solution.y0 - y0) <= 1e-10
+
+    def test_stored_fits_are_reused(self, monkeypatch):
+        # The adjoint and the Picard fields project with the primary's fits.
+        problem = brownian_problem(entropic_driver(1.0), n_paths=2_000, n_steps=6)
+        sol = solve_bsde_lsmc(problem)
+        assert len(sol.fits) == 6
+
+        def no_factorization(*args, **kwargs):
+            raise AssertionError("a design was factored again")
+
+        monkeypatch.setattr(np.linalg, "qr", no_factorization)
+        monkeypatch.setattr(np.linalg, "svd", no_factorization)
+        solve_sensitivity_bsde(sol)
+        engine._fit_fields(sol.problem.realize(), sol)
+
+    def test_rank_rule(self):
+        design = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
+        with pytest.raises(SingularRegressionError) as info:
+            engine.fit_projection(design, step=4, cond_limit=1e12)
+        assert info.value.step == 4
+        x = np.linspace(-1.0, 1.0, 50)
+        design = np.column_stack([np.ones(50), x, x ** 2])
+        fit = engine.fit_projection(design, step=0, cond_limit=1e12)
+        s = np.linalg.svd(design, compute_uv=False)
+        assert fit.cond == pytest.approx(s[0] / s[-1], rel=1e-12)
+        with pytest.raises(SingularRegressionError):
+            engine.fit_projection(design, step=0, cond_limit=0.5 * fit.cond)
 
 
 class TestTruncation:

@@ -20,7 +20,10 @@ from bsdelab.meanfield import (
     solve_fluctuation_system,
     solve_mckean_vlasov,
 )
+from bsdelab.engine import SolveOptions
 from bsdelab.stochastic import TimeGrid, make_time_grid, sample_brownian, split_seed
+
+import lstsq_reference
 
 
 def gaussian_u0(std):
@@ -284,6 +287,32 @@ class TestFluctuationSystem:
         v_star = limit_variance_oracle(a, c, sigma, s0, u0_std, 1.0)
         var_v = float(np.var(fl.v[:, -1], ddof=1))
         assert var_v == pytest.approx(v_star, rel=0.15)
+
+    @pytest.mark.parametrize("sampling", [False, True])
+    def test_matches_lstsq_reference(self, sampling):
+        grid = make_time_grid(1.0, 12)
+        model = linear_gaussian_model()
+        mkv = solve_mckean_vlasov(model, 1024, grid, seed=4, solve_backward=False)
+        base = linear_gaussian_fluctuation_coefficients()
+        # Nonzero backward coefficients, so every term of the V drift counts.
+        coeffs = FluctuationCoefficients(**{
+            **{name: getattr(base, name) for name in base.__dataclass_fields__},
+            "dx_f": lambda t, x, feats: 0.3 * x,
+            "dy_f": lambda t, x, feats: np.full_like(x, -0.4),
+            "dz_f": lambda t, x, feats: 0.5 + 0.0 * x,
+            "dmu_f": lambda t, x, feats, xt: np.full((np.size(x), np.size(xt)), 0.2),
+            "dmu_g": lambda x, feats, xt: np.full((np.size(x), np.size(xt)), -0.1),
+            "sampling_f": lambda t, x, feats, xt: np.broadcast_to(
+                0.2 * np.asarray(xt)[None, :], (np.size(x), np.size(xt))),
+        })
+        opts = SolveOptions(inner_picard_iters=3)
+        kwargs = dict(n_paths=1024, seed=9, n_worlds=4, include_sampling_noise=sampling)
+        fl = solve_fluctuation_system(coeffs, mkv, gaussian_u0(0.5), opts=opts, **kwargs)
+        u, v, z = lstsq_reference.fluctuation_system(coeffs, mkv, gaussian_u0(0.5), opts=opts,
+                                                     **kwargs)
+        np.testing.assert_array_equal(fl.u, u)
+        assert np.max(np.abs(fl.v - v)) <= 1e-10 * np.max(np.abs(v))
+        assert np.max(np.abs(fl.z - z)) <= 1e-10 * np.max(np.abs(z))
 
     def test_sampling_noise_needs_worlds(self):
         grid = make_time_grid(0.5, 5)
