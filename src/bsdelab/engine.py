@@ -195,6 +195,7 @@ class BsdeSolution:
     y0: float
     y0_standard_error: float
     fits: tuple                # per step, the Projection with its condition number
+    passes: int                # inner fixed-point passes per step
     z_clip_count: np.ndarray
     max_abs_y: float
     grid: TimeGrid
@@ -300,6 +301,7 @@ def solve_bsde_lsmc(
         y0=float(y[0, 0]),
         y0_standard_error=se,
         fits=tuple(fits),
+        passes=max(1, opts.inner_picard_iters),
         z_clip_count=clips,
         max_abs_y=float(np.max(np.abs(y))),
         grid=ens.grid,

@@ -73,7 +73,6 @@ class SensitivitySolution:
 def _adjoint_gradient(
     primary: BsdeSolution,
     driver: Driver,
-    opts: SolveOptions,
     root: np.ndarray,
     continuation_weights: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -100,7 +99,7 @@ def _adjoint_gradient(
     m, n = ens.n_paths, grid.n_steps
     dt = grid.dt
     inc = ens.bundle.increments
-    passes = max(1, opts.inner_picard_iters)
+    passes = primary.passes
 
     grad = np.zeros(driver.params.size)
     lam = root
@@ -141,19 +140,18 @@ def _adjoint_gradient(
 def solve_sensitivity_bsde(
     primary: BsdeSolution,
     driver: Driver | None = None,
-    opts: SolveOptions = SolveOptions(),
 ) -> SensitivitySolution:
     """Exact gradient of the discrete Y0 with respect to the driver parameters.
 
     The discrete adjoint of the linear sensitivity system: coefficients are
     frozen at the primary's (Y, Z) data, projections are the primary's
-    stored fits, and Y0 is read from path 0 of the root slice, as the
-    primary reads it. opts must be the options of the primary solve.
+    stored fits, the inner passes are the primary's, and Y0 is read from
+    path 0 of the root slice, as the primary reads it.
     """
     driver = primary.problem.driver if driver is None else driver
     root = np.zeros(primary.y.shape[0])
     root[0] = 1.0
-    grad = _adjoint_gradient(primary, driver, opts, root)
+    grad = _adjoint_gradient(primary, driver, root)
     return SensitivitySolution(grad_y0=grad, primary=primary)
 
 
@@ -183,7 +181,7 @@ def fd_gradient_check(
     ens = problem.realize()
     shared = replace(problem, ensemble=ens)
     primary = solve_bsde_lsmc(shared, basis, opts)
-    sens = solve_sensitivity_bsde(primary, opts=opts)
+    sens = solve_sensitivity_bsde(primary)
 
     theta = shared.driver.params
     coords = tuple(range(theta.size)) if coords is None else tuple(coords)
@@ -310,7 +308,7 @@ def loss_and_gradient(
         try:
             prob = BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens)
             sol = solve_bsde_lsmc(prob, basis, opts)
-            sens = solve_sensitivity_bsde(sol, opts=opts)
+            sens = solve_sensitivity_bsde(sol)
         except Exception as exc:
             try:
                 wrapped = type(exc)(f"record {i} ('{rec.label}'): {exc}")
@@ -336,7 +334,7 @@ def loss_and_gradient(
                 norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
                 grad += scale * lin.pullback(lin.value / m)
                 cont_weights[:, k] = lin.value * lin.dy / m
-            grad += scale * _adjoint_gradient(sol, driver, opts, np.zeros(m), cont_weights)
+            grad += scale * _adjoint_gradient(sol, driver, np.zeros(m), cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
     grad += 2.0 * lam_reg * driver.params

@@ -1,26 +1,29 @@
 """Interacting particle systems with backward valuations and their limits.
 
 Scalar state throughout (the experiment oracles are one-dimensional).
-Measure dependence enters coefficients through declared empirical features
-(mean, second moment, optionally the sorted sample). The mean-field limit
-is computed as a fixed point of the feature flow with a frozen cloud and
+Measure dependence enters coefficients only through declared empirical
+features (mean, second moment; see `_FEATURES`). The mean-field limit is
+computed as a fixed point of the feature flow with a frozen cloud and
 common noise per iteration; the propagation-of-chaos experiment couples
 each particle to a limit copy driven by the same Brownian rows.
 
 The fluctuation solver integrates the linear limit system with derivative
-callbacks supplied by the caller. By default it is the homogeneous system
-(exactly linear in the initial fluctuations). Measure-coupled coefficients
-also inject a Gaussian forcing coming from the empirical sampling
-fluctuation of i.i.d. copies; that term is reproduced on request through
-per-world ghost copies (`include_sampling_noise`), with world members
-sharing one forcing realization so that the mean-field coupling term keeps
-its conditional meaning.
+callbacks supplied by the caller: the measure derivatives are partials
+with respect to the features, so every Lions-derivative term is an O(M F)
+reduction over the cloud (Carmona & Delarue, Probabilistic Theory of Mean
+Field Games I, Sec. 5.2). By default it is the homogeneous system (exactly
+linear in the initial fluctuations). Measure-coupled coefficients also
+inject a Gaussian forcing from the empirical sampling fluctuation of
+i.i.d. copies, derived from the same partials; it is reproduced on request
+through per-world ghost copies (`include_sampling_noise`), with world
+members sharing one forcing realization so that the mean-field coupling
+term keeps its conditional meaning.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -65,30 +68,33 @@ __all__ = [
 # features
 # ---------------------------------------------------------------------------
 
+# Feature name -> (psi, psi'): the feature is the cloud average of psi.
+_FEATURES = {
+    "mean": (lambda x: x, np.ones_like),
+    "second_moment": (lambda x: x * x, lambda x: 2.0 * x),
+}
+
+
 @dataclass(frozen=True)
 class EmpiricalFeatures:
     mean: float = 0.0
     second_moment: float = 0.0
-    sorted_sample: np.ndarray | None = None
 
 
 def compute_features(x: np.ndarray, names: tuple) -> EmpiricalFeatures:
     # Reductions run in sorted order so every statistic is bitwise invariant
     # under particle permutations (the exchangeability contract).
+    if not set(names) <= _FEATURES.keys():
+        raise ValueError(f"unknown features {sorted(set(names) - _FEATURES.keys())}")
     x = np.asarray(x, dtype=np.float64).ravel()
-    return EmpiricalFeatures(
-        mean=float(np.mean(np.sort(x))) if "mean" in names else 0.0,
-        second_moment=float(np.mean(np.sort(x * x))) if "second_moment" in names else 0.0,
-        sorted_sample=np.sort(x) if "sorted_sample" in names else None,
-    )
+    return EmpiricalFeatures(**{name: float(np.mean(np.sort(_FEATURES[name][0](x))))
+                                for name in names})
 
 
 def _flow_distance(a: list, b: list) -> float:
     gap = 0.0
     for fa, fb in zip(a, b):
         gap = max(gap, abs(fa.mean - fb.mean), abs(fa.second_moment - fb.second_moment))
-        if fa.sorted_sample is not None and fb.sorted_sample is not None:
-            gap = max(gap, float(np.max(np.abs(fa.sorted_sample - fb.sorted_sample))))
     return gap
 
 
@@ -161,17 +167,17 @@ class _FlowDriver:
     def __init__(self, model: MeanFieldModel, flow: list, grid: TimeGrid):
         self._model = model
         self._flow = flow
-        self._dt = grid.dt
+        self._grid = grid
 
     def value(self, t, x, y, z):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         m = x.shape[0]
         if self._model.driver is None:
             return np.zeros(m)
-        k = int(round(float(np.min(t)) / self._dt))
+        t = float(np.min(t))
         z = np.asarray(z, dtype=np.float64).reshape(m, -1)
         y = _broadcast(y, m)
-        out = self._model.driver(float(np.min(t)), x[:, 0], y, z[:, 0], self._flow[k])
+        out = self._model.driver(t, x[:, 0], y, z[:, 0], self._flow[self._grid.node_index(t)])
         return _broadcast(out, m).copy()
 
 
@@ -492,21 +498,16 @@ def export_clt_csv(result: CltResult, path) -> None:
 # fluctuation system
 # ---------------------------------------------------------------------------
 
-_REQUIRED_COEFFS = ("dx_b", "dmu_b", "dx_sigma", "dmu_sigma",
-                    "dx_f", "dy_f", "dz_f", "dmu_f", "dx_g", "dmu_g")
-
-
 @dataclass(frozen=True)
 class FluctuationCoefficients:
     """Derivative callbacks of the mean-field coefficients.
 
-    State derivatives map (t, x, feats) -> (M,); measure derivatives are the
-    Lions derivatives and map (t, x, feats, x_tilde) -> (M, M') against the
-    copy positions (broadcast allowed). Terminal derivatives drop the time
-    argument: dx_g(x, feats) and dmu_g(x, feats, x_tilde). The optional
-    sampling_* callbacks are the linear functional derivatives (delta/dm)
-    used to realize the empirical-sampling Gaussian forcing; they are
-    centered internally and follow the same signatures as their dmu twins.
+    State derivatives map (t, x, feats) -> (M,). Measure derivatives map
+    (t, x, feats) to the partials with respect to the model's features,
+    broadcastable to (M, F) with columns in `model.feature_names` order. They
+    give both the Lions term E'[dmu U'] = sum_f partial_f E'[psi_f'(X') U']
+    and the sampling forcing sum_f partial_f (psi_f(ghost) - E'[psi_f(X')]).
+    Terminal derivatives drop the time argument: dx_g(x, feats), dmu_g(x, feats).
     """
 
     dx_b: Callable = None
@@ -519,13 +520,9 @@ class FluctuationCoefficients:
     dmu_f: Callable = None
     dx_g: Callable = None
     dmu_g: Callable = None
-    sampling_b: Callable | None = None
-    sampling_sigma: Callable | None = None
-    sampling_f: Callable | None = None
-    sampling_g: Callable | None = None
 
     def validate(self):
-        missing = [name for name in _REQUIRED_COEFFS if getattr(self, name) is None]
+        missing = [f.name for f in fields(self) if getattr(self, f.name) is None]
         if missing:
             raise IncompleteCoefficientsError(f"missing derivative callbacks: {missing}")
 
@@ -548,20 +545,18 @@ class FluctuationResult:
         return float(np.mean(self.v[:, 0]))
 
 
-def _pair_term(callback, t, x, feats, x_tilde, u_tilde):
-    """mean_j callback(t, x_i, x_tilde_j) * u_tilde_j, vectorized."""
-    mat = np.asarray(callback(t, x, feats, x_tilde), dtype=np.float64)
-    mat = np.broadcast_to(mat, (x.size, x_tilde.size))
-    return mat @ u_tilde / x_tilde.size
-
-
-def _centered_forcing(callback, t, x, feats, ghost, cloud):
-    """Functional derivative at the ghost copy, centered by the cloud mean."""
-    at_ghost = np.asarray(callback(t, x, feats, np.atleast_1d(ghost)), dtype=np.float64)
-    at_ghost = np.broadcast_to(at_ghost, (x.size, 1))[:, 0]
-    at_cloud = np.asarray(callback(t, x, feats, cloud), dtype=np.float64)
-    at_cloud = np.broadcast_to(at_cloud, (x.size, cloud.size))
-    return at_ghost - at_cloud.mean(axis=1)
+def _measure_term(partials, names: tuple, x_tilde: np.ndarray, u_tilde: np.ndarray,
+                  ghost: float | None = None) -> np.ndarray:
+    """Lions term on the cloud x~, plus the centered sampling forcing given a ghost:
+    sum_f partials[:, f] (mean(psi_f'(x~) u~) + [ghost] (psi_f(ghost) - mean psi_f(x~)))."""
+    weights = np.empty(len(names))
+    for f, name in enumerate(names):
+        psi, dpsi = _FEATURES[name]
+        weights[f] = np.mean(dpsi(x_tilde) * u_tilde)
+        if ghost is not None:
+            weights[f] += psi(ghost) - np.mean(psi(x_tilde))
+    partials = np.asarray(partials, dtype=np.float64)
+    return np.broadcast_to(partials, (x_tilde.size, len(names))) @ weights
 
 
 def _augmented_design(basis: RegressionBasis, x: np.ndarray, u: np.ndarray):
@@ -591,7 +586,8 @@ def solve_fluctuation_system(
     Forward: dU = (dx_b U + E'[dmu_b U'] + G_b) dt + (dx_sigma U +
     E'[dmu_sigma U'] + G_sigma) dW, with E' approximated by the within-world
     cloud average and G the optional sampling forcing (one ghost realization
-    per world, shared by its members). Backward: the linear BSDE for (V, Z)
+    per world, shared by its members), both built from the feature partials
+    in O(M F) per term. Backward: the linear BSDE for (V, Z)
     with terminal dx_g U_T + E'[dmu_g U'_T] + G_g, solved on the engine's
     backward kernel, without Z clipping, by regression on state features
     augmented with standardized-U columns.
@@ -600,6 +596,7 @@ def solve_fluctuation_system(
     if include_sampling_noise and n_worlds < 2:
         raise ValueError("sampling noise needs n_worlds >= 2 to estimate variances")
     model = mean_field.model
+    names = model.feature_names
     grid = mean_field.grid
     flow = mean_field.flow
     dt = grid.dt
@@ -624,14 +621,12 @@ def solve_fluctuation_system(
             g_x0 = np.asarray(model.initial_sampler(1, split_seed(seed, "fluct-ghost-x0", w)))
             ghost, _ = _simulate_cloud(model, grid, g_inc, g_x0, flow=flow)
 
-        def linear_term(dx, dmu, sampling, k):
+        def linear_term(dx, dmu, k):
             """dx U + E'[dmu U'], plus the centered sampling forcing, at node k."""
             x_k, f_k, u_k = states[:, k], flow[k], u[:, k]
-            out = (_broadcast(dx(nodes[k], x_k, f_k), per_world) * u_k
-                   + _pair_term(dmu, nodes[k], x_k, f_k, x_k, u_k))
-            if ghost is not None and sampling is not None:
-                out = out + _centered_forcing(sampling, nodes[k], x_k, f_k, ghost[0, k], x_k)
-            return out
+            return (_broadcast(dx(nodes[k], x_k, f_k), per_world) * u_k
+                    + _measure_term(dmu(nodes[k], x_k, f_k), names, x_k, u_k,
+                                    None if ghost is None else ghost[0, k]))
 
         # The backward forcing from U depends on forward data only, so it is
         # collected in the forward pass.
@@ -641,16 +636,15 @@ def solve_fluctuation_system(
         dz_f = np.empty((per_world, n))
         u[:, 0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
         for k in range(n):
-            drift = linear_term(coeffs.dx_b, coeffs.dmu_b, coeffs.sampling_b, k)
-            diff = linear_term(coeffs.dx_sigma, coeffs.dmu_sigma, coeffs.sampling_sigma, k)
-            forcing[:, k] = linear_term(coeffs.dx_f, coeffs.dmu_f, coeffs.sampling_f, k)
+            drift = linear_term(coeffs.dx_b, coeffs.dmu_b, k)
+            diff = linear_term(coeffs.dx_sigma, coeffs.dmu_sigma, k)
+            forcing[:, k] = linear_term(coeffs.dx_f, coeffs.dmu_f, k)
             dy_f[:, k] = _broadcast(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
             dz_f[:, k] = _broadcast(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
             u[:, k + 1] = u[:, k] + drift * dt + diff * inc[:, k, 0]
         # Terminal derivatives take no time argument.
-        timeless = lambda fn: None if fn is None else (lambda t, *args: fn(*args))
-        v_t = linear_term(timeless(coeffs.dx_g), timeless(coeffs.dmu_g),
-                          timeless(coeffs.sampling_g), n)
+        timeless = lambda fn: lambda t, *args: fn(*args)
+        v_t = linear_term(timeless(coeffs.dx_g), timeless(coeffs.dmu_g), n)
 
         def step_design(k):
             design = _augmented_design(basis, states[:, k], u[:, k])
@@ -715,23 +709,20 @@ def linear_gaussian_model(a: float = 0.4, c: float = -0.5, sigma: float = 0.4,
 
 def linear_gaussian_fluctuation_coefficients(a: float = 0.4, c: float = -0.5):
     """Derivative callbacks of the linear-Gaussian model in the solver's
-    conventions, including the sampling functional derivative of the drift."""
+    conventions: the drift a mean + c x has the mean-partial a."""
     zero_state = lambda t, x, feats: np.zeros_like(x)
-    zero_pair = lambda t, x, feats, xt: np.zeros((np.size(x), np.size(xt)))
+    zero_partial = lambda t, x, feats: 0.0
     return FluctuationCoefficients(
         dx_b=lambda t, x, feats: np.full_like(x, c),
-        dmu_b=lambda t, x, feats, xt: np.full((np.size(x), np.size(xt)), a),
+        dmu_b=lambda t, x, feats: a,
         dx_sigma=zero_state,
-        dmu_sigma=zero_pair,
+        dmu_sigma=zero_partial,
         dx_f=zero_state,
         dy_f=zero_state,
         dz_f=zero_state,
-        dmu_f=zero_pair,
+        dmu_f=zero_partial,
         dx_g=lambda x, feats: np.ones_like(x),
-        dmu_g=lambda x, feats, xt: np.zeros((np.size(x), np.size(xt))),
-        sampling_b=lambda t, x, feats, xt: np.broadcast_to(
-            a * np.asarray(xt)[None, :], (np.size(x), np.size(xt))
-        ),
+        dmu_g=lambda x, feats: 0.0,
     )
 
 

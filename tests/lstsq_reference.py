@@ -4,7 +4,9 @@ The library projects onto each step's design through the R factor of its
 QR. These references keep the scheme as it was written with one
 `np.linalg.lstsq` call per regression and monomials built by `u ** p`, so
 the tests can hold the library to them at a stated tolerance: the backward
-solve, the fluctuation system's V loop and the Picard decoupling.
+solve, the fluctuation system's V loop and the Picard decoupling. The
+fluctuation system's measure terms are also kept in their dense form, as
+(M, M') Lions-derivative matrices, to check the factored term against.
 """
 
 import itertools
@@ -12,7 +14,7 @@ import itertools
 import numpy as np
 
 from bsdelab.errors import NoContractionError, SingularRegressionError
-from bsdelab.meanfield import _broadcast, _centered_forcing, _pair_term, _simulate_cloud
+from bsdelab.meanfield import _broadcast, _measure_term, _simulate_cloud
 from bsdelab.stochastic import sample_brownian, simulate_forward, split_seed
 
 
@@ -120,10 +122,48 @@ def picard_y0(model, grid, bundle, terminal, driver, opts, max_iters=25, tol=1e-
     raise NoContractionError([])
 
 
+def _pair_term(callback, t, x, feats, x_tilde, u_tilde):
+    """mean_j callback(t, x_i, x_tilde_j) * u_tilde_j, vectorized."""
+    mat = np.asarray(callback(t, x, feats, x_tilde), dtype=np.float64)
+    mat = np.broadcast_to(mat, (x.size, x_tilde.size))
+    return mat @ u_tilde / x_tilde.size
+
+
+def _centered_forcing(callback, t, x, feats, ghost, cloud):
+    """Functional derivative at the ghost copy, centered by the cloud mean."""
+    at_ghost = np.asarray(callback(t, x, feats, np.atleast_1d(ghost)), dtype=np.float64)
+    at_ghost = np.broadcast_to(at_ghost, (x.size, 1))[:, 0]
+    at_cloud = np.asarray(callback(t, x, feats, cloud), dtype=np.float64)
+    at_cloud = np.broadcast_to(at_cloud, (x.size, cloud.size))
+    return at_ghost - at_cloud.mean(axis=1)
+
+
+# Feature name -> (psi, psi'), written out apart from the library's table.
+FEATURES = {
+    "mean": (lambda x: x, lambda x: np.ones(np.size(x))),
+    "second_moment": (lambda x: x ** 2, lambda x: 2 * x),
+}
+
+
+def dense_measure_term(partials, names, x, u, ghost=None):
+    """The measure term on the cloud x through the dense matrices B psi'(x~)^T
+    (Lions derivative) and B psi(x~)^T (linear functional derivative), for
+    partials B (M, F) with respect to the features names."""
+    psis = [FEATURES[name] for name in names]
+    b = np.broadcast_to(np.asarray(partials, dtype=np.float64), (x.size, len(psis)))
+    lions = lambda t, x_, feats, xt: b @ np.stack([dpsi(xt) for _, dpsi in psis])
+    functional = lambda t, x_, feats, xt: b @ np.stack([psi(xt) for psi, _ in psis])
+    out = _pair_term(lions, 0.0, x, None, x, u)
+    if ghost is not None:
+        out = out + _centered_forcing(functional, 0.0, x, None, ghost, x)
+    return out
+
+
 def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_worlds=1,
                        include_sampling_noise=False, degree=3):
     """The fluctuation solve with its V loop regressing by lstsq; returns (u, v, z)."""
     model, grid, flow = mean_field.model, mean_field.grid, mean_field.flow
+    names = model.feature_names
     dt, nodes, n = grid.dt, grid.nodes, grid.n_steps
     per_world = n_paths // n_worlds
     all_u, all_v, all_z = [], [], []
@@ -136,37 +176,26 @@ def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_wo
             g_inc = sample_brownian(grid, 1, 1, split_seed(seed, "fluct-ghost", w)).increments
             g_x0 = np.asarray(model.initial_sampler(1, split_seed(seed, "fluct-ghost-x0", w)))
             ghost, _ = _simulate_cloud(model, grid, g_inc, g_x0, flow=flow)
+        ghost_at = lambda k: None if ghost is None else ghost[0, k]
 
         u = np.empty((per_world, n + 1))
         u[:, 0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
         for k in range(n):
-            x_k, f_k = states[:, k], flow[k]
-            drift = (_broadcast(coeffs.dx_b(nodes[k], x_k, f_k), per_world) * u[:, k]
-                     + _pair_term(coeffs.dmu_b, nodes[k], x_k, f_k, x_k, u[:, k]))
-            diff = (_broadcast(coeffs.dx_sigma(nodes[k], x_k, f_k), per_world) * u[:, k]
-                    + _pair_term(coeffs.dmu_sigma, nodes[k], x_k, f_k, x_k, u[:, k]))
-            if ghost is not None and coeffs.sampling_b is not None:
-                drift = drift + _centered_forcing(coeffs.sampling_b, nodes[k], x_k, f_k,
-                                                  ghost[0, k], x_k)
-            if ghost is not None and coeffs.sampling_sigma is not None:
-                diff = diff + _centered_forcing(coeffs.sampling_sigma, nodes[k], x_k, f_k,
-                                                ghost[0, k], x_k)
-            u[:, k + 1] = u[:, k] + drift * dt + diff * inc[:, k, 0]
+            x_k, f_k, u_k = states[:, k], flow[k], u[:, k]
+            drift = (_broadcast(coeffs.dx_b(nodes[k], x_k, f_k), per_world) * u_k
+                     + _measure_term(coeffs.dmu_b(nodes[k], x_k, f_k), names, x_k, u_k,
+                                     ghost_at(k)))
+            diff = (_broadcast(coeffs.dx_sigma(nodes[k], x_k, f_k), per_world) * u_k
+                    + _measure_term(coeffs.dmu_sigma(nodes[k], x_k, f_k), names, x_k, u_k,
+                                    ghost_at(k)))
+            u[:, k + 1] = u_k + drift * dt + diff * inc[:, k, 0]
 
         v = np.empty((per_world, n + 1))
         zv = np.zeros((per_world, n))
         x_t = states[:, n]
-        g_mat = np.broadcast_to(np.asarray(coeffs.dmu_g(x_t, flow[n], x_t), dtype=np.float64),
-                                (per_world, per_world))
         v[:, n] = (_broadcast(coeffs.dx_g(x_t, flow[n]), per_world) * u[:, n]
-                   + g_mat @ u[:, n] / per_world)
-        if ghost is not None and coeffs.sampling_g is not None:
-            at_ghost = np.broadcast_to(
-                np.asarray(coeffs.sampling_g(x_t, flow[n], np.atleast_1d(ghost[0, n]))),
-                (per_world, 1))[:, 0]
-            at_cloud = np.broadcast_to(np.asarray(coeffs.sampling_g(x_t, flow[n], x_t)),
-                                       (per_world, per_world))
-            v[:, n] = v[:, n] + (at_ghost - at_cloud.mean(axis=1))
+                   + _measure_term(coeffs.dmu_g(x_t, flow[n]), names, x_t, u[:, n],
+                                   ghost_at(n)))
         for k in range(n - 1, -1, -1):
             x_k, f_k = states[:, k], flow[k]
             design, _ = fit_design(x_k[:, None], degree)
@@ -178,12 +207,10 @@ def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_wo
             cont = design @ coef_c
             coef_z, _ = regress(design, (v[:, k + 1] - cont) * inc[:, k, 0], k, opts.cond_limit)
             z_k = design @ coef_z / dt
-            source = (_broadcast(coeffs.dx_f(nodes[k], x_k, f_k), per_world) * u[:, k]
+            source = (_broadcast(coeffs.dx_f(nodes[k], x_k, f_k), per_world) * u_k
                       + _broadcast(coeffs.dz_f(nodes[k], x_k, f_k), per_world) * z_k
-                      + _pair_term(coeffs.dmu_f, nodes[k], x_k, f_k, x_k, u[:, k]))
-            if ghost is not None and coeffs.sampling_f is not None:
-                source = source + _centered_forcing(coeffs.sampling_f, nodes[k], x_k, f_k,
-                                                    ghost[0, k], x_k)
+                      + _measure_term(coeffs.dmu_f(nodes[k], x_k, f_k), names, x_k, u_k,
+                                      ghost_at(k)))
             dy = _broadcast(coeffs.dy_f(nodes[k], x_k, f_k), per_world)
             v_k = cont
             for _ in range(max(1, opts.inner_picard_iters)):

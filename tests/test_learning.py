@@ -122,7 +122,7 @@ KINDS = ("Free", "Separable", "BoundedInteraction", "MonotoneY", "IcnnYZ")
 
 
 def assert_matches_reference(primary, opts):
-    adjoint = solve_sensitivity_bsde(primary, opts=opts).grad_y0
+    adjoint = solve_sensitivity_bsde(primary).grad_y0
     reference, _ = forward_sensitivity(primary, opts=opts)
     scale = max(np.max(np.abs(reference)), 1e-300)
     assert np.max(np.abs(adjoint - reference)) <= 1e-10 * scale
@@ -169,6 +169,16 @@ class TestAdjointAgainstForwardMode:
         assert np.any(np.abs(primary.y) > 0.4)
         assert_matches_reference(primary, opts)
 
+    def test_inner_passes_come_from_the_primary(self):
+        # The gradient takes no options of its own: a primary solved with one
+        # inner pass is differentiated with one pass.
+        net = build_driver("MonotoneY", NetLayout(hidden=(5,)), init_seed=2)
+        problem = brownian_problem(net, n_paths=2_000, n_steps=10, seed=4)
+        opts = SolveOptions(inner_picard_iters=1)
+        primary = solve_bsde_lsmc(problem, opts=opts)
+        assert primary.passes == 1
+        assert_matches_reference(primary, opts)
+
     def test_peak_memory_does_not_scale_with_parameters(self):
         # One (m, P) float array here would be 10 000 x 1 249 x 8 B = 100 MB.
         net = build_driver("Free", NetLayout(hidden=(32, 32)), init_seed=1)
@@ -179,7 +189,7 @@ class TestAdjointAgainstForwardMode:
         primary = solve_bsde_lsmc(BsdeProblem(driver=net, terminal=W_T, ensemble=ens), opts=opts)
         tracemalloc.start()
         try:
-            solve_sensitivity_bsde(primary, opts=opts)
+            solve_sensitivity_bsde(primary)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from bsdelab.errors import IncompleteCoefficientsError, NoFixedPointError
 from bsdelab.meanfield import (
+    _FlowDriver,
+    _measure_term,
     CltResult,
     FluctuationCoefficients,
     MeanFieldModel,
@@ -33,22 +37,22 @@ def gaussian_u0(std):
     return sampler
 
 
-ZERO_PAIR = lambda t, x, feats, xt: np.zeros((np.size(x), np.size(xt)))
+ZERO_PARTIAL = lambda t, x, feats: 0.0
 ZERO_STATE = lambda t, x, feats: np.zeros_like(x)
 
 
 def diagonal_coefficients(a_state):
     return FluctuationCoefficients(
         dx_b=lambda t, x, feats: np.full_like(x, a_state),
-        dmu_b=ZERO_PAIR,
+        dmu_b=ZERO_PARTIAL,
         dx_sigma=ZERO_STATE,
-        dmu_sigma=ZERO_PAIR,
+        dmu_sigma=ZERO_PARTIAL,
         dx_f=ZERO_STATE,
         dy_f=ZERO_STATE,
         dz_f=ZERO_STATE,
-        dmu_f=ZERO_PAIR,
+        dmu_f=ZERO_PARTIAL,
         dx_g=lambda x, feats: np.ones_like(x),
-        dmu_g=lambda x, feats, xt: np.zeros((np.size(x), np.size(xt))),
+        dmu_g=lambda x, feats: 0.0,
     )
 
 
@@ -106,6 +110,31 @@ class TestParticles:
             again = compute_features(run.states[:, k], model.feature_names)
             assert again.mean == feats.mean
             assert again.second_moment == feats.second_moment
+
+    def test_features_are_sorted_means_of_psi(self):
+        x = np.random.default_rng(1).normal(0.2, 1.3, 301)
+        feats = compute_features(x, ("mean", "second_moment"))
+        assert feats.mean == float(np.mean(np.sort(x)))
+        assert feats.second_moment == float(np.mean(np.sort(x * x)))
+        assert compute_features(x, ("mean",)).second_moment == 0.0
+
+    def test_unknown_feature_rejected(self):
+        with pytest.raises(ValueError, match="sorted_sample"):
+            compute_features(np.arange(4.0), ("mean", "sorted_sample"))
+
+    def test_flow_driver_rejects_off_grid_times(self):
+        grid = make_time_grid(1.0, 4)
+        model = MeanFieldModel(
+            drift=lambda t, x, feats: 0.0, diffusion=lambda t, x, feats: 1.0,
+            terminal=lambda x, feats: x, initial_sampler=None,
+            driver=lambda t, x, y, z, feats: np.full_like(x, feats.mean),
+        )
+        flow = [compute_features(np.full(3, float(k)), ("mean",)) for k in range(5)]
+        driver = _FlowDriver(model, flow, grid)
+        x, y, z = np.zeros((3, 1)), np.zeros(3), np.zeros((3, 1))
+        np.testing.assert_array_equal(driver.value(grid.nodes[3], x, y, z), 3.0)
+        with pytest.raises(ValueError):
+            driver.value(0.6, x, y, z)
 
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
@@ -300,10 +329,8 @@ class TestFluctuationSystem:
             "dx_f": lambda t, x, feats: 0.3 * x,
             "dy_f": lambda t, x, feats: np.full_like(x, -0.4),
             "dz_f": lambda t, x, feats: 0.5 + 0.0 * x,
-            "dmu_f": lambda t, x, feats, xt: np.full((np.size(x), np.size(xt)), 0.2),
-            "dmu_g": lambda x, feats, xt: np.full((np.size(x), np.size(xt)), -0.1),
-            "sampling_f": lambda t, x, feats, xt: np.broadcast_to(
-                0.2 * np.asarray(xt)[None, :], (np.size(x), np.size(xt))),
+            "dmu_f": lambda t, x, feats: 0.2,
+            "dmu_g": lambda x, feats: -0.1,
         })
         opts = SolveOptions(inner_picard_iters=3)
         kwargs = dict(n_paths=1024, seed=9, n_worlds=4, include_sampling_noise=sampling)
@@ -313,6 +340,35 @@ class TestFluctuationSystem:
         np.testing.assert_array_equal(fl.u, u)
         assert np.max(np.abs(fl.v - v)) <= 1e-10 * np.max(np.abs(v))
         assert np.max(np.abs(fl.z - z)) <= 1e-10 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("names", [("mean",), ("mean", "second_moment")])
+    @pytest.mark.parametrize("varying", [False, True], ids=["constant", "per-row"])
+    @pytest.mark.parametrize("ghost", [None, 0.37], ids=["no-ghost", "ghost"])
+    def test_measure_term_matches_dense_lions(self, names, varying, ghost):
+        rng = np.random.default_rng(3)
+        x = rng.normal(0.3, 0.5, 257)
+        u = rng.normal(0.0, 0.7, 257)
+        if varying:
+            partials = rng.normal(size=(257, len(names)))
+        else:
+            partials = np.array([0.4, -0.3])[:len(names)]
+        got = _measure_term(partials, names, x, u, ghost)
+        want = lstsq_reference.dense_measure_term(partials, names, x, u, ghost)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_peak_memory_is_linear_in_paths(self):
+        # One (M, M) float array at 32 768 paths would be 8.6 GB.
+        grid = make_time_grid(1.0, 20)
+        model = linear_gaussian_model()
+        mkv = solve_mckean_vlasov(model, 1024, grid, seed=4, solve_backward=False)
+        tracemalloc.start()
+        try:
+            solve_fluctuation_system(linear_gaussian_fluctuation_coefficients(), mkv,
+                                     gaussian_u0(0.5), n_paths=32_768, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96e6
 
     def test_sampling_noise_needs_worlds(self):
         grid = make_time_grid(0.5, 5)
