@@ -13,6 +13,8 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 malformed config,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -244,26 +246,26 @@ def _run_oracle_suite(config, out_dir):
     grid = _build_grid(opt)
     n_paths = opt.get("n_paths", 100_000)
     bundle = sample_brownian(grid, n_paths, 1, split_seed(config.seed, "oracle-paths"))
-    from .stochastic import brownian_model
-    model = brownian_model(1)
+    from .stochastic import brownian_model, simulate_forward
+    ens = simulate_forward(brownian_model(1), grid, bundle)
     term = lambda ens: ens.states[:, -1, 0]
     basis = _basis(opt)
+    opts = engine.SolveOptions()
+    plan = engine.RegressionPlan.build(ens, basis, opts.cond_limit)
     w_t = bundle.terminal_motion()[:, 0]
 
     # Stated tolerances assume the acceptance path count; smaller runs fall
     # back to a 3 sigma Monte Carlo floor.
     checks = []
     sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.zero_driver(), terminal=term, model=model, grid=grid, bundle=bundle),
-        basis)
+        driver=drivers.zero_driver(), terminal=term, ensemble=ens), basis, opts, plan)
     tol = max(0.02, 3.0 * sol.y0_standard_error)
     checks.append(CheckResult("oracle_zero", abs(sol.y0) <= tol, sol.y0, tol,
                               "martingale case, Y0 = 0"))
 
     b = opt.get("linear_b", 0.3)
     sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.linear_z_driver(b), terminal=term, model=model, grid=grid,
-        bundle=bundle), basis)
+        driver=drivers.linear_z_driver(b), terminal=term, ensemble=ens), basis, opts, plan)
     target = b * grid.horizon
     tol = max(0.02 * abs(target), 3.0 * sol.y0_standard_error)
     checks.append(CheckResult("oracle_linear", abs(sol.y0 - target) <= tol,
@@ -271,8 +273,7 @@ def _run_oracle_suite(config, out_dir):
 
     theta = opt.get("entropic_theta", 1.0)
     sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.entropic_driver(theta), terminal=term, model=model, grid=grid,
-        bundle=bundle), basis)
+        driver=drivers.entropic_driver(theta), terminal=term, ensemble=ens), basis, opts, plan)
     target = -theta * grid.horizon / 2.0
     mc = engine.closed_form_oracle("entropic", w_t, theta=theta)
     tol = max(0.02 * abs(target), 3.0 * sol.y0_standard_error)
@@ -593,6 +594,31 @@ def _load_config(path: str, seed_override, out_override) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+def _openblas_function(*names):
+    """The first of names exported by the OpenBLAS numpy loaded, or None."""
+    libdir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _set_blas_threads(n: int) -> None:
+    """Set the BLAS thread count. OpenBLAS reads its environment variables
+    only when numpy loads it, so the count is set through its C API."""
+    if n < 1:
+        raise ConfigError("threads", f"must be >= 1, got {n}")
+    fn = _openblas_function("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+    if fn is None:
+        raise ConfigError("threads", "no OpenBLAS library found to set the thread count of")
+    fn.argtypes = [ctypes.c_int]
+    fn.restype = None
+    fn(n)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bsdelab",
                                      description="config-driven experiment runner")
@@ -620,11 +646,9 @@ def main(argv=None) -> int:
         print(emit_report(report, args.format), end="")
         return 0 if report.passed else 1
 
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
-
     try:
+        if args.threads is not None:
+            _set_blas_threads(args.threads)
         config = _load_config(args.config, args.seed, args.out)
         if config.kind not in _SUBCOMMAND_KINDS[args.command]:
             raise ConfigError("kind", f"kind '{config.kind}' does not belong to "

@@ -8,10 +8,13 @@ increment, optionally refined by inner fixed-point passes for implicitness
 in y. `_backward_solve` is that loop for the primary solve, the
 dynamic-consistency tail and the fluctuation system's V loop. Conditional
 expectations use global polynomial least squares on standardized
-monomials with one factorization per step and solve: the R factor of the
-design's QR, whose singular values give the rank (count above
+monomials, with one factorization per step: the R factor of the design's
+QR, whose singular values give the rank (count above
 eps * max(m, p) * sigma_max) and the condition number checked against
-cond_limit; a response b projects as A R^-1 R^-T A^T b. The solution
+cond_limit; a response b projects as A R^-1 R^-T A^T b. The projections
+depend on the forward states alone, so a `RegressionPlan` factors each
+step once per ensemble and every solve given the plan projects with its
+fits; without a plan, each step is factored once per solve. The solution
 carries its fits, so the adjoint, the Picard fields and the
 dynamic-consistency smoothing do not factor again.
 """
@@ -50,6 +53,7 @@ __all__ = [
     "SolveOptions",
     "BsdeProblem",
     "BsdeSolution",
+    "RegressionPlan",
     "SmoothFunction",
     "solve_bsde_lsmc",
     "solve_truncated",
@@ -61,7 +65,6 @@ __all__ = [
     "dual_lower_bound",
     "solve_fbsde_picard",
     "export_solution_csv",
-    "terminal_state",
 ]
 
 
@@ -78,13 +81,26 @@ class DesignTransform:
     exponents: tuple
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The design at states x: a constant column, then one per exponent."""
+        """The design at states x: a constant column, then one per exponent.
+
+        u_i ** p is formed as ((u_i * u_i) * u_i) ..., and each monomial
+        multiplies its factors left to right in coordinate order.
+        """
         u = (np.atleast_2d(x) - self.mean) / self.scale
-        top = max((max(e) for e in self.exponents), default=0)
-        powers = np.cumprod(np.repeat(u[:, :, None], top, axis=2), axis=2)   # u_i ** (p + 1)
-        cols = [np.prod([powers[:, i, p - 1] for i, p in enumerate(e) if p], axis=0)
-                for e in self.exponents]
-        return np.column_stack([np.ones(u.shape[0])] + cols)
+        powers = []   # powers[i][p - 1] = u_i ** p
+        for i in range(u.shape[1]):
+            col = u[:, i]
+            powers.append([col])
+            for _ in range(max((e[i] for e in self.exponents), default=0) - 1):
+                powers[i].append(powers[i][-1] * col)
+        design = np.empty((u.shape[0], len(self.exponents) + 1))
+        design[:, 0] = 1.0
+        for j, e in enumerate(self.exponents, start=1):
+            factors = [powers[i][p - 1] for i, p in enumerate(e) if p]
+            design[:, j] = factors[0]
+            for f in factors[1:]:
+                design[:, j] *= f
+        return design
 
 
 @dataclass(frozen=True)
@@ -148,14 +164,45 @@ def fit_projection(design: np.ndarray, step: int, cond_limit: float,
     return Projection(np.linalg.inv(r), cond, transform)
 
 
+def _factor_step(basis: RegressionBasis, states: np.ndarray, step: int,
+                 cond_limit: float):
+    """Step k's design at its states and its Projection."""
+    design, tr = basis.fit_design(states)
+    return design, fit_projection(design, step, cond_limit, tr)
+
+
+@dataclass(frozen=True)
+class RegressionPlan:
+    """Every step of one ensemble factored once, for any number of solves on it.
+
+    The projections depend on the forward states alone, not on the driver
+    or the terminal. Designs are not stored (m * p * n floats); `step`
+    rebuilds one from its transform.
+    """
+
+    ensemble: PathEnsemble
+    basis: RegressionBasis
+    cond_limit: float
+    fits: tuple    # per step, the Projection
+
+    @classmethod
+    def build(cls, ensemble: PathEnsemble, basis: RegressionBasis,
+              cond_limit: float) -> "RegressionPlan":
+        """Factor the steps last first, as the backward solve walks them."""
+        fits = [None] * ensemble.grid.n_steps
+        for k in reversed(range(len(fits))):
+            fits[k] = _factor_step(basis, ensemble.states[:, k, :], k, cond_limit)[1]
+        return cls(ensemble, basis, cond_limit, tuple(fits))
+
+    def step(self, k: int):
+        """Step k's (design, Projection)."""
+        fit = self.fits[k]
+        return fit.transform.apply(self.ensemble.states[:, k, :]), fit
+
+
 # ---------------------------------------------------------------------------
 # problem and solution containers
 # ---------------------------------------------------------------------------
-
-def terminal_state(g: Callable) -> Callable:
-    """Lift a function of the terminal state into a terminal functional."""
-    return lambda ens: np.asarray(g(ens.states[:, -1, :]), dtype=np.float64).reshape(ens.n_paths)
-
 
 @dataclass(frozen=True)
 class BsdeProblem:
@@ -264,28 +311,37 @@ def _backward_solve(
 
 
 def _driver_value(driver: Driver, ens: PathEnsemble) -> Callable:
-    return lambda k, y_k, z_k: driver.value(ens.grid.nodes[k], ens.states[:, k, :], y_k, z_k)
+    nodes = ens.grid.nodes
+    return lambda k, y_k, z_k: driver.value(nodes[k], ens.states[:, k, :], y_k, z_k)
 
 
 def solve_bsde_lsmc(
     problem: BsdeProblem,
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
+    plan: RegressionPlan | None = None,
 ) -> BsdeSolution:
     """Solve the backward equation by regression Monte Carlo.
 
     Y0 is read from the step-0 regression, which collapses to the plain
     cross-path mean for a deterministic initial state; the reported standard
-    error is the Monte Carlo error of that root-step mean.
+    error is the Monte Carlo error of that root-step mean. With a plan, the
+    steps are projected with its fits instead of being factored again; the
+    plan must belong to the problem's ensemble, the basis and opts.cond_limit.
     """
     ens = problem.realize()
+    if plan is None:
+        step_design = lambda k: _factor_step(basis, ens.states[:, k, :], k, opts.cond_limit)
+    elif ens is not plan.ensemble:
+        raise ValueError("the regression plan was built on another ensemble")
+    elif basis != plan.basis or opts.cond_limit != plan.cond_limit:
+        raise ValueError(f"the regression plan was built for {plan.basis} and cond_limit "
+                         f"{plan.cond_limit}, not {basis} and {opts.cond_limit}")
+    else:
+        step_design = plan.step
     xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal functional produced non-finite values")
-
-    def step_design(k):
-        design, tr = basis.fit_design(ens.states[:, k, :])
-        return design, fit_projection(design, k, opts.cond_limit, tr)
 
     y, z, cont, fits, clips = _backward_solve(
         xi, ens.bundle.increments, ens.grid.dt, step_design,
@@ -443,8 +499,9 @@ def check_comparison(
         raise InvalidDriverError(f"driver is not monotone in y (max df/dy = {mono.max_dy:.3e})")
 
     shared = replace(problem, ensemble=ens)
-    sol_hi = solve_bsde_lsmc(replace(shared, terminal=terminal_high), basis, opts)
-    sol_lo = solve_bsde_lsmc(replace(shared, terminal=terminal_low), basis, opts)
+    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
+    sol_hi = solve_bsde_lsmc(replace(shared, terminal=terminal_high), basis, opts, plan)
+    sol_lo = solve_bsde_lsmc(replace(shared, terminal=terminal_low), basis, opts, plan)
     diff = sol_hi.y - sol_lo.y
     return ComparisonReport(
         y0_high=sol_hi.y0,
@@ -503,14 +560,15 @@ def check_convexity_and_jensen(
         raise ValueError("phi failed the midpoint convexity spot check")
 
     shared = replace(problem, ensemble=ens)
-    sol1 = solve_bsde_lsmc(replace(shared, terminal=terminal_1), basis, opts)
-    sol2 = solve_bsde_lsmc(replace(shared, terminal=terminal_2), basis, opts)
+    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
+    sol1 = solve_bsde_lsmc(replace(shared, terminal=terminal_1), basis, opts, plan)
+    sol2 = solve_bsde_lsmc(replace(shared, terminal=terminal_2), basis, opts, plan)
     sol_mix = solve_bsde_lsmc(
         replace(shared, terminal=lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e)),
-        basis, opts,
+        basis, opts, plan,
     )
     sol_phi = solve_bsde_lsmc(
-        replace(shared, terminal=lambda e: phi.f(terminal_1(e))), basis, opts
+        replace(shared, terminal=lambda e: phi.f(terminal_1(e))), basis, opts, plan
     )
 
     delta_cvx = lam * sol1.y0 + (1.0 - lam) * sol2.y0 - sol_mix.y0
@@ -548,18 +606,15 @@ def check_dynamic_consistency(
     """
     ens = problem.realize()
     ks = ens.grid.node_index(split_time)
-    direct = solve_bsde_lsmc(replace(problem, ensemble=ens), basis, opts)
+    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
+    direct = solve_bsde_lsmc(replace(problem, ensemble=ens), basis, opts, plan)
     if ks == ens.grid.n_steps:
         nested_y0 = direct.y0
     else:
-        def stored_design(k):
-            fit = direct.fits[k]
-            return fit.transform.apply(ens.states[:, k, :]), fit
-
-        design, fit = stored_design(ks)
+        design, fit = plan.step(ks)
         y, _, _, _, _ = _backward_solve(
             fit.project(design, direct.y[:, ks]), ens.bundle.increments[:, :ks], ens.grid.dt,
-            stored_design, _driver_value(problem.driver, ens), opts.inner_picard_iters,
+            plan.step, _driver_value(problem.driver, ens), opts.inner_picard_iters,
             z_clip=opts.z_clip,
         )
         nested_y0 = float(y[0, 0])
@@ -590,6 +645,7 @@ def effective_drift_decomposition(
     ens = solution.problem.realize()
     driver = solution.problem.driver
     grid = solution.grid
+    nodes = grid.nodes
     n = grid.n_steps
     amb = np.zeros(n)
     conv = np.zeros(n)
@@ -598,7 +654,7 @@ def effective_drift_decomposition(
     for k in range(n):
         y_k = solution.y[:, k]
         z_k = solution.z[:, k, :]
-        f_k = driver.value(grid.nodes[k], ens.states[:, k, :], y_k, z_k)
+        f_k = driver.value(nodes[k], ens.states[:, k, :], y_k, z_k)
         a = -phi.df(y_k) * f_k
         c = 0.5 * phi.d2f(y_k) * np.sum(z_k * z_k, axis=1)
         amb[k] = a.mean()
@@ -658,8 +714,8 @@ def dual_lower_bound(
     ens = problem.realize()
     d = ens.bundle.dim
     controls = np.atleast_2d(np.asarray(control_grid, dtype=np.float64))
-    if controls.shape[1] != d:
-        controls = controls.reshape(-1, d)
+    if controls.ndim != 2 or controls.shape[1] != d:
+        raise ValueError(f"control_grid must be (k, {d}), got shape {controls.shape}")
 
     probe = problem.driver.full_gradients(
         0.0,

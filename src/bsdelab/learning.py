@@ -22,7 +22,10 @@ cubic terminal showed a 4.3e-3 gap to finite differences of the loss.
 
 Gradients of the learning loss are assembled from these adjoints by the
 chain rule; the descent loop is plain gradient descent on a fixed noise
-bundle (common random numbers across iterations).
+bundle (common random numbers across iterations). `train` simulates the
+forward paths once and shares one ensemble and one `RegressionPlan`
+across every iteration and record, so each step's design is factored
+once per training run.
 """
 
 from __future__ import annotations
@@ -34,7 +37,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .drivers import Driver
-from .engine import BsdeProblem, BsdeSolution, RegressionBasis, SolveOptions, solve_bsde_lsmc
+from .engine import (
+    BsdeProblem,
+    BsdeSolution,
+    RegressionBasis,
+    RegressionPlan,
+    SolveOptions,
+    solve_bsde_lsmc,
+)
 from .errors import SimulationDivergedError, SolverDivergedError, TrainingDivergedError
 from .stochastic import (
     BrownianBundle,
@@ -98,6 +108,7 @@ def _adjoint_gradient(
     grid = primary.grid
     m, n = ens.n_paths, grid.n_steps
     dt = grid.dt
+    nodes = grid.nodes
     inc = ens.bundle.increments
     passes = primary.passes
 
@@ -113,7 +124,7 @@ def _adjoint_gradient(
         lins = []
         y_iter = cont
         for _ in range(passes):
-            lin = driver.linearize(grid.nodes[k], x_k, y_iter, z_k)
+            lin = driver.linearize(nodes[k], x_k, y_iter, z_k)
             lins.append(lin)
             y_iter = cont + lin.value * dt
 
@@ -180,7 +191,8 @@ def fd_gradient_check(
         raise ValueError("h must be positive")
     ens = problem.realize()
     shared = replace(problem, ensemble=ens)
-    primary = solve_bsde_lsmc(shared, basis, opts)
+    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
+    primary = solve_bsde_lsmc(shared, basis, opts, plan)
     sens = solve_sensitivity_bsde(primary)
 
     theta = shared.driver.params
@@ -190,9 +202,9 @@ def fd_gradient_check(
         bump = np.zeros_like(theta)
         bump[j] = h
         up = solve_bsde_lsmc(replace(shared, driver=shared.driver.with_params(theta + bump)),
-                             basis, opts)
+                             basis, opts, plan)
         dn = solve_bsde_lsmc(replace(shared, driver=shared.driver.with_params(theta - bump)),
-                             basis, opts)
+                             basis, opts, plan)
         fd[i] = (up.y0 - dn.y0) / (2.0 * h)
 
     analytic = sens.grad_y0[list(coords)]
@@ -282,6 +294,7 @@ def loss_and_gradient(
     opts: SolveOptions = SolveOptions(),
     bundle: BrownianBundle | None = None,
     seed: int = 0,
+    plan: RegressionPlan | None = None,
 ) -> LossReport:
     """Mean squared calibration error plus penalties, with its exact gradient.
 
@@ -289,11 +302,23 @@ def loss_and_gradient(
          + lam_norm mean_i sum_k mean_paths f(t_k, X_k, Ytilde_k, 0)^2 dt;
     the last term discretizes the normalization penalty at z = 0 along the
     primary paths with regressed continuation values.
+
+    With a plan, the records are solved on its ensemble (built for basis
+    and opts.cond_limit); otherwise on paths simulated from bundle, or from
+    a bundle drawn from seed.
     """
-    if bundle is None:
-        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1,
-                                 split_seed(seed, "loss-bundle"))
-    ens = simulate_forward(dataset.model, dataset.grid, bundle)
+    if plan is not None:
+        if bundle is not None:
+            raise ValueError("pass a bundle or a regression plan, not both")
+        ens = plan.ensemble
+        if ens.grid != dataset.grid or ens.n_paths != dataset.n_paths:
+            raise ValueError(f"the plan's ensemble ({ens.n_paths} paths on {ens.grid}) does not "
+                             f"match the dataset ({dataset.n_paths} paths on {dataset.grid})")
+    else:
+        if bundle is None:
+            bundle = sample_brownian(dataset.grid, dataset.n_paths, 1,
+                                     split_seed(seed, "loss-bundle"))
+        ens = simulate_forward(dataset.model, dataset.grid, bundle)
     dt = dataset.grid.dt
     nodes = dataset.grid.nodes
     n_params = driver.params.size
@@ -307,7 +332,7 @@ def loss_and_gradient(
     for i, rec in enumerate(dataset.records):
         try:
             prob = BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens)
-            sol = solve_bsde_lsmc(prob, basis, opts)
+            sol = solve_bsde_lsmc(prob, basis, opts, plan)
             sens = solve_sensitivity_bsde(sol)
         except Exception as exc:
             try:
@@ -384,20 +409,27 @@ def train(
 ):
     """Plain gradient descent on a fixed bundle; returns (state, final driver).
 
+    The forward paths are simulated once and every step's design is
+    factored once; each iteration solves on that one ensemble and plan.
     Raw parameters are unconstrained, so architectural invariants survive
     every step by construction. Stops at max_iters or when the loss change
     drops below loss_tol.
     """
     bundle = sample_brownian(dataset.grid, dataset.n_paths, 1,
                              split_seed(schedule.seed, "train-bundle"))
+    try:
+        ens = simulate_forward(dataset.model, dataset.grid, bundle)
+    except SimulationDivergedError as exc:
+        raise TrainingDivergedError(0) from exc
+    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
     losses, grads, datas, regs, norms, tnorms = [], [], [], [], [], []
     current = driver
     iterations = 0
     for k in range(schedule.max_iters):
         try:
             report = loss_and_gradient(dataset, current, lam_reg, lam_norm,
-                                       basis, opts, bundle=bundle)
-        except (SolverDivergedError, SimulationDivergedError) as exc:
+                                       basis, opts, plan=plan)
+        except SolverDivergedError as exc:
             raise TrainingDivergedError(k) from exc
         if not np.isfinite(report.loss) or not np.all(np.isfinite(report.gradient)):
             raise TrainingDivergedError(k)

@@ -6,7 +6,9 @@ QR. These references keep the scheme as it was written with one
 the tests can hold the library to them at a stated tolerance: the backward
 solve, the fluctuation system's V loop and the Picard decoupling. The
 fluctuation system's measure terms are also kept in their dense form, as
-(M, M') Lions-derivative matrices, to check the factored term against.
+(M, M') Lions-derivative matrices, to check the factored term against, and
+`DesignTransform.apply` is kept in its cumprod form, to check the direct
+build against bit for bit.
 """
 
 import itertools
@@ -16,6 +18,16 @@ import numpy as np
 from bsdelab.errors import NoContractionError, SingularRegressionError
 from bsdelab.meanfield import _broadcast, _measure_term, _simulate_cloud
 from bsdelab.stochastic import sample_brownian, simulate_forward, split_seed
+
+
+def cumprod_apply(self, x: np.ndarray) -> np.ndarray:
+    """The design at states x: a constant column, then one per exponent."""
+    u = (np.atleast_2d(x) - self.mean) / self.scale
+    top = max((max(e) for e in self.exponents), default=0)
+    powers = np.cumprod(np.repeat(u[:, :, None], top, axis=2), axis=2)   # u_i ** (p + 1)
+    cols = [np.prod([powers[:, i, p - 1] for i, p in enumerate(e) if p], axis=0)
+            for e in self.exponents]
+    return np.column_stack([np.ones(u.shape[0])] + cols)
 
 
 def regress(design, response, step, cond_limit):

@@ -1,8 +1,10 @@
+import ctypes
 import json
 
 import numpy as np
 import pytest
 
+from bsdelab import cli
 from bsdelab.cli import (
     CheckResult,
     ExperimentConfig,
@@ -168,6 +170,28 @@ class TestMainEntry:
         assert code == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out
+
+    def test_threads_flag_sets_the_blas_thread_count(self, tmp_path, capsys):
+        get = cli._openblas_function("scipy_openblas_get_num_threads64_",
+                                     "openblas_get_num_threads")
+        get.argtypes = []
+        get.restype = ctypes.c_int
+        before = get()
+        cfg = write_config(tmp_path, dict(SMALL_ORACLE, out=str(tmp_path / "out")))
+        try:
+            cli._set_blas_threads(2)
+            assert main(["verify", "--config", cfg, "--threads", "1"]) == 0
+            assert get() == 1
+        finally:
+            cli._set_blas_threads(before)
+
+    def test_threads_flag_rejects_bad_counts(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, dict(SMALL_ORACLE, out=str(tmp_path / "out")))
+        assert main(["verify", "--config", cfg, "--threads", "0"]) == 2
+        assert "threads" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "_openblas_function", lambda *names: None)
+        assert main(["verify", "--config", cfg, "--threads", "1"]) == 2
+        assert "OpenBLAS" in capsys.readouterr().err
 
     def test_fbsde_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from bsdelab.drivers import (
 from bsdelab.engine import (
     BsdeProblem,
     RegressionBasis,
+    RegressionPlan,
     SmoothFunction,
     SolveOptions,
     check_comparison,
@@ -206,6 +210,13 @@ class TestSolver:
         assert len(rows) == 1 + 8 + 1
 
 
+def reference_problem(name, d):
+    grid = make_time_grid(1.0, 8)
+    ens = simulate_forward(brownian_model(d), grid, sample_brownian(grid, 3_000, d, seed=21))
+    terminal = lambda e: np.sin(e.states[:, -1, 0]) + 0.3 * e.states[:, -1, -1] ** 2
+    return BsdeProblem(driver=reference_driver(name, d), terminal=terminal, ensemble=ens)
+
+
 def reference_driver(name, d):
     net = build_driver("Free", NetLayout(state_dim=d, z_dim=d, hidden=(5, 4)), init_seed=3 + d)
     return {
@@ -223,10 +234,8 @@ class TestProjectionLayer:
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("name", ["zero", "linear", "entropic", "free-net", "truncated"])
     def test_backward_solve_matches_lstsq(self, name, d):
-        grid = make_time_grid(1.0, 8)
-        ens = simulate_forward(brownian_model(d), grid, sample_brownian(grid, 3_000, d, seed=21))
-        terminal = lambda e: np.sin(e.states[:, -1, 0]) + 0.3 * e.states[:, -1, -1] ** 2
-        problem = BsdeProblem(driver=reference_driver(name, d), terminal=terminal, ensemble=ens)
+        problem = reference_problem(name, d)
+        ens, terminal = problem.ensemble, problem.terminal
         for z_clip in (None, 0.5):
             opts = SolveOptions(z_clip=z_clip)
             sol = solve_bsde_lsmc(problem, opts=opts)
@@ -260,6 +269,22 @@ class TestProjectionLayer:
         solve_sensitivity_bsde(sol)
         engine._fit_fields(sol.problem.realize(), sol)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_design_matches_cumprod_build(self, d):
+        # The direct build multiplies in the order the cumprod build did, so
+        # the designs are equal bit for bit, degenerate coordinates included.
+        rng = np.random.default_rng(d)
+        for degree in range(5):
+            for dead in itertools.product([False, True], repeat=d):
+                x = 1.0 + 3.0 * rng.standard_normal((400, d))
+                x[:, list(dead)] = 0.7
+                design, tr = RegressionBasis(degree).fit_design(x)
+                _, (_, _, exponents) = lstsq_reference.fit_design(x, degree)
+                assert tr.exponents == tuple(exponents)
+                np.testing.assert_array_equal(design, lstsq_reference.cumprod_apply(tr, x))
+                y = 2.0 * rng.standard_normal((50, d))
+                np.testing.assert_array_equal(tr.apply(y), lstsq_reference.cumprod_apply(tr, y))
+
     def test_rank_rule(self):
         design = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
         with pytest.raises(SingularRegressionError) as info:
@@ -272,6 +297,56 @@ class TestProjectionLayer:
         assert fit.cond == pytest.approx(s[0] / s[-1], rel=1e-12)
         with pytest.raises(SingularRegressionError):
             engine.fit_projection(design, step=0, cond_limit=0.5 * fit.cond)
+
+
+class TestRegressionPlan:
+    """Solves on a plan against solves that factor every step themselves."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["zero", "entropic", "free-net", "truncated"])
+    def test_plan_solve_is_bit_identical(self, name, d):
+        problem = reference_problem(name, d)
+        basis, opts = RegressionBasis(), SolveOptions(z_clip=0.5)
+        plan = RegressionPlan.build(problem.ensemble, basis, opts.cond_limit)
+        plain = solve_bsde_lsmc(problem, basis, opts)
+        planned = solve_bsde_lsmc(problem, basis, opts, plan=plan)
+        assert plain.z_clip_count.sum() > 0
+        assert planned.y0 == plain.y0
+        np.testing.assert_array_equal(planned.y, plain.y)
+        np.testing.assert_array_equal(planned.z, plain.z)
+        np.testing.assert_array_equal(planned.z_clip_count, plain.z_clip_count)
+        assert all(a is b for a, b in zip(planned.fits, plan.fits))
+        np.testing.assert_array_equal(solve_sensitivity_bsde(planned).grad_y0,
+                                      solve_sensitivity_bsde(plain).grad_y0)
+
+    def test_mismatched_plan_rejected(self):
+        problem = reference_problem("entropic", 1)
+        ens = problem.ensemble
+        basis, opts = RegressionBasis(), SolveOptions()
+        plan = RegressionPlan.build(ens, basis, opts.cond_limit)
+        equal_copy = PathEnsemble(states=ens.states.copy(), grid=ens.grid, bundle=ens.bundle)
+        with pytest.raises(ValueError, match="another ensemble"):
+            solve_bsde_lsmc(replace(problem, ensemble=equal_copy), basis, opts, plan=plan)
+        with pytest.raises(ValueError, match="cond_limit"):
+            solve_bsde_lsmc(problem, RegressionBasis(degree=2), opts, plan=plan)
+        with pytest.raises(ValueError, match="cond_limit"):
+            solve_bsde_lsmc(problem, basis, SolveOptions(cond_limit=1e10), plan=plan)
+
+    def test_build_names_the_solves_singular_step(self):
+        # Steps 1 and 2 are both rank deficient; the backward walk meets step 2 first.
+        grid = make_time_grid(1.0, 3)
+        bundle = sample_brownian(grid, 60, 1, seed=1)
+        states = np.zeros((60, 4, 1))
+        states[:, 1, 0] = np.repeat([0.0, 1.0], 30)
+        states[:, 2, 0] = np.repeat([0.0, 1.0, 3.0], 20)
+        states[:, 3, 0] = np.linspace(-1, 1, 60)
+        ens = PathEnsemble(states=states, grid=grid, bundle=bundle)
+        with pytest.raises(SingularRegressionError) as solved:
+            solve_bsde_lsmc(BsdeProblem(driver=zero_driver(), terminal=W_T, ensemble=ens))
+        with pytest.raises(SingularRegressionError) as built:
+            RegressionPlan.build(ens, RegressionBasis(), SolveOptions().cond_limit)
+        assert built.value.step == solved.value.step == 2
+        assert built.value.cond == solved.value.cond
 
 
 class TestTruncation:
@@ -479,6 +554,12 @@ class TestDualBound:
         problem = brownian_problem(entropic_driver(1.0), n_paths=1_000, n_steps=5)
         with pytest.raises(InvalidDriverError):
             dual_lower_bound(problem, [[0.0]])
+
+    def test_control_width_mismatch_rejected(self):
+        problem = brownian_problem(quadratic_z_driver(1.0), n_paths=1_000, n_steps=5)
+        for controls in ([0.0, 0.5, 1.0], [[0.0, 0.5]], [[[0.0]]]):
+            with pytest.raises(ValueError, match="control_grid"):
+                dual_lower_bound(problem, controls)
 
     def test_y_dependent_driver_rejected(self):
         net = build_driver("MonotoneY", NetLayout(hidden=(4,)), init_seed=1)

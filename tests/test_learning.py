@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,13 @@ from bsdelab.drivers import (
     quadratic_z_driver,
     scaled_constant_driver,
 )
-from bsdelab.engine import BsdeProblem, RegressionBasis, SolveOptions, solve_bsde_lsmc
+from bsdelab.engine import (
+    BsdeProblem,
+    RegressionBasis,
+    RegressionPlan,
+    SolveOptions,
+    solve_bsde_lsmc,
+)
 from bsdelab.errors import TrainingDivergedError
 from bsdelab.learning import (
     Dataset,
@@ -277,6 +284,21 @@ class TestLoss:
         assert reg.reg_term == pytest.approx(0.5 * 4.0)
         assert reg.gradient[0] == pytest.approx(plain.gradient[0] + 2 * 0.5 * 2.0)
 
+    def test_plan_mismatches_rejected(self):
+        dataset = small_dataset(n_paths=1_000, n_steps=8)
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=4)
+        ens = simulate_forward(dataset.model, dataset.grid, bundle)
+        plan = RegressionPlan.build(ens, RegressionBasis(), SolveOptions().cond_limit)
+        driver = entropic_driver(0.5)
+        with pytest.raises(ValueError, match="not both"):
+            loss_and_gradient(dataset, driver, bundle=bundle, plan=plan)
+        with pytest.raises(ValueError, match="does not match the dataset"):
+            loss_and_gradient(replace(dataset, n_paths=500), driver, plan=plan)
+        with pytest.raises(ValueError, match="does not match the dataset"):
+            loss_and_gradient(small_dataset(n_paths=1_000, n_steps=6), driver, plan=plan)
+        with pytest.raises(ValueError, match="cond_limit"):
+            loss_and_gradient(dataset, driver, basis=RegressionBasis(degree=2), plan=plan)
+
     def test_record_failures_carry_index(self):
         grid = make_time_grid(1.0, 5)
         bad = DatasetRecord(terminal=lambda ens: np.full(ens.n_paths, np.nan),
@@ -307,6 +329,37 @@ class TestTraining:
         s2, d2 = train(dataset, entropic_driver(0.4), schedule)
         np.testing.assert_array_equal(s1.loss_history, s2.loss_history)
         np.testing.assert_array_equal(d1.params, d2.params)
+
+    def test_plan_matches_the_per_iteration_loop(self):
+        # train shares one ensemble and plan; the loop below simulates the
+        # paths and factors every step again on every iteration.
+        dataset = small_dataset(n_paths=1_000, n_steps=8)
+        schedule = TrainSchedule(learning_rate=0.3, max_iters=4, seed=21)
+        net = build_driver("Free", NetLayout(hidden=(4,)), init_seed=5)
+        state, final = train(dataset, net, schedule, lam_reg=0.01, lam_norm=0.5)
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1,
+                                 split_seed(schedule.seed, "train-bundle"))
+        losses, current = [], net
+        for _ in range(schedule.max_iters):
+            report = loss_and_gradient(dataset, current, 0.01, 0.5, bundle=bundle)
+            losses.append(report.loss)
+            current = current.with_params(current.params - 0.3 * report.gradient)
+        np.testing.assert_array_equal(state.loss_history, losses)
+        np.testing.assert_array_equal(final.params, current.params)
+
+    def test_each_step_is_factored_once_per_run(self):
+        calls = []
+
+        class CountingBasis(RegressionBasis):
+            def fit_design(self, x):
+                calls.append(x.shape)
+                return super().fit_design(x)
+
+        dataset = small_dataset(n_paths=1_000, n_steps=8)
+        schedule = TrainSchedule(learning_rate=0.3, max_iters=3, seed=21)
+        state, _ = train(dataset, entropic_driver(0.4), schedule, basis=CountingBasis())
+        assert state.iterations == 3 and len(dataset.records) == 2
+        assert len(calls) == dataset.grid.n_steps
 
     def test_divergence_reports_iteration(self):
         dataset = small_dataset(n_paths=512, n_steps=5)
