@@ -232,7 +232,7 @@ def _run_solve(config, out_dir):
     sol = engine.solve_bsde_lsmc(problem, _basis(config.options))
     path = os.path.join(out_dir, "solution.csv")
     engine.export_solution_csv(sol, path)
-    xi = problem.terminal(problem.realize())
+    xi = problem.terminal(sol.ensemble)
     checks = [
         CheckResult("y0_finite", bool(np.isfinite(sol.y0)), sol.y0, float("inf")),
         CheckResult("terminal_anchoring", bool(np.array_equal(sol.y[:, -1], xi)),

@@ -1,8 +1,12 @@
 """Driver protocol and built-in analytic drivers.
 
-A driver is the non-linear term f(t, x, y, z) of the backward equation.
-Built-in analytic drivers carry a flat parameter vector so the sensitivity
-machinery treats them exactly like trained networks.
+A driver is the non-linear term f(t, x, y, z) of the backward equation. The
+protocol is `params`, `value`, `linearize` and `with_params`: `linearize`
+gives the value, df/dy and df/dz at a batch of points and a pullback that
+maps per-sample weights to the weighted sum of parameter gradients, so a
+network never forms its (m, P) per-sample Jacobian. Built-in analytic
+drivers carry a flat parameter vector so the sensitivity machinery treats
+them exactly like trained networks.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DriverGradients:
-    """Value and first derivatives of a driver at a batch of points.
+    """Value and first derivatives of a driver at a single point, as
+    `nets.driver_gradients` returns them.
 
-    value: (m,); dy: (m,); dz: (m, d); dtheta: (m, P).
+    value: (1,); dy: (1,); dz: (1, d); dtheta: (1, P).
     """
 
     value: np.ndarray
@@ -60,8 +65,6 @@ class Driver(Protocol):
 
     def value(self, t, x, y, z) -> np.ndarray: ...
 
-    def full_gradients(self, t, x, y, z) -> DriverGradients: ...
-
     def linearize(self, t, x, y, z) -> DriverLinearization: ...
 
     def with_params(self, params: np.ndarray) -> "Driver": ...
@@ -75,7 +78,7 @@ def _normalize_inputs(t, x, y, z):
     if z.ndim == 0:
         z = np.broadcast_to(z, (m, 1))
     elif z.ndim == 1:
-        z = z[:, None] if z.shape[0] == m else np.broadcast_to(z, (m, z.shape[0]))
+        raise ValueError(f"z must be (m, d) or a scalar, got a 1-d array of length {z.shape[0]}")
     t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,)).astype(np.float64, copy=False)
     if not (
         np.all(np.isfinite(t))
@@ -112,7 +115,9 @@ class AnalyticDriver:
         out = np.asarray(self.value_fn(self.params, t, x, y, z), dtype=np.float64)
         return np.broadcast_to(out, (x.shape[0],)).astype(np.float64, copy=False)
 
-    def full_gradients(self, t, x, y, z) -> DriverGradients:
+    def linearize(self, t, x, y, z) -> DriverLinearization:
+        """grad_fn's per-sample dtheta is kept for the pullback: analytic
+        drivers have only a few parameters."""
         t, x, y, z = _normalize_inputs(t, x, y, z)
         m, d = z.shape
         val = np.broadcast_to(
@@ -121,13 +126,9 @@ class AnalyticDriver:
         dy, dz, dtheta = self.grad_fn(self.params, t, x, y, z)
         dy = np.broadcast_to(np.asarray(dy, dtype=np.float64), (m,))
         dz = np.broadcast_to(np.asarray(dz, dtype=np.float64), (m, d))
-        dtheta = np.broadcast_to(np.asarray(dtheta, dtype=np.float64), (m, self.n_params))
-        return DriverGradients(value=val.copy(), dy=dy.copy(), dz=dz.copy(), dtheta=dtheta.copy())
-
-    def linearize(self, t, x, y, z) -> DriverLinearization:
-        g = self.full_gradients(t, x, y, z)
-        return DriverLinearization(value=g.value, dy=g.dy, dz=g.dz,
-                                   pullback=lambda w: np.asarray(w, dtype=np.float64) @ g.dtheta)
+        dtheta = np.broadcast_to(np.asarray(dtheta, dtype=np.float64), (m, self.n_params)).copy()
+        return DriverLinearization(value=val.copy(), dy=dy.copy(), dz=dz.copy(),
+                                   pullback=lambda w: np.asarray(w, dtype=np.float64) @ dtheta)
 
     def with_params(self, params) -> "AnalyticDriver":
         return replace(self, params=np.asarray(params, dtype=np.float64).ravel())
@@ -217,11 +218,6 @@ class TruncatedDriver:
 
     def _inside(self, y, shape) -> np.ndarray:
         return (np.abs(np.broadcast_to(y, shape)) <= self.k_level).astype(np.float64)
-
-    def full_gradients(self, t, x, y, z) -> DriverGradients:
-        y = np.asarray(y, dtype=np.float64)
-        g = self.base.full_gradients(t, x, np.clip(y, -self.k_level, self.k_level), z)
-        return replace(g, dy=g.dy * self._inside(y, g.dy.shape))
 
     def linearize(self, t, x, y, z) -> DriverLinearization:
         y = np.asarray(y, dtype=np.float64)

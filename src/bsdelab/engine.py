@@ -15,8 +15,9 @@ cond_limit; a response b projects as A R^-1 R^-T A^T b. The projections
 depend on the forward states alone, so a `RegressionPlan` factors each
 step once per ensemble and every solve given the plan projects with its
 fits; without a plan, each step is factored once per solve. The solution
-carries its fits, so the adjoint, the Picard fields and the
-dynamic-consistency smoothing do not factor again.
+carries its ensemble and its fits, so the adjoint, the drift decomposition,
+the Picard fields and the dynamic-consistency smoothing neither simulate
+nor factor again.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ class BsdeSolution:
     passes: int                # inner fixed-point passes per step
     z_clip_count: np.ndarray
     max_abs_y: float
-    grid: TimeGrid
+    ensemble: PathEnsemble     # the forward paths the solve ran on
     problem: BsdeProblem
 
 
@@ -360,7 +361,7 @@ def solve_bsde_lsmc(
         passes=max(1, opts.inner_picard_iters),
         z_clip_count=clips,
         max_abs_y=float(np.max(np.abs(y))),
-        grid=ens.grid,
+        ensemble=ens,
         problem=problem,
     )
 
@@ -642,11 +643,10 @@ def effective_drift_decomposition(
 ) -> DriftDecomposition:
     """Split the drift of phi(Y) into the driver-induced part and the Ito
     convexity correction, per step."""
-    ens = solution.problem.realize()
+    ens = solution.ensemble
     driver = solution.problem.driver
-    grid = solution.grid
-    nodes = grid.nodes
-    n = grid.n_steps
+    nodes = ens.grid.nodes
+    n = ens.grid.n_steps
     amb = np.zeros(n)
     conv = np.zeros(n)
     amb_path = np.zeros((ens.n_paths, n)) if return_pathwise else None
@@ -717,7 +717,7 @@ def dual_lower_bound(
     if controls.ndim != 2 or controls.shape[1] != d:
         raise ValueError(f"control_grid must be (k, {d}), got shape {controls.shape}")
 
-    probe = problem.driver.full_gradients(
+    probe = problem.driver.linearize(
         0.0,
         np.zeros((64, ens.state_dim)),
         np.linspace(-2, 2, 64),
@@ -859,8 +859,8 @@ def solve_fbsde_picard(
 
 def export_solution_csv(solution: BsdeSolution, path) -> None:
     """Per-step summary: (step, t, mean_Y, sd_Y, mean_normZ, clip_count, regression_cond)."""
-    nodes = solution.grid.nodes
-    n = solution.grid.n_steps
+    nodes = solution.ensemble.grid.nodes
+    n = solution.ensemble.grid.n_steps
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "mean_Y", "sd_Y", "mean_normZ",

@@ -104,11 +104,10 @@ def _adjoint_gradient(
     for the adjoints a_cont of C_k and b of Z_k. The z clip of the primary
     is not differentiated, as in the forward scheme.
     """
-    ens = primary.problem.realize()
-    grid = primary.grid
-    m, n = ens.n_paths, grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
+    ens = primary.ensemble
+    m, n = ens.n_paths, ens.grid.n_steps
+    dt = ens.grid.dt
+    nodes = ens.grid.nodes
     inc = ens.bundle.increments
     passes = primary.passes
 

@@ -536,7 +536,7 @@ def crosscheck_entropic_value(
         model=model, grid=tgrid, bundle=bundle,
     )
     sol = solve_bsde_lsmc(problem)
-    xi = problem.terminal(problem.realize())
+    xi = problem.terminal(sol.ensemble)
     oracle = closed_form_oracle("entropic", xi, theta=theta) if theta > 0 else float(np.mean(xi))
     return {"pde_value": float(pde_value), "bsde_value": float(sol.y0),
             "oracle_value": float(oracle)}

@@ -189,14 +189,6 @@ class _BlockStack:
                 break
         return tape
 
-    def param_gradients(self, tape: list, dtheta: np.ndarray) -> None:
-        """Writes per-sample parameter gradients into dtheta (m, P)."""
-        for layer, (delta, inputs, t_derivs) in zip(reversed(self.layers), tape):
-            dtheta[:, layer.b_slice] += delta
-            for block, a_in, t_deriv in zip(layer.blocks, inputs, t_derivs):
-                dw = delta[:, :, None] * a_in[:, None, :] * t_deriv[None, :, :]
-                dtheta[:, block.w_slice] += dw.reshape(dw.shape[0], -1)
-
     def pullback(self, tape: list, weights: np.ndarray, grad: np.ndarray) -> None:
         """Adds sum_i weights_i * (parameter gradient of sample i) into grad (P,),
         reducing over samples layer by layer."""
@@ -472,13 +464,6 @@ class DriverNet:
             dz = dsources["u"][:, 1:]
         return out, dy, dz.copy(), tapes
 
-    def full_gradients(self, t, x, y, z) -> DriverGradients:
-        out, dy, dz, tapes = self._reverse(t, x, y, z)
-        dtheta = np.zeros((out.shape[0], self.n_params))
-        for name, tape in tapes.items():
-            self._stacks[name].param_gradients(tape, dtheta)
-        return DriverGradients(value=out, dy=dy, dz=dz, dtheta=dtheta)
-
     def linearize(self, t, x, y, z) -> DriverLinearization:
         """Value and input derivatives, with a pullback that reuses this
         call's forward and reverse pass."""
@@ -560,10 +545,15 @@ def eval_driver(net: Driver, t, x, y, z) -> float:
 
 
 def driver_gradients(net: Driver, t, x, y, z) -> DriverGradients:
-    """Value and derivatives at a single point (arrays keep batch axis 1)."""
+    """Value and derivatives at a single point (arrays keep batch axis 1).
+
+    At one point the pullback of a unit weight is the parameter gradient.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    return net.full_gradients(t, x[None, :], [y], z[None, :])
+    lin = net.linearize(t, x[None, :], [y], z[None, :])
+    return DriverGradients(value=lin.value, dy=lin.dy, dz=lin.dz,
+                           dtheta=lin.pullback(np.ones(1))[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +605,7 @@ def verify_monotone(driver, n_samples: int = 10_000, seed: int = 0,
     x = gen.normal(0.0, 2.0, size=(n_samples, n))
     y = gen.normal(0.0, 2.0, size=n_samples)
     z = gen.normal(0.0, 2.0, size=(n_samples, d))
-    grads = driver.full_gradients(t, x, y, z)
-    max_dy = float(np.max(grads.dy))
+    max_dy = float(np.max(driver.linearize(t, x, y, z).dy))
     return MonotoneReport(max_dy=max_dy, n_samples=n_samples, passed=max_dy <= 0.0)
 
 

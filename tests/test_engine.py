@@ -267,7 +267,7 @@ class TestProjectionLayer:
         monkeypatch.setattr(np.linalg, "qr", no_factorization)
         monkeypatch.setattr(np.linalg, "svd", no_factorization)
         solve_sensitivity_bsde(sol)
-        engine._fit_fields(sol.problem.realize(), sol)
+        engine._fit_fields(sol.ensemble, sol)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_design_matches_cumprod_build(self, d):
@@ -493,15 +493,29 @@ class TestDriftDecomposition:
         dec = effective_drift_decomposition(sol, SmoothFunction.identity())
         np.testing.assert_array_equal(dec.convexity_correction, 0.0)
 
+    def test_solution_readers_reuse_its_ensemble(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return simulate_forward(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "simulate_forward", counting)
+        problem = brownian_problem(entropic_driver(1.0), n_paths=2_000, n_steps=10)
+        sol = solve_bsde_lsmc(problem)
+        solve_sensitivity_bsde(sol)
+        effective_drift_decomposition(sol, SmoothFunction.square())
+        assert len(calls) == 1
+
     def test_discrete_ito_reconstruction(self):
         def mean_residual(n_steps):
             problem = brownian_problem(entropic_driver(1.0), n_paths=50_000,
                                        n_steps=n_steps, seed=41)
             sol = solve_bsde_lsmc(problem)
-            ens = problem.realize()
+            ens = sol.ensemble
             phi = SmoothFunction.square()
             dec = effective_drift_decomposition(sol, phi, return_pathwise=True)
-            dt = sol.grid.dt
+            dt = ens.grid.dt
             drift = (dec.pathwise_ambiguity + dec.pathwise_convexity).sum(axis=1) * dt
             mart = np.sum(phi.df(sol.y[:, :-1]) * sol.z[:, :, 0]
                           * ens.bundle.increments[:, :, 0], axis=1)

@@ -1,9 +1,18 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from bsdelab.drivers import TruncatedDriver, entropic_driver, linear_z_driver, zero_driver
+from bsdelab.drivers import (
+    Driver,
+    TruncatedDriver,
+    entropic_driver,
+    linear_z_driver,
+    quadratic_z_driver,
+    scaled_constant_driver,
+    zero_driver,
+)
 from bsdelab.errors import InvalidArchitectureError
 from bsdelab.nets import (
     _softplus,
@@ -22,6 +31,7 @@ from bsdelab.nets import (
     verify_convexity,
     verify_monotone,
 )
+from sensitivity_reference import per_sample_gradients
 
 KINDS = ["Free", "Separable", "BoundedInteraction", "MonotoneY", "IcnnYZ"]
 
@@ -131,6 +141,20 @@ class TestMonotonicity:
         report = verify_monotone(net.with_params(theta), n_samples=500, seed=0)
         assert not report.passed and report.max_dy > 0.0
 
+    def test_verify_monotone_forms_no_per_sample_jacobian(self):
+        # An (n_samples, P) per-sample Jacobian here would be 10 000 x 1 249
+        # doubles (100 MB); the check reads df/dy only.
+        net = build_driver("MonotoneY", NetLayout(hidden=(32, 32)), init_seed=0)
+        assert net.n_params == 1_249
+        tracemalloc.start()
+        try:
+            report = verify_monotone(net, n_samples=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 32 * 2**20
+
     def test_separable_with_non_increasing_n2_passes(self):
         lay = NetLayout(state_dim=1, z_dim=1, hidden=(6,), n2_hidden=(4,),
                         n2_monotone=True)
@@ -182,8 +206,8 @@ class TestConvexity:
         base = net.value(0.0, x, np.zeros(32), z)
         assert np.array_equal(net.value(0.0, x, np.zeros(32), 2.0 * z), 2.0 * base)
         assert np.all(net.value(0.0, x, np.zeros(32), np.zeros((32, 1))) == 0.0)
-        grads = net.full_gradients(0.0, x, rng.normal(size=32), z)
-        assert np.all(grads.dy == 0.0)
+        lin = net.linearize(0.0, x, rng.normal(size=32), z)
+        assert np.all(lin.dy == 0.0)
 
 
 class TestGradients:
@@ -252,18 +276,19 @@ class TestGradients:
     def test_monotone_gradient_sign_exact(self):
         net = build_driver("MonotoneY", layout_for("MonotoneY"), init_seed=11)
         rng = np.random.default_rng(5)
-        g = net.full_gradients(
+        lin = net.linearize(
             rng.uniform(0, 1, 10_000),
             rng.normal(size=(10_000, 1)),
             rng.normal(size=10_000),
             rng.normal(size=(10_000, 1)),
         )
-        assert np.all(g.dy <= 0.0)
+        assert np.all(lin.dy <= 0.0)
 
 
     @pytest.mark.parametrize("kind", KINDS + ["IcnnYZ-relu"])
     def test_linearize_matches_full_gradients(self, kind):
-        # full_gradients' per-sample dtheta is the reference for the pullback.
+        # The per-sample dtheta, built from the reverse-pass tapes block by
+        # block, is the reference for the pullback.
         if kind == "IcnnYZ-relu":
             lay = NetLayout(state_dim=2, z_dim=2, hidden=(6, 5), activation="relu")
             kind = "IcnnYZ"
@@ -274,7 +299,7 @@ class TestGradients:
         m = 300
         t, x, y, z = (rng.uniform(0, 1, m), rng.normal(size=(m, 2)), rng.normal(size=m),
                       rng.normal(size=(m, 2)))
-        g = net.full_gradients(t, x, y, z)
+        g = per_sample_gradients(net, t, x, y, z)
         lin = net.linearize(t, x, y, z)
         np.testing.assert_array_equal(lin.value, g.value)
         np.testing.assert_array_equal(lin.dy, g.dy)
@@ -290,14 +315,46 @@ class TestGradients:
         t, x, y, z = (0.3, rng.normal(size=(m, 1)), 2.0 * rng.normal(size=m),
                       rng.normal(size=(m, 1)))
         w = rng.normal(size=m)
-        for driver in (entropic_driver(0.7), linear_z_driver(0.4),
+        for driver in (zero_driver(), linear_z_driver(0.4), entropic_driver(0.7),
+                       quadratic_z_driver(0.7), scaled_constant_driver(0.7, 2.5),
                        TruncatedDriver(build_driver("MonotoneY", layout_for("MonotoneY"), 1), 1.0)):
-            g = driver.full_gradients(t, x, y, z)
+            g = per_sample_gradients(driver, t, x, y, z)
             lin = driver.linearize(t, x, y, z)
             np.testing.assert_array_equal(lin.value, g.value)
             np.testing.assert_array_equal(lin.dy, g.dy)
             np.testing.assert_array_equal(lin.dz, g.dz)
-            np.testing.assert_allclose(lin.pullback(w), w @ g.dtheta, rtol=1e-12, atol=1e-14)
+            pulled = lin.pullback(w)
+            assert pulled.shape == (driver.params.size,)
+            np.testing.assert_allclose(pulled, w @ g.dtheta, rtol=1e-12, atol=1e-14)
+
+
+def protocol_drivers():
+    drivers = {d.name: d for d in (zero_driver(), linear_z_driver([0.4, -0.2]),
+                                   entropic_driver(0.7), quadratic_z_driver(0.7),
+                                   scaled_constant_driver(0.7, 2.5))}
+    nets = {kind: build_driver(kind, layout_for(kind), init_seed=3) for kind in KINDS}
+    drivers["truncated"] = TruncatedDriver(nets["MonotoneY"], 1.0)
+    drivers.update(nets)
+    return [pytest.param(d, id=name) for name, d in drivers.items()]
+
+
+class TestDriverProtocol:
+    @pytest.mark.parametrize("driver", protocol_drivers())
+    def test_library_drivers_follow_the_protocol(self, driver):
+        assert isinstance(driver, Driver)
+        assert not hasattr(driver, "full_gradients")
+
+    @pytest.mark.parametrize("driver", [entropic_driver(0.7),
+                                        build_driver("Free", layout_for("Free", z_dim=2))],
+                             ids=["analytic", "net"])
+    def test_one_dimensional_z_rejected(self, driver):
+        # m == d == 2: a 1-d z could mean one z per sample or one shared
+        # d-vector, so it is refused rather than guessed.
+        x, y, z = np.zeros((2, 1)), np.zeros(2), np.array([0.5, -0.5])
+        with pytest.raises(ValueError, match="z must be"):
+            driver.value(0.0, x, y, z)
+        with pytest.raises(ValueError, match="z must be"):
+            driver.linearize(0.0, x, y, z)
 
 
 class TestActivations:
