@@ -251,21 +251,20 @@ def _run_oracle_suite(config, out_dir):
     term = lambda ens: ens.states[:, -1, 0]
     basis = _basis(opt)
     opts = engine.SolveOptions()
-    plan = engine.RegressionPlan.build(ens, basis, opts.cond_limit)
     w_t = bundle.terminal_motion()[:, 0]
 
     # Stated tolerances assume the acceptance path count; smaller runs fall
     # back to a 3 sigma Monte Carlo floor.
     checks = []
     sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.zero_driver(), terminal=term, ensemble=ens), basis, opts, plan)
+        driver=drivers.zero_driver(), terminal=term, ensemble=ens), basis, opts)
     tol = max(0.02, 3.0 * sol.y0_standard_error)
     checks.append(CheckResult("oracle_zero", abs(sol.y0) <= tol, sol.y0, tol,
                               "martingale case, Y0 = 0"))
 
     b = opt.get("linear_b", 0.3)
     sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.linear_z_driver(b), terminal=term, ensemble=ens), basis, opts, plan)
+        driver=drivers.linear_z_driver(b), terminal=term, ensemble=ens), basis, opts)
     target = b * grid.horizon
     tol = max(0.02 * abs(target), 3.0 * sol.y0_standard_error)
     checks.append(CheckResult("oracle_linear", abs(sol.y0 - target) <= tol,
@@ -273,7 +272,7 @@ def _run_oracle_suite(config, out_dir):
 
     theta = opt.get("entropic_theta", 1.0)
     sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.entropic_driver(theta), terminal=term, ensemble=ens), basis, opts, plan)
+        driver=drivers.entropic_driver(theta), terminal=term, ensemble=ens), basis, opts)
     target = -theta * grid.horizon / 2.0
     mc = engine.closed_form_oracle("entropic", w_t, theta=theta)
     tol = max(0.02 * abs(target), 3.0 * sol.y0_standard_error)
@@ -288,14 +287,15 @@ def _run_verify_axioms(config, out_dir):
     grid = _build_grid(opt)
     n_paths = opt.get("n_paths", 20_000)
     bundle = sample_brownian(grid, n_paths, 1, split_seed(config.seed, "axiom-paths"))
-    from .stochastic import brownian_model
-    model = brownian_model(1)
+    from .stochastic import brownian_model, simulate_forward
+    # Every check runs on one simulation, and so on one factorization per step.
+    ens = simulate_forward(brownian_model(1), grid, bundle)
     basis = _basis(opt)
     checks = []
 
     mono_net = nets.build_driver(
         "MonotoneY", nets.NetLayout(hidden=(8, 8)), init_seed=split_seed(config.seed, "mono"))
-    base = engine.BsdeProblem(driver=mono_net, model=model, grid=grid, bundle=bundle)
+    base = engine.BsdeProblem(driver=mono_net, ensemble=ens)
     rep = engine.check_comparison(
         base,
         terminal_high=lambda e: np.abs(e.states[:, -1, 0]),
@@ -311,7 +311,7 @@ def _run_verify_axioms(config, out_dir):
     icnn = nets.build_driver(
         "IcnnYZ", nets.NetLayout(hidden=(8, 8), activation="softplus"),
         init_seed=split_seed(config.seed, "icnn"))
-    base = engine.BsdeProblem(driver=icnn, model=model, grid=grid, bundle=bundle)
+    base = engine.BsdeProblem(driver=icnn, ensemble=ens)
     rep = engine.check_convexity_and_jensen(
         base,
         terminal_1=lambda e: e.states[:, -1, 0],
@@ -325,7 +325,7 @@ def _run_verify_axioms(config, out_dir):
                               rep.delta_convexity, tol))
 
     hom = nets.build_homogeneous_icnn(init_seed=split_seed(config.seed, "icnn-hom"))
-    base = engine.BsdeProblem(driver=hom, model=model, grid=grid, bundle=bundle)
+    base = engine.BsdeProblem(driver=hom, ensemble=ens)
     rep = engine.check_convexity_and_jensen(
         base,
         terminal_1=lambda e: e.states[:, -1, 0],
@@ -341,7 +341,7 @@ def _run_verify_axioms(config, out_dir):
     ent = engine.BsdeProblem(
         driver=drivers.entropic_driver(1.0),
         terminal=lambda e: e.states[:, -1, 0],
-        model=model, grid=grid, bundle=bundle,
+        ensemble=ens,
     )
     rep = engine.check_dynamic_consistency(ent, grid.horizon / 2.0, basis)
     tol = 0.02 * abs(rep.y0_direct)
@@ -350,7 +350,7 @@ def _run_verify_axioms(config, out_dir):
     quad = engine.BsdeProblem(
         driver=drivers.quadratic_z_driver(1.0),
         terminal=lambda e: e.states[:, -1, 0],
-        model=model, grid=grid, bundle=bundle,
+        ensemble=ens,
     )
     sol = engine.solve_bsde_lsmc(quad, basis)
     dual = engine.dual_lower_bound(quad, [[0.0], [0.5], [1.0], [1.5]],

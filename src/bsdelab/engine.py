@@ -12,12 +12,12 @@ monomials, with one factorization per step: the R factor of the design's
 QR, whose singular values give the rank (count above
 eps * max(m, p) * sigma_max) and the condition number checked against
 cond_limit; a response b projects as A R^-1 R^-T A^T b. The projections
-depend on the forward states alone, so a `RegressionPlan` factors each
-step once per ensemble and every solve given the plan projects with its
-fits; without a plan, each step is factored once per solve. The solution
-carries its ensemble and its fits, so the adjoint, the drift decomposition,
-the Picard fields and the dynamic-consistency smoothing neither simulate
-nor factor again.
+depend on the forward states alone, so each ensemble keeps one
+`RegressionPlan` per basis and cond_limit: the first solve on the ensemble
+factors each step, and every later solve on it projects with the stored
+fits. The solution carries its ensemble and its plan, so the adjoint, the
+drift decomposition, the Picard fields and the dynamic-consistency
+smoothing neither simulate nor factor again.
 """
 
 from __future__ import annotations
@@ -165,40 +165,42 @@ def fit_projection(design: np.ndarray, step: int, cond_limit: float,
     return Projection(np.linalg.inv(r), cond, transform)
 
 
-def _factor_step(basis: RegressionBasis, states: np.ndarray, step: int,
-                 cond_limit: float):
-    """Step k's design at its states and its Projection."""
-    design, tr = basis.fit_design(states)
-    return design, fit_projection(design, step, cond_limit, tr)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionPlan:
-    """Every step of one ensemble factored once, for any number of solves on it.
+    """One ensemble's step projections, each factored at most once.
 
     The projections depend on the forward states alone, not on the driver
-    or the terminal. Designs are not stored (m * p * n floats); `step`
-    rebuilds one from its transform.
+    or the terminal, so every solve on an ensemble shares the plan that
+    `of` keeps on it per (basis, cond_limit). Steps are factored on first
+    use, in the order the backward solve walks them. Designs are not stored
+    (m * p * n floats); a factored step's design is rebuilt from its
+    transform. The plan holds the ensemble's states, not the ensemble, so
+    dropping the ensemble frees both.
     """
 
-    ensemble: PathEnsemble
+    states: np.ndarray
     basis: RegressionBasis
     cond_limit: float
-    fits: tuple    # per step, the Projection
+    fits: list     # per step, the Projection once factored
 
     @classmethod
-    def build(cls, ensemble: PathEnsemble, basis: RegressionBasis,
-              cond_limit: float) -> "RegressionPlan":
-        """Factor the steps last first, as the backward solve walks them."""
-        fits = [None] * ensemble.grid.n_steps
-        for k in reversed(range(len(fits))):
-            fits[k] = _factor_step(basis, ensemble.states[:, k, :], k, cond_limit)[1]
-        return cls(ensemble, basis, cond_limit, tuple(fits))
+    def of(cls, ensemble: PathEnsemble, basis: RegressionBasis,
+           cond_limit: float) -> "RegressionPlan":
+        key = (basis, cond_limit)
+        if key not in ensemble._plans:
+            ensemble._plans[key] = cls(ensemble.states, basis, cond_limit,
+                                       [None] * ensemble.grid.n_steps)
+        return ensemble._plans[key]
 
     def step(self, k: int):
-        """Step k's (design, Projection)."""
+        """Step k's (design, Projection), factoring the step on first use."""
+        x = self.states[:, k, :]
         fit = self.fits[k]
-        return fit.transform.apply(self.ensemble.states[:, k, :]), fit
+        if fit is None:
+            design, tr = self.basis.fit_design(x)
+            fit = self.fits[k] = fit_projection(design, k, self.cond_limit, tr)
+            return design, fit
+        return fit.transform.apply(x), fit
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +239,17 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class BsdeSolution:
+    problem: BsdeProblem
+    ensemble: PathEnsemble     # the forward paths the solve ran on
+    plan: RegressionPlan       # the ensemble's fits, each with its condition number
     y: np.ndarray              # (m, n_steps + 1)
     z: np.ndarray              # (m, n_steps, d)
     continuation: np.ndarray   # (m, n_steps) regressed continuation values
     y0: float
     y0_standard_error: float
-    fits: tuple                # per step, the Projection with its condition number
     passes: int                # inner fixed-point passes per step
     z_clip_count: np.ndarray
     max_abs_y: float
-    ensemble: PathEnsemble     # the forward paths the solve ran on
-    problem: BsdeProblem
 
 
 def _clip_z(z: np.ndarray, mult: float):
@@ -271,13 +273,12 @@ def _backward_solve(
     """The LSMC recursion over the steps of increments, from terminal values.
 
     step_design(k) gives step k's (design, Projection) and step_value(k, y, z)
-    the driver value there. Returns (y, z, continuation, fits, clip counts).
+    the driver value there. Returns (y, z, continuation, clip counts).
     """
     m, n, d = increments.shape
     y = np.empty((m, n + 1))
     z = np.zeros((m, n, d))
     cont = np.empty((m, n))
-    fits = [None] * n
     clips = np.zeros(n, dtype=int)
 
     y[:, n] = terminal_values
@@ -306,9 +307,8 @@ def _backward_solve(
         y[:, k] = y_k
         z[:, k, :] = z_k
         cont[:, k] = c_k
-        fits[k] = fit
 
-    return y, z, cont, fits, clips
+    return y, z, cont, clips
 
 
 def _driver_value(driver: Driver, ens: PathEnsemble) -> Callable:
@@ -320,32 +320,23 @@ def solve_bsde_lsmc(
     problem: BsdeProblem,
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
-    plan: RegressionPlan | None = None,
 ) -> BsdeSolution:
     """Solve the backward equation by regression Monte Carlo.
 
     Y0 is read from the step-0 regression, which collapses to the plain
     cross-path mean for a deterministic initial state; the reported standard
-    error is the Monte Carlo error of that root-step mean. With a plan, the
-    steps are projected with its fits instead of being factored again; the
-    plan must belong to the problem's ensemble, the basis and opts.cond_limit.
+    error is the Monte Carlo error of that root-step mean. The steps are
+    projected with the ensemble's plan for basis and opts.cond_limit, so
+    each is factored by the first solve on the ensemble only.
     """
     ens = problem.realize()
-    if plan is None:
-        step_design = lambda k: _factor_step(basis, ens.states[:, k, :], k, opts.cond_limit)
-    elif ens is not plan.ensemble:
-        raise ValueError("the regression plan was built on another ensemble")
-    elif basis != plan.basis or opts.cond_limit != plan.cond_limit:
-        raise ValueError(f"the regression plan was built for {plan.basis} and cond_limit "
-                         f"{plan.cond_limit}, not {basis} and {opts.cond_limit}")
-    else:
-        step_design = plan.step
+    plan = RegressionPlan.of(ens, basis, opts.cond_limit)
     xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal functional produced non-finite values")
 
-    y, z, cont, fits, clips = _backward_solve(
-        xi, ens.bundle.increments, ens.grid.dt, step_design,
+    y, z, cont, clips = _backward_solve(
+        xi, ens.bundle.increments, ens.grid.dt, plan.step,
         _driver_value(problem.driver, ens), opts.inner_picard_iters, z_clip=opts.z_clip,
     )
     m = ens.n_paths
@@ -354,15 +345,13 @@ def solve_bsde_lsmc(
     pathwise = y[:, -1] + np.sum(y[:, :-1] - cont, axis=1)
     se = float(np.std(pathwise, ddof=1) / np.sqrt(m))
     return BsdeSolution(
+        problem, ens, plan,
         y=y, z=z, continuation=cont,
         y0=float(y[0, 0]),
         y0_standard_error=se,
-        fits=tuple(fits),
         passes=max(1, opts.inner_picard_iters),
         z_clip_count=clips,
         max_abs_y=float(np.max(np.abs(y))),
-        ensemble=ens,
-        problem=problem,
     )
 
 
@@ -500,9 +489,8 @@ def check_comparison(
         raise InvalidDriverError(f"driver is not monotone in y (max df/dy = {mono.max_dy:.3e})")
 
     shared = replace(problem, ensemble=ens)
-    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
-    sol_hi = solve_bsde_lsmc(replace(shared, terminal=terminal_high), basis, opts, plan)
-    sol_lo = solve_bsde_lsmc(replace(shared, terminal=terminal_low), basis, opts, plan)
+    sol_hi = solve_bsde_lsmc(replace(shared, terminal=terminal_high), basis, opts)
+    sol_lo = solve_bsde_lsmc(replace(shared, terminal=terminal_low), basis, opts)
     diff = sol_hi.y - sol_lo.y
     return ComparisonReport(
         y0_high=sol_hi.y0,
@@ -561,15 +549,14 @@ def check_convexity_and_jensen(
         raise ValueError("phi failed the midpoint convexity spot check")
 
     shared = replace(problem, ensemble=ens)
-    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
-    sol1 = solve_bsde_lsmc(replace(shared, terminal=terminal_1), basis, opts, plan)
-    sol2 = solve_bsde_lsmc(replace(shared, terminal=terminal_2), basis, opts, plan)
+    sol1 = solve_bsde_lsmc(replace(shared, terminal=terminal_1), basis, opts)
+    sol2 = solve_bsde_lsmc(replace(shared, terminal=terminal_2), basis, opts)
     sol_mix = solve_bsde_lsmc(
         replace(shared, terminal=lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e)),
-        basis, opts, plan,
+        basis, opts,
     )
     sol_phi = solve_bsde_lsmc(
-        replace(shared, terminal=lambda e: phi.f(terminal_1(e))), basis, opts, plan
+        replace(shared, terminal=lambda e: phi.f(terminal_1(e))), basis, opts
     )
 
     delta_cvx = lam * sol1.y0 + (1.0 - lam) * sol2.y0 - sol_mix.y0
@@ -607,15 +594,14 @@ def check_dynamic_consistency(
     """
     ens = problem.realize()
     ks = ens.grid.node_index(split_time)
-    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
-    direct = solve_bsde_lsmc(replace(problem, ensemble=ens), basis, opts, plan)
+    direct = solve_bsde_lsmc(replace(problem, ensemble=ens), basis, opts)
     if ks == ens.grid.n_steps:
         nested_y0 = direct.y0
     else:
-        design, fit = plan.step(ks)
-        y, _, _, _, _ = _backward_solve(
+        design, fit = direct.plan.step(ks)
+        y, _, _, _ = _backward_solve(
             fit.project(design, direct.y[:, ks]), ens.bundle.increments[:, :ks], ens.grid.dt,
-            plan.step, _driver_value(problem.driver, ens), opts.inner_picard_iters,
+            direct.plan.step, _driver_value(problem.driver, ens), opts.inner_picard_iters,
             z_clip=opts.z_clip,
         )
         nested_y0 = float(y[0, 0])
@@ -770,12 +756,12 @@ class FieldTable:
         return self.fits[k].transform.apply(x) @ self.coefs[k][:, 1:]
 
 
-def _fit_fields(ens: PathEnsemble, sol: BsdeSolution) -> FieldTable:
-    return FieldTable(fits=sol.fits, coefs=[
-        fit.coef(fit.transform.apply(ens.states[:, k, :]),
-                 np.column_stack([sol.y[:, k], sol.z[:, k, :]]))
-        for k, fit in enumerate(sol.fits)
-    ])
+def _fit_fields(sol: BsdeSolution) -> FieldTable:
+    coefs = []
+    for k in range(sol.ensemble.grid.n_steps):
+        design, fit = sol.plan.step(k)
+        coefs.append(fit.coef(design, np.column_stack([sol.y[:, k], sol.z[:, k, :]])))
+    return FieldTable(fits=tuple(sol.plan.fits), coefs=coefs)
 
 
 @dataclass(frozen=True)
@@ -816,7 +802,7 @@ def solve_fbsde_picard(
     sol = solve_bsde_lsmc(
         BsdeProblem(driver=driver, terminal=terminal, ensemble=ens), basis, opts
     )
-    fields = _fit_fields(ens, sol)
+    fields = _fit_fields(sol)
 
     residuals = []
     for iteration in range(1, max_iters + 1):
@@ -828,7 +814,7 @@ def solve_fbsde_picard(
                     BsdeProblem(driver=driver, terminal=terminal, ensemble=new_ens),
                     basis, opts,
                 )
-                new_fields = _fit_fields(new_ens, new_sol)
+                new_fields = _fit_fields(new_sol)
         except (SimulationDivergedError, SolverDivergedError, SingularRegressionError) as exc:
             # A blown-up iterate is the strongest evidence of non-contraction.
             raise NoContractionError(residuals + [float("inf")]) from exc
@@ -872,7 +858,7 @@ def export_solution_csv(solution: BsdeSolution, path) -> None:
             if k < n:
                 norm_z = np.sqrt(np.sum(solution.z[:, k, :] ** 2, axis=1)).mean()
                 row += [repr(float(norm_z)), int(solution.z_clip_count[k]),
-                        repr(solution.fits[k].cond)]
+                        repr(solution.plan.fits[k].cond)]
             else:
                 row += ["", "", ""]
             writer.writerow(row)

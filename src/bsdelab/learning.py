@@ -23,9 +23,8 @@ cubic terminal showed a 4.3e-3 gap to finite differences of the loss.
 Gradients of the learning loss are assembled from these adjoints by the
 chain rule; the descent loop is plain gradient descent on a fixed noise
 bundle (common random numbers across iterations). `train` simulates the
-forward paths once and shares one ensemble and one `RegressionPlan`
-across every iteration and record, so each step's design is factored
-once per training run.
+forward paths once and solves every iteration and record on that one
+ensemble, so each step's design is factored once per training run.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .engine import (
     BsdeProblem,
     BsdeSolution,
     RegressionBasis,
-    RegressionPlan,
     SolveOptions,
     solve_bsde_lsmc,
 )
@@ -49,6 +47,7 @@ from .errors import SimulationDivergedError, SolverDivergedError, TrainingDiverg
 from .stochastic import (
     BrownianBundle,
     ForwardModel,
+    PathEnsemble,
     TimeGrid,
     brownian_model,
     sample_brownian,
@@ -98,7 +97,7 @@ def _adjoint_gradient(
         v <- C_k + (dtheta f + dz f . Z_k + dy f v) dt,
         C_k = Pi V_{k+1},  Z_k,j = Pi((V_{k+1} - C_k) dW_j) / dt,
     with Pi the least-squares projection onto the step's design, read from
-    the fits the primary solve stored. The transpose of the passes runs
+    the primary solve's plan. The transpose of the passes runs
     last pass first; Pi is symmetric, so
         lam_{k+1} = Pi a_cont + (I - Pi)(sum_j dW_j Pi b_j) / dt
     for the adjoints a_cont of C_k and b of Z_k. The z clip of the primary
@@ -140,8 +139,7 @@ def _adjoint_gradient(
 
         if k + 1 == n:
             break   # V_n = 0: the terminal data do not depend on the parameters
-        fit = primary.fits[k]
-        design = fit.transform.apply(x_k)
+        design, fit = primary.plan.step(k)
         mart = np.sum(fit.project(design, b) * inc[:, k, :], axis=1) / dt
         lam = fit.project(design, a_cont - mart) + mart
     return grad
@@ -155,7 +153,7 @@ def solve_sensitivity_bsde(
 
     The discrete adjoint of the linear sensitivity system: coefficients are
     frozen at the primary's (Y, Z) data, projections are the primary's
-    stored fits, the inner passes are the primary's, and Y0 is read from
+    plan, the inner passes are the primary's, and Y0 is read from
     path 0 of the root slice, as the primary reads it.
     """
     driver = primary.problem.driver if driver is None else driver
@@ -190,8 +188,7 @@ def fd_gradient_check(
         raise ValueError("h must be positive")
     ens = problem.realize()
     shared = replace(problem, ensemble=ens)
-    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
-    primary = solve_bsde_lsmc(shared, basis, opts, plan)
+    primary = solve_bsde_lsmc(shared, basis, opts)
     sens = solve_sensitivity_bsde(primary)
 
     theta = shared.driver.params
@@ -201,9 +198,9 @@ def fd_gradient_check(
         bump = np.zeros_like(theta)
         bump[j] = h
         up = solve_bsde_lsmc(replace(shared, driver=shared.driver.with_params(theta + bump)),
-                             basis, opts, plan)
+                             basis, opts)
         dn = solve_bsde_lsmc(replace(shared, driver=shared.driver.with_params(theta - bump)),
-                             basis, opts, plan)
+                             basis, opts)
         fd[i] = (up.y0 - dn.y0) / (2.0 * h)
 
     analytic = sens.grad_y0[list(coords)]
@@ -293,7 +290,7 @@ def loss_and_gradient(
     opts: SolveOptions = SolveOptions(),
     bundle: BrownianBundle | None = None,
     seed: int = 0,
-    plan: RegressionPlan | None = None,
+    ensemble: PathEnsemble | None = None,
 ) -> LossReport:
     """Mean squared calibration error plus penalties, with its exact gradient.
 
@@ -302,16 +299,16 @@ def loss_and_gradient(
     the last term discretizes the normalization penalty at z = 0 along the
     primary paths with regressed continuation values.
 
-    With a plan, the records are solved on its ensemble (built for basis
-    and opts.cond_limit); otherwise on paths simulated from bundle, or from
-    a bundle drawn from seed.
+    The records are solved on the given ensemble, else on paths simulated
+    from bundle, or from a bundle drawn from seed; either way all records
+    share one ensemble and so one factorization per step.
     """
-    if plan is not None:
+    if ensemble is not None:
         if bundle is not None:
-            raise ValueError("pass a bundle or a regression plan, not both")
-        ens = plan.ensemble
+            raise ValueError("pass a bundle or an ensemble, not both")
+        ens = ensemble
         if ens.grid != dataset.grid or ens.n_paths != dataset.n_paths:
-            raise ValueError(f"the plan's ensemble ({ens.n_paths} paths on {ens.grid}) does not "
+            raise ValueError(f"the ensemble ({ens.n_paths} paths on {ens.grid}) does not "
                              f"match the dataset ({dataset.n_paths} paths on {dataset.grid})")
     else:
         if bundle is None:
@@ -331,7 +328,7 @@ def loss_and_gradient(
     for i, rec in enumerate(dataset.records):
         try:
             prob = BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens)
-            sol = solve_bsde_lsmc(prob, basis, opts, plan)
+            sol = solve_bsde_lsmc(prob, basis, opts)
             sens = solve_sensitivity_bsde(sol)
         except Exception as exc:
             try:
@@ -409,7 +406,7 @@ def train(
     """Plain gradient descent on a fixed bundle; returns (state, final driver).
 
     The forward paths are simulated once and every step's design is
-    factored once; each iteration solves on that one ensemble and plan.
+    factored once; each iteration solves on that one ensemble.
     Raw parameters are unconstrained, so architectural invariants survive
     every step by construction. Stops at max_iters or when the loss change
     drops below loss_tol.
@@ -420,14 +417,13 @@ def train(
         ens = simulate_forward(dataset.model, dataset.grid, bundle)
     except SimulationDivergedError as exc:
         raise TrainingDivergedError(0) from exc
-    plan = RegressionPlan.build(ens, basis, opts.cond_limit)
     losses, grads, datas, regs, norms, tnorms = [], [], [], [], [], []
     current = driver
     iterations = 0
     for k in range(schedule.max_iters):
         try:
             report = loss_and_gradient(dataset, current, lam_reg, lam_norm,
-                                       basis, opts, plan=plan)
+                                       basis, opts, ensemble=ens)
         except SolverDivergedError as exc:
             raise TrainingDivergedError(k) from exc
         if not np.isfinite(report.loss) or not np.all(np.isfinite(report.gradient)):

@@ -653,8 +653,8 @@ def solve_fluctuation_system(
         def step_value(k, v_k, z_k):
             return forcing[:, k] + dz_f[:, k] * z_k[:, 0] + dy_f[:, k] * v_k
 
-        v, zv, _, _, _ = _backward_solve(v_t, inc, dt, step_design, step_value,
-                                         opts.inner_picard_iters)
+        v, zv, _, _ = _backward_solve(v_t, inc, dt, step_design, step_value,
+                                      opts.inner_picard_iters)
         zv = zv[:, :, 0]
 
         all_u.append(u)

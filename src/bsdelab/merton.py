@@ -406,8 +406,10 @@ def calibrate_theta(
     """Golden-section search of the squared allocation error over theta.
 
     Each evaluation is a full HJB solve with the policy interpolated at the
-    observation points. If the bracketing turns out inconsistent with a
-    unimodal loss, falls back to a dense 64-point scan with a warning.
+    observation points. A bound whose loss beats the converged bracket is
+    the minimum when the bracket converged onto it; if it wins away from
+    the bracket, the loss is not unimodal and a dense 64-point scan with a
+    warning replaces the search.
     """
     if theta_lo >= theta_hi:
         raise ValueError("theta_lo must be below theta_hi")
@@ -443,16 +445,20 @@ def calibrate_theta(
     theta_star = 0.5 * (a + b)
     loss_star = loss(theta_star)
 
-    fallback = False
-    if min(loss(theta_lo), loss(theta_hi)) < loss_star - 1e-12:
+    end = min((theta_lo, theta_hi), key=loss)
+    end_wins = loss(end) < loss_star - 1e-12
+    fallback = end_wins and end not in (a, b)
+    if fallback:
         # Bracketing inconsistent with unimodality; scan densely instead.
         warnings.warn("golden-section bracketing inconsistent; dense scan fallback",
                       UserWarning, stacklevel=2)
-        fallback = True
         for theta in np.linspace(theta_lo, theta_hi, 64):
             loss(float(theta))
         theta_star = min(evaluated, key=evaluated.get)
         loss_star = evaluated[theta_star]
+    elif end_wins:
+        # The bracket converged onto this end: the minimum sits at the bound.
+        theta_star, loss_star = end, loss(end)
 
     curve = np.array(sorted(evaluated.items()))
     return CalibrationResult(theta_star=float(theta_star), loss_star=float(loss_star),

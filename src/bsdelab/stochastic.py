@@ -185,12 +185,14 @@ class PathEnsemble:
     """Euler paths with the grid and bundle that produced them.
 
     states has shape (n_paths, n_steps + 1, state_dim) and
-    states[:, 0, :] = x0 for every path.
+    states[:, 0, :] = x0 for every path. Regression plans on these states
+    (`engine.RegressionPlan.of`) are kept in _plans.
     """
 
     states: np.ndarray
     grid: TimeGrid
     bundle: BrownianBundle
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bsdelab import cli
+from bsdelab import cli, engine, stochastic
 from bsdelab.cli import (
     CheckResult,
     ExperimentConfig,
@@ -131,6 +131,31 @@ class TestRunExperiment:
         rehash = hashlib.sha256(
             json.dumps(report.config, sort_keys=True).encode()).hexdigest()
         assert rehash == report.config_hash
+
+    def test_oracle_suite_factors_each_step_once(self, tmp_path, factorizations):
+        config = ExperimentConfig.from_dict(dict(SMALL_ORACLE, out=str(tmp_path / "run")))
+        run_experiment(config)
+        assert sorted(factorizations) == list(range(15))
+
+    def test_verify_axioms_simulates_and_factors_once(self, tmp_path, factorizations,
+                                                       monkeypatch):
+        simulated = []
+        original = stochastic.simulate_forward
+
+        def counting(*args, **kwargs):
+            simulated.append(1)
+            return original(*args, **kwargs)
+
+        for module in (stochastic, engine):
+            monkeypatch.setattr(module, "simulate_forward", counting)
+        config = ExperimentConfig.from_dict({
+            "kind": "verify-axioms", "seed": 3, "out": str(tmp_path / "run"),
+            "n_paths": 2_000, "grid": {"T": 1.0, "n_steps": 8},
+        })
+        report = run_experiment(config)
+        assert len(report.checks) == 5
+        assert len(simulated) == 1
+        assert sorted(factorizations) == list(range(8))
 
     def test_solve_kind_writes_artifacts(self, tmp_path):
         config = ExperimentConfig.from_dict({

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -259,7 +261,7 @@ class TestProjectionLayer:
         # The adjoint and the Picard fields project with the primary's fits.
         problem = brownian_problem(entropic_driver(1.0), n_paths=2_000, n_steps=6)
         sol = solve_bsde_lsmc(problem)
-        assert len(sol.fits) == 6
+        assert len(sol.plan.fits) == 6
 
         def no_factorization(*args, **kwargs):
             raise AssertionError("a design was factored again")
@@ -267,7 +269,7 @@ class TestProjectionLayer:
         monkeypatch.setattr(np.linalg, "qr", no_factorization)
         monkeypatch.setattr(np.linalg, "svd", no_factorization)
         solve_sensitivity_bsde(sol)
-        engine._fit_fields(sol.ensemble, sol)
+        engine._fit_fields(sol)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_design_matches_cumprod_build(self, d):
@@ -300,40 +302,33 @@ class TestProjectionLayer:
 
 
 class TestRegressionPlan:
-    """Solves on a plan against solves that factor every step themselves."""
+    """The per-ensemble plan: later solves reuse the first solve's fits."""
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("name", ["zero", "entropic", "free-net", "truncated"])
     def test_plan_solve_is_bit_identical(self, name, d):
+        # First solve (factors), second solve (reuses), and a solve on an
+        # equal copy of the ensemble (factors its own plan) agree bit for bit.
         problem = reference_problem(name, d)
-        basis, opts = RegressionBasis(), SolveOptions(z_clip=0.5)
-        plan = RegressionPlan.build(problem.ensemble, basis, opts.cond_limit)
-        plain = solve_bsde_lsmc(problem, basis, opts)
-        planned = solve_bsde_lsmc(problem, basis, opts, plan=plan)
-        assert plain.z_clip_count.sum() > 0
-        assert planned.y0 == plain.y0
-        np.testing.assert_array_equal(planned.y, plain.y)
-        np.testing.assert_array_equal(planned.z, plain.z)
-        np.testing.assert_array_equal(planned.z_clip_count, plain.z_clip_count)
-        assert all(a is b for a, b in zip(planned.fits, plan.fits))
-        np.testing.assert_array_equal(solve_sensitivity_bsde(planned).grad_y0,
-                                      solve_sensitivity_bsde(plain).grad_y0)
-
-    def test_mismatched_plan_rejected(self):
-        problem = reference_problem("entropic", 1)
         ens = problem.ensemble
-        basis, opts = RegressionBasis(), SolveOptions()
-        plan = RegressionPlan.build(ens, basis, opts.cond_limit)
+        basis, opts = RegressionBasis(), SolveOptions(z_clip=0.5)
+        first = solve_bsde_lsmc(problem, basis, opts)
+        second = solve_bsde_lsmc(problem, basis, opts)
         equal_copy = PathEnsemble(states=ens.states.copy(), grid=ens.grid, bundle=ens.bundle)
-        with pytest.raises(ValueError, match="another ensemble"):
-            solve_bsde_lsmc(replace(problem, ensemble=equal_copy), basis, opts, plan=plan)
-        with pytest.raises(ValueError, match="cond_limit"):
-            solve_bsde_lsmc(problem, RegressionBasis(degree=2), opts, plan=plan)
-        with pytest.raises(ValueError, match="cond_limit"):
-            solve_bsde_lsmc(problem, basis, SolveOptions(cond_limit=1e10), plan=plan)
+        fresh = solve_bsde_lsmc(replace(problem, ensemble=equal_copy), basis, opts)
+        assert first.z_clip_count.sum() > 0
+        assert second.plan is first.plan and fresh.plan is not first.plan
+        for other in (second, fresh):
+            assert other.y0 == first.y0
+            np.testing.assert_array_equal(other.y, first.y)
+            np.testing.assert_array_equal(other.z, first.z)
+            np.testing.assert_array_equal(other.z_clip_count, first.z_clip_count)
+            np.testing.assert_array_equal(solve_sensitivity_bsde(other).grad_y0,
+                                          solve_sensitivity_bsde(first).grad_y0)
 
     def test_build_names_the_solves_singular_step(self):
-        # Steps 1 and 2 are both rank deficient; the backward walk meets step 2 first.
+        # Steps 1 and 2 are both rank deficient; the backward walk meets step 2
+        # first, and a second solve on the partly filled plan meets it again.
         grid = make_time_grid(1.0, 3)
         bundle = sample_brownian(grid, 60, 1, seed=1)
         states = np.zeros((60, 4, 1))
@@ -341,12 +336,53 @@ class TestRegressionPlan:
         states[:, 2, 0] = np.repeat([0.0, 1.0, 3.0], 20)
         states[:, 3, 0] = np.linspace(-1, 1, 60)
         ens = PathEnsemble(states=states, grid=grid, bundle=bundle)
-        with pytest.raises(SingularRegressionError) as solved:
-            solve_bsde_lsmc(BsdeProblem(driver=zero_driver(), terminal=W_T, ensemble=ens))
-        with pytest.raises(SingularRegressionError) as built:
-            RegressionPlan.build(ens, RegressionBasis(), SolveOptions().cond_limit)
-        assert built.value.step == solved.value.step == 2
-        assert built.value.cond == solved.value.cond
+        problem = BsdeProblem(driver=zero_driver(), terminal=W_T, ensemble=ens)
+        with pytest.raises(SingularRegressionError) as first:
+            solve_bsde_lsmc(problem)
+        with pytest.raises(SingularRegressionError) as second:
+            solve_bsde_lsmc(problem)
+        assert first.value.step == second.value.step == 2
+        assert first.value.cond == second.value.cond
+
+    def test_solves_on_one_ensemble_factor_each_step_once(self, factorizations):
+        problem = reference_problem("entropic", 1)
+        n = problem.ensemble.grid.n_steps
+        solve_bsde_lsmc(problem)
+        solve_bsde_lsmc(replace(problem, driver=zero_driver()))
+        solve_truncated(problem, 0.5)
+        assert sorted(factorizations) == list(range(n))
+
+    def test_check_comparison_factors_each_step_once(self, factorizations):
+        problem = brownian_problem(zero_driver(), n_paths=2_000, n_steps=8)
+        check_comparison(problem, lambda e: W_T(e) + 1.0, W_T)
+        assert sorted(factorizations) == list(range(8))
+
+    def test_plan_is_keyed_by_ensemble_basis_and_cond_limit(self, factorizations):
+        problem = reference_problem("entropic", 1)
+        ens = problem.ensemble
+        n = ens.grid.n_steps
+        basis, opts = RegressionBasis(), SolveOptions()
+        plan = solve_bsde_lsmc(problem, basis, opts).plan
+        assert RegressionPlan.of(ens, RegressionBasis(), opts.cond_limit) is plan
+        equal_copy = PathEnsemble(states=ens.states, grid=ens.grid, bundle=ens.bundle)
+        others = [
+            solve_bsde_lsmc(replace(problem, ensemble=equal_copy), basis, opts).plan,
+            solve_bsde_lsmc(problem, RegressionBasis(degree=2), opts).plan,
+            solve_bsde_lsmc(problem, basis, SolveOptions(cond_limit=1e10)).plan,
+        ]
+        assert len({id(p) for p in [plan] + others}) == 4
+        assert len(factorizations) == 4 * n
+
+    def test_dropped_ensemble_is_freed_without_the_cycle_collector(self):
+        problem = reference_problem("entropic", 1)
+        sol = solve_bsde_lsmc(problem)
+        ref = weakref.ref(sol.ensemble)
+        gc.disable()
+        try:
+            del problem, sol
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestTruncation:

@@ -15,7 +15,6 @@ from bsdelab.drivers import (
 from bsdelab.engine import (
     BsdeProblem,
     RegressionBasis,
-    RegressionPlan,
     SolveOptions,
     solve_bsde_lsmc,
 )
@@ -288,16 +287,20 @@ class TestLoss:
         dataset = small_dataset(n_paths=1_000, n_steps=8)
         bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=4)
         ens = simulate_forward(dataset.model, dataset.grid, bundle)
-        plan = RegressionPlan.build(ens, RegressionBasis(), SolveOptions().cond_limit)
         driver = entropic_driver(0.5)
         with pytest.raises(ValueError, match="not both"):
-            loss_and_gradient(dataset, driver, bundle=bundle, plan=plan)
+            loss_and_gradient(dataset, driver, bundle=bundle, ensemble=ens)
         with pytest.raises(ValueError, match="does not match the dataset"):
-            loss_and_gradient(replace(dataset, n_paths=500), driver, plan=plan)
+            loss_and_gradient(replace(dataset, n_paths=500), driver, ensemble=ens)
         with pytest.raises(ValueError, match="does not match the dataset"):
-            loss_and_gradient(small_dataset(n_paths=1_000, n_steps=6), driver, plan=plan)
-        with pytest.raises(ValueError, match="cond_limit"):
-            loss_and_gradient(dataset, driver, basis=RegressionBasis(degree=2), plan=plan)
+            loss_and_gradient(small_dataset(n_paths=1_000, n_steps=6), driver, ensemble=ens)
+
+    def test_records_share_one_factorization(self, factorizations):
+        dataset = small_dataset(n_paths=1_000, n_steps=8)
+        assert len(dataset.records) == 2
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=4)
+        loss_and_gradient(dataset, entropic_driver(0.5), lam_norm=0.5, bundle=bundle)
+        assert sorted(factorizations) == list(range(8))
 
     def test_record_failures_carry_index(self):
         grid = make_time_grid(1.0, 5)
@@ -331,8 +334,8 @@ class TestTraining:
         np.testing.assert_array_equal(d1.params, d2.params)
 
     def test_plan_matches_the_per_iteration_loop(self):
-        # train shares one ensemble and plan; the loop below simulates the
-        # paths and factors every step again on every iteration.
+        # train shares one ensemble; the loop below simulates the paths and
+        # factors every step again on every iteration.
         dataset = small_dataset(n_paths=1_000, n_steps=8)
         schedule = TrainSchedule(learning_rate=0.3, max_iters=4, seed=21)
         net = build_driver("Free", NetLayout(hidden=(4,)), init_seed=5)

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from bsdelab import merton
 from bsdelab.errors import ExtrapolationWarning, SolverInconsistentError, UnstableGridError
 from bsdelab.merton import (
     AllocationObservation,
@@ -191,6 +194,39 @@ class TestCalibration:
         obs = self.observations_at(0.0, spec)
         res = calibrate_theta(PARAMS, obs, spec, 0.0, 1.0, tol=1e-3)
         assert res.theta_star < 0.02
+
+    def test_minimum_at_the_bound_takes_no_scan(self, monkeypatch):
+        spec = HjbGridSpec.default(PARAMS, n_space=100)
+        obs = self.observations_at(0.0, spec)
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve_hjb(*args, **kwargs)
+
+        monkeypatch.setattr(merton, "solve_hjb", counting)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = calibrate_theta(PARAMS, obs, spec, 0.0, 1.0, tol=1e-3)
+        assert res.theta_star == 0.0
+        assert not res.fallback_used
+        assert len(solves) <= 25
+
+    def test_end_winning_away_from_the_bracket_falls_back(self, monkeypatch):
+        # Loss theta -> min(0.1 + (theta - 0.3)^2, 10 (1 - theta)^2): a local
+        # minimum at 0.3 that golden-section search converges to, and the
+        # global minimum 0 at theta_hi = 1.
+        def loss(theta):
+            return min(0.1 + (theta - 0.3) ** 2, 10.0 * (1.0 - theta) ** 2)
+
+        monkeypatch.setattr(merton, "solve_hjb", lambda params, theta, spec: theta)
+        monkeypatch.setattr(merton, "extract_policy",
+                            lambda theta: lambda t, x: np.sqrt(loss(theta)))
+        obs = [AllocationObservation(0.5, 1.0, 0.0)]
+        with pytest.warns(UserWarning, match="dense scan fallback"):
+            res = calibrate_theta(PARAMS, obs, None, 0.0, 1.0, tol=1e-3)
+        assert res.fallback_used
+        assert res.theta_star == 1.0 and res.loss_star == 0.0
 
     def test_bracketing_property(self):
         spec = HjbGridSpec.default(PARAMS, n_space=100)
