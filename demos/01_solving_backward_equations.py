@@ -12,10 +12,11 @@ import numpy as np
 
 from bsdelab.drivers import entropic_driver, linear_z_driver, zero_driver
 from bsdelab.engine import BsdeProblem, closed_form_oracle, solve_bsde_lsmc
-from bsdelab.stochastic import brownian_model, make_time_grid, sample_brownian
+from bsdelab.stochastic import brownian_model, make_time_grid, sample_brownian, simulate_forward
 
 grid = make_time_grid(1.0, 50)
 bundle = sample_brownian(grid, 100_000, 1, seed=7)
+ens = simulate_forward(brownian_model(1), grid, bundle)   # every driver solves on these paths
 terminal = lambda ens: ens.states[:, -1, 0]       # the claim is W_T itself
 w_t = bundle.terminal_motion()[:, 0]
 
@@ -31,9 +32,7 @@ for name, driver, reference, note in [
      closed_form_oracle("entropic", w_t, theta=1.0),
      "certainty equivalent, exact value -0.5"),
 ]:
-    problem = BsdeProblem(driver=driver, terminal=terminal,
-                          model=brownian_model(1), grid=grid, bundle=bundle)
-    sol = solve_bsde_lsmc(problem)
+    sol = solve_bsde_lsmc(BsdeProblem(driver=driver, terminal=terminal, ensemble=ens))
     print(f"{name:12s} {sol.y0:+12.5f} {reference:+12.5f} {note}"
           f"  (mc se {sol.y0_standard_error:.1e})")
 

@@ -18,7 +18,7 @@ from bsdelab.learning import (
     fd_gradient_check,
     train,
 )
-from bsdelab.stochastic import brownian_model, make_time_grid, sample_brownian
+from bsdelab.stochastic import brownian_model, make_time_grid, sample_brownian, simulate_forward
 
 grid = make_time_grid(1.0, 25)
 theta_true, theta_init = 1.5, 0.3
@@ -37,10 +37,9 @@ records = tuple(
 dataset = Dataset(records=records, grid=grid, n_paths=8_000)
 
 # sanity: the sensitivity gradient matches finite differences of re-solves
-bundle = sample_brownian(grid, 20_000, 1, seed=1)
+ens = simulate_forward(brownian_model(1), grid, sample_brownian(grid, 20_000, 1, seed=1))
 problem = BsdeProblem(driver=entropic_driver(1.0),
-                      terminal=lambda e: e.states[:, -1, 0],
-                      model=brownian_model(1), grid=grid, bundle=bundle)
+                      terminal=lambda e: e.states[:, -1, 0], ensemble=ens)
 check = fd_gradient_check(problem, coords=[0], h=1e-4)
 print(f"gradient check: sensitivity {check.sensitivity[0]:+.5f} vs finite "
       f"difference {check.finite_difference[0]:+.5f} "

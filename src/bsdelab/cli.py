@@ -148,6 +148,14 @@ def parse_report(text: str) -> RunReport:
 # problem construction from config fragments
 # ---------------------------------------------------------------------------
 
+def _read_file(key: str, reader, path, *args, **kwargs):
+    """reader(path, ...), reporting a missing or malformed file as a config error at key."""
+    try:
+        return reader(path, *args, **kwargs)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _build_grid(options: dict):
     grid_spec = options.get("grid", {})
     return make_time_grid(grid_spec.get("T", 1.0), grid_spec.get("n_steps", 50))
@@ -165,7 +173,7 @@ def _build_driver(spec: dict):
         return drivers.quadratic_z_driver(spec.get("theta", 1.0))
     if name == "net":
         if "path" in spec:
-            return nets.load_driver_net(spec["path"])
+            return _read_file("driver.path", nets.load_driver_net, spec["path"])
         layout = nets.NetLayout(
             state_dim=spec.get("state_dim", 1),
             z_dim=spec.get("z_dim", 1),
@@ -205,18 +213,16 @@ def _build_terminal(spec: dict):
 
 
 def _build_problem(config: ExperimentConfig):
+    from .stochastic import simulate_forward
     opt = config.options
     grid = _build_grid(opt)
     n_paths = opt.get("n_paths", 20_000)
     bundle = sample_brownian(grid, n_paths, opt.get("forward", {}).get("dim", 1),
                              split_seed(config.seed, "cli-paths"))
-    return engine.BsdeProblem(
-        driver=_build_driver(opt.get("driver", {"name": "zero"})),
-        terminal=_build_terminal(opt.get("terminal", {})),
-        model=_build_forward(opt.get("forward", {})),
-        grid=grid,
-        bundle=bundle,
-    )
+    driver = _build_driver(opt.get("driver", {"name": "zero"}))
+    terminal = _build_terminal(opt.get("terminal", {}))
+    ens = simulate_forward(_build_forward(opt.get("forward", {})), grid, bundle)
+    return engine.BsdeProblem(driver=driver, terminal=terminal, ensemble=ens)
 
 
 def _basis(options: dict) -> engine.RegressionBasis:
@@ -232,7 +238,7 @@ def _run_solve(config, out_dir):
     sol = engine.solve_bsde_lsmc(problem, _basis(config.options))
     path = os.path.join(out_dir, "solution.csv")
     engine.export_solution_csv(sol, path)
-    xi = problem.terminal(sol.ensemble)
+    xi = problem.terminal(problem.ensemble)
     checks = [
         CheckResult("y0_finite", bool(np.isfinite(sol.y0)), sol.y0, float("inf")),
         CheckResult("terminal_anchoring", bool(np.array_equal(sol.y[:, -1], xi)),
@@ -372,7 +378,8 @@ def _run_train(config, out_dir):
     scales = opt.get("scales", [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0])
 
     if "dataset_csv" in opt:
-        dataset = learning.read_dataset_csv(opt["dataset_csv"], grid, n_paths=n_paths)
+        dataset = _read_file("dataset_csv", learning.read_dataset_csv, opt["dataset_csv"],
+                             grid, n_paths=n_paths)
     else:
         oracle_draw = sample_brownian(grid, 200_000, 1,
                                       split_seed(config.seed, "train-oracle"))
@@ -519,7 +526,8 @@ def _run_calibrate(config, out_dir):
     )
     spec = merton.HjbGridSpec.default(params, n_space=opt.get("n_space", 120))
     if "observations_csv" in opt:
-        obs = merton.read_observations_csv(opt["observations_csv"])
+        obs = _read_file("observations_csv", merton.read_observations_csv,
+                         opt["observations_csv"])
         theta_true = None
     else:
         theta_true = opt.get("theta_true", 0.4)

@@ -15,9 +15,11 @@ cond_limit; a response b projects as A R^-1 R^-T A^T b. The projections
 depend on the forward states alone, so each ensemble keeps one
 `RegressionPlan` per basis and cond_limit: the first solve on the ensemble
 factors each step, and every later solve on it projects with the stored
-fits. The solution carries its ensemble and its plan, so the adjoint, the
-drift decomposition, the Picard fields and the dynamic-consistency
-smoothing neither simulate nor factor again.
+fits. A `BsdeProblem` holds the ensemble its caller simulated, so no solve
+or check here simulates forward paths; only the Picard iteration of the
+coupled system does, once per iterate. The solution carries its problem
+and its plan, so the adjoint, the drift decomposition, the Picard fields
+and the dynamic-consistency smoothing neither simulate nor factor again.
 """
 
 from __future__ import annotations
@@ -207,27 +209,20 @@ class RegressionPlan:
 # problem and solution containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BsdeProblem:
-    """Forward data, terminal functional and driver.
+    """A driver and a terminal functional on one ensemble of forward paths.
 
-    Either a pre-simulated ensemble or (model, grid, bundle) must be given.
-    The terminal functional maps the ensemble to one value per path.
+    The terminal functional maps the ensemble to one value per path; the
+    checks that take their own terminals leave it None. The ensemble is
+    required: the caller simulates the forward paths once, and every solve
+    and check on the problem, or on a `replace` of it, runs on those paths
+    and shares their regression plans.
     """
 
     driver: Driver
     terminal: Callable | None = None
-    model: ForwardModel | None = None
-    grid: TimeGrid | None = None
-    bundle: BrownianBundle | None = None
-    ensemble: PathEnsemble | None = None
-
-    def realize(self) -> PathEnsemble:
-        if self.ensemble is not None:
-            return self.ensemble
-        if self.model is None or self.grid is None or self.bundle is None:
-            raise ValueError("need either an ensemble or (model, grid, bundle)")
-        return simulate_forward(self.model, self.grid, self.bundle)
+    ensemble: PathEnsemble
 
 
 @dataclass(frozen=True)
@@ -239,8 +234,7 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class BsdeSolution:
-    problem: BsdeProblem
-    ensemble: PathEnsemble     # the forward paths the solve ran on
+    problem: BsdeProblem       # its ensemble holds the forward paths the solve ran on
     plan: RegressionPlan       # the ensemble's fits, each with its condition number
     y: np.ndarray              # (m, n_steps + 1)
     z: np.ndarray              # (m, n_steps, d)
@@ -329,7 +323,7 @@ def solve_bsde_lsmc(
     projected with the ensemble's plan for basis and opts.cond_limit, so
     each is factored by the first solve on the ensemble only.
     """
-    ens = problem.realize()
+    ens = problem.ensemble
     plan = RegressionPlan.of(ens, basis, opts.cond_limit)
     xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
     if not np.all(np.isfinite(xi)):
@@ -345,7 +339,7 @@ def solve_bsde_lsmc(
     pathwise = y[:, -1] + np.sum(y[:, :-1] - cont, axis=1)
     se = float(np.std(pathwise, ddof=1) / np.sqrt(m))
     return BsdeSolution(
-        problem, ens, plan,
+        problem, plan,
         y=y, z=z, continuation=cont,
         y0=float(y[0, 0]),
         y0_standard_error=se,
@@ -473,7 +467,7 @@ def check_comparison(
     Preconditions: terminal_high >= terminal_low on every path, and the
     driver is non-increasing in y (checked by sampling its y derivative).
     """
-    ens = problem.realize()
+    ens = problem.ensemble
     xi_hi = np.asarray(terminal_high(ens), dtype=np.float64).reshape(ens.n_paths)
     xi_lo = np.asarray(terminal_low(ens), dtype=np.float64).reshape(ens.n_paths)
     if np.any(xi_hi < xi_lo):
@@ -488,9 +482,8 @@ def check_comparison(
     if not mono.passed:
         raise InvalidDriverError(f"driver is not monotone in y (max df/dy = {mono.max_dy:.3e})")
 
-    shared = replace(problem, ensemble=ens)
-    sol_hi = solve_bsde_lsmc(replace(shared, terminal=terminal_high), basis, opts)
-    sol_lo = solve_bsde_lsmc(replace(shared, terminal=terminal_low), basis, opts)
+    sol_hi = solve_bsde_lsmc(replace(problem, terminal=terminal_high), basis, opts)
+    sol_lo = solve_bsde_lsmc(replace(problem, terminal=terminal_low), basis, opts)
     diff = sol_hi.y - sol_lo.y
     return ComparisonReport(
         y0_high=sol_hi.y0,
@@ -533,7 +526,7 @@ def check_convexity_and_jensen(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    ens = problem.realize()
+    ens = problem.ensemble
     cvx = verify_convexity(
         problem.driver, n_segments=convexity_samples, seed=0, tol=1e-9,
         state_dim=ens.state_dim, z_dim=ens.bundle.dim,
@@ -548,15 +541,14 @@ def check_convexity_and_jensen(
     if np.max(mid_gap) > 1e-9:
         raise ValueError("phi failed the midpoint convexity spot check")
 
-    shared = replace(problem, ensemble=ens)
-    sol1 = solve_bsde_lsmc(replace(shared, terminal=terminal_1), basis, opts)
-    sol2 = solve_bsde_lsmc(replace(shared, terminal=terminal_2), basis, opts)
+    sol1 = solve_bsde_lsmc(replace(problem, terminal=terminal_1), basis, opts)
+    sol2 = solve_bsde_lsmc(replace(problem, terminal=terminal_2), basis, opts)
     sol_mix = solve_bsde_lsmc(
-        replace(shared, terminal=lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e)),
+        replace(problem, terminal=lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e)),
         basis, opts,
     )
     sol_phi = solve_bsde_lsmc(
-        replace(shared, terminal=lambda e: phi.f(terminal_1(e))), basis, opts
+        replace(problem, terminal=lambda e: phi.f(terminal_1(e))), basis, opts
     )
 
     delta_cvx = lam * sol1.y0 + (1.0 - lam) * sol2.y0 - sol_mix.y0
@@ -592,9 +584,9 @@ def check_dynamic_consistency(
     The tail solve on [s, T] produces time-s values; their regression on the
     time-s states is the terminal data for the head solve on [0, s].
     """
-    ens = problem.realize()
+    ens = problem.ensemble
     ks = ens.grid.node_index(split_time)
-    direct = solve_bsde_lsmc(replace(problem, ensemble=ens), basis, opts)
+    direct = solve_bsde_lsmc(problem, basis, opts)
     if ks == ens.grid.n_steps:
         nested_y0 = direct.y0
     else:
@@ -629,7 +621,7 @@ def effective_drift_decomposition(
 ) -> DriftDecomposition:
     """Split the drift of phi(Y) into the driver-induced part and the Ito
     convexity correction, per step."""
-    ens = solution.ensemble
+    ens = solution.problem.ensemble
     driver = solution.problem.driver
     nodes = ens.grid.nodes
     n = ens.grid.n_steps
@@ -697,7 +689,7 @@ def dual_lower_bound(
     supplied analytically via `fenchel` or computed by 1-d grid maximization.
     Ties in the argmax go to the smallest control norm.
     """
-    ens = problem.realize()
+    ens = problem.ensemble
     d = ens.bundle.dim
     controls = np.atleast_2d(np.asarray(control_grid, dtype=np.float64))
     if controls.ndim != 2 or controls.shape[1] != d:
@@ -758,7 +750,7 @@ class FieldTable:
 
 def _fit_fields(sol: BsdeSolution) -> FieldTable:
     coefs = []
-    for k in range(sol.ensemble.grid.n_steps):
+    for k in range(sol.problem.ensemble.grid.n_steps):
         design, fit = sol.plan.step(k)
         coefs.append(fit.coef(design, np.column_stack([sol.y[:, k], sol.z[:, k, :]])))
     return FieldTable(fits=tuple(sol.plan.fits), coefs=coefs)
@@ -845,8 +837,8 @@ def solve_fbsde_picard(
 
 def export_solution_csv(solution: BsdeSolution, path) -> None:
     """Per-step summary: (step, t, mean_Y, sd_Y, mean_normZ, clip_count, regression_cond)."""
-    nodes = solution.ensemble.grid.nodes
-    n = solution.ensemble.grid.n_steps
+    nodes = solution.problem.ensemble.grid.nodes
+    n = solution.problem.ensemble.grid.n_steps
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "t", "mean_Y", "sd_Y", "mean_normZ",

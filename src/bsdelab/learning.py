@@ -81,7 +81,6 @@ class SensitivitySolution:
 
 def _adjoint_gradient(
     primary: BsdeSolution,
-    driver: Driver,
     root: np.ndarray,
     continuation_weights: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -103,7 +102,8 @@ def _adjoint_gradient(
     for the adjoints a_cont of C_k and b of Z_k. The z clip of the primary
     is not differentiated, as in the forward scheme.
     """
-    ens = primary.ensemble
+    ens = primary.problem.ensemble
+    driver = primary.problem.driver
     m, n = ens.n_paths, ens.grid.n_steps
     dt = ens.grid.dt
     nodes = ens.grid.nodes
@@ -145,21 +145,18 @@ def _adjoint_gradient(
     return grad
 
 
-def solve_sensitivity_bsde(
-    primary: BsdeSolution,
-    driver: Driver | None = None,
-) -> SensitivitySolution:
+def solve_sensitivity_bsde(primary: BsdeSolution) -> SensitivitySolution:
     """Exact gradient of the discrete Y0 with respect to the driver parameters.
 
     The discrete adjoint of the linear sensitivity system: coefficients are
     frozen at the primary's (Y, Z) data, projections are the primary's
     plan, the inner passes are the primary's, and Y0 is read from
-    path 0 of the root slice, as the primary reads it.
+    path 0 of the root slice, as the primary reads it. The parameters are
+    those of the primary's driver.
     """
-    driver = primary.problem.driver if driver is None else driver
     root = np.zeros(primary.y.shape[0])
     root[0] = 1.0
-    grad = _adjoint_gradient(primary, driver, root)
+    grad = _adjoint_gradient(primary, root)
     return SensitivitySolution(grad_y0=grad, primary=primary)
 
 
@@ -186,20 +183,18 @@ def fd_gradient_check(
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    ens = problem.realize()
-    shared = replace(problem, ensemble=ens)
-    primary = solve_bsde_lsmc(shared, basis, opts)
+    primary = solve_bsde_lsmc(problem, basis, opts)
     sens = solve_sensitivity_bsde(primary)
 
-    theta = shared.driver.params
+    theta = problem.driver.params
     coords = tuple(range(theta.size)) if coords is None else tuple(coords)
     fd = np.empty(len(coords))
     for i, j in enumerate(coords):
         bump = np.zeros_like(theta)
         bump[j] = h
-        up = solve_bsde_lsmc(replace(shared, driver=shared.driver.with_params(theta + bump)),
+        up = solve_bsde_lsmc(replace(problem, driver=problem.driver.with_params(theta + bump)),
                              basis, opts)
-        dn = solve_bsde_lsmc(replace(shared, driver=shared.driver.with_params(theta - bump)),
+        dn = solve_bsde_lsmc(replace(problem, driver=problem.driver.with_params(theta - bump)),
                              basis, opts)
         fd[i] = (up.y0 - dn.y0) / (2.0 * h)
 
@@ -289,7 +284,6 @@ def loss_and_gradient(
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
     bundle: BrownianBundle | None = None,
-    seed: int = 0,
     ensemble: PathEnsemble | None = None,
 ) -> LossReport:
     """Mean squared calibration error plus penalties, with its exact gradient.
@@ -299,10 +293,13 @@ def loss_and_gradient(
     the last term discretizes the normalization penalty at z = 0 along the
     primary paths with regressed continuation values.
 
-    The records are solved on the given ensemble, else on paths simulated
-    from bundle, or from a bundle drawn from seed; either way all records
-    share one ensemble and so one factorization per step.
+    Exactly one of ensemble and bundle gives the forward paths: the
+    records are solved on the given ensemble, or on the dataset's model
+    simulated once from bundle. Either way all records share one ensemble
+    and so one factorization per step.
     """
+    if bundle is None and ensemble is None:
+        raise ValueError("pass a bundle or an ensemble")
     if ensemble is not None:
         if bundle is not None:
             raise ValueError("pass a bundle or an ensemble, not both")
@@ -311,9 +308,6 @@ def loss_and_gradient(
             raise ValueError(f"the ensemble ({ens.n_paths} paths on {ens.grid}) does not "
                              f"match the dataset ({dataset.n_paths} paths on {dataset.grid})")
     else:
-        if bundle is None:
-            bundle = sample_brownian(dataset.grid, dataset.n_paths, 1,
-                                     split_seed(seed, "loss-bundle"))
         ens = simulate_forward(dataset.model, dataset.grid, bundle)
     dt = dataset.grid.dt
     nodes = dataset.grid.nodes
@@ -355,7 +349,7 @@ def loss_and_gradient(
                 norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
                 grad += scale * lin.pullback(lin.value / m)
                 cont_weights[:, k] = lin.value * lin.dy / m
-            grad += scale * _adjoint_gradient(sol, driver, np.zeros(m), cont_weights)
+            grad += scale * _adjoint_gradient(sol, np.zeros(m), cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
     grad += 2.0 * lam_reg * driver.params

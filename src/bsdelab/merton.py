@@ -519,7 +519,7 @@ def crosscheck_entropic_value(
     and the entropic closed-form oracle on terminal utility samples."""
     from .drivers import entropic_driver
     from .engine import BsdeProblem, closed_form_oracle, solve_bsde_lsmc
-    from .stochastic import ForwardModel, make_time_grid, sample_brownian
+    from .stochastic import ForwardModel, make_time_grid, sample_brownian, simulate_forward
 
     spec = HjbGridSpec.default(params, x0=x0) if spec is None else spec
     grid = solve_hjb(params, theta, spec, fixed_pi=pi_fixed)
@@ -535,14 +535,14 @@ def crosscheck_entropic_value(
         state_dim=1,
     )
     tgrid = make_time_grid(params.horizon, n_steps)
-    bundle = sample_brownian(tgrid, n_paths, 1, seed)
+    ens = simulate_forward(model, tgrid, sample_brownian(tgrid, n_paths, 1, seed))
     problem = BsdeProblem(
         driver=entropic_driver(theta),
         terminal=lambda ens: ens.states[:, -1, 0] ** g / g,
-        model=model, grid=tgrid, bundle=bundle,
+        ensemble=ens,
     )
     sol = solve_bsde_lsmc(problem)
-    xi = problem.terminal(sol.ensemble)
+    xi = problem.terminal(ens)
     oracle = closed_form_oracle("entropic", xi, theta=theta) if theta > 0 else float(np.mean(xi))
     return {"pde_value": float(pde_value), "bsde_value": float(sol.y0),
             "oracle_value": float(oracle)}

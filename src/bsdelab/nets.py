@@ -691,29 +691,37 @@ def emit_driver_net(net: DriverNet) -> str:
 
 
 def parse_driver_net(text: str) -> DriverNet:
+    """The net of an `emit_driver_net` document; ValueError if the document
+    is malformed, lacks a field or is cut short."""
     lines = text.splitlines()
     if not lines or lines[0] != "bsdelab-driver-net v1":
         raise ValueError("not a driver-net document")
     fields = {}
     idx = 1
-    while "=" in lines[idx]:
+    while idx < len(lines) and "=" in lines[idx]:
         key, _, value = lines[idx].partition("=")
         fields[key] = value
         idx += 1
         if key == "n_params":
             break
-    layout = NetLayout(
-        state_dim=int(fields["state_dim"]),
-        z_dim=int(fields["z_dim"]),
-        hidden=tuple(int(w) for w in fields["hidden"].split(",") if w),
-        activation=fields["activation"],
-        n2_hidden=tuple(int(w) for w in fields["n2_hidden"].split(",") if w),
-        n2_monotone=fields["n2_monotone"] == "True",
-        interaction_bound=float(fields["interaction_bound"]),
-    )
-    n_params = int(fields["n_params"])
-    theta = np.array([float(lines[idx + i]) for i in range(n_params)])
-    return DriverNet(ArchitectureKind(fields["kind"]), layout, theta)
+    try:
+        kind = ArchitectureKind(fields["kind"])
+        layout = NetLayout(
+            state_dim=int(fields["state_dim"]),
+            z_dim=int(fields["z_dim"]),
+            hidden=tuple(int(w) for w in fields["hidden"].split(",") if w),
+            activation=fields["activation"],
+            n2_hidden=tuple(int(w) for w in fields["n2_hidden"].split(",") if w),
+            n2_monotone=fields["n2_monotone"] == "True",
+            interaction_bound=float(fields["interaction_bound"]),
+        )
+        n_params = int(fields["n_params"])
+    except KeyError as exc:
+        raise ValueError(f"driver-net document lacks the field {exc}") from None
+    values = lines[idx:idx + n_params]
+    if len(values) < n_params:
+        raise ValueError(f"driver-net document is truncated: {len(values)} of {n_params} values")
+    return DriverNet(kind, layout, np.array([float(v) for v in values]))
 
 
 def save_driver_net(net: DriverNet, path) -> None:

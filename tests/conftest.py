@@ -1,6 +1,6 @@
 import pytest
 
-from bsdelab import engine
+from bsdelab import engine, learning, stochastic
 
 
 @pytest.fixture
@@ -14,4 +14,24 @@ def factorizations(monkeypatch):
         return original(design, step, *args, **kwargs)
 
     monkeypatch.setattr(engine, "fit_projection", counting)
+    return calls
+
+
+@pytest.fixture
+def simulations(monkeypatch):
+    """The grid of every forward simulation the library runs during a test.
+
+    Counts calls made through the `stochastic`, `engine` and `learning`
+    module attributes, which is how the library and the CLI reach
+    `simulate_forward`; a test module's own imported name is not counted.
+    """
+    calls = []
+    original = stochastic.simulate_forward
+
+    def counting(model, grid, *args, **kwargs):
+        calls.append(grid)
+        return original(model, grid, *args, **kwargs)
+
+    for module in (stochastic, engine, learning):
+        monkeypatch.setattr(module, "simulate_forward", counting)
     return calls

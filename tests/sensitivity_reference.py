@@ -65,7 +65,7 @@ def per_sample_gradients(driver, t, x, y, z):
 def forward_sensitivity(primary, driver=None, opts=SolveOptions(), store_paths=False):
     """Returns (grad_y0 (P,), grad_y (m, n_steps + 1, P) or None)."""
     driver = primary.problem.driver if driver is None else driver
-    ens = primary.ensemble
+    ens = primary.problem.ensemble
     m, n = ens.n_paths, ens.grid.n_steps
     dt = ens.grid.dt
     nodes = ens.grid.nodes

@@ -57,6 +57,7 @@ from bsdelab.stochastic import (
     brownian_model,
     make_time_grid,
     sample_brownian,
+    simulate_forward,
     split_seed,
 )
 
@@ -71,20 +72,18 @@ def report(number, name, passed, detail):
 
 def brownian_problem(driver, n_paths, n_steps, seed, horizon=1.0):
     grid = make_time_grid(horizon, n_steps)
-    bundle = sample_brownian(grid, n_paths, 1, seed=seed)
-    return BsdeProblem(driver=driver, terminal=W_T, model=brownian_model(1),
-                       grid=grid, bundle=bundle)
+    ens = simulate_forward(brownian_model(1), grid, sample_brownian(grid, n_paths, 1, seed=seed))
+    return BsdeProblem(driver=driver, terminal=W_T, ensemble=ens)
 
 
 def test_criterion_1_oracle_equivalence():
     grid = make_time_grid(1.0, 50)
     bundle = sample_brownian(grid, 100_000, 1, seed=101)
+    ens = simulate_forward(brownian_model(1), grid, bundle)
     w = bundle.terminal_motion()[:, 0]
 
     def solve(driver):
-        problem = BsdeProblem(driver=driver, terminal=W_T, model=brownian_model(1),
-                              grid=grid, bundle=bundle)
-        return solve_bsde_lsmc(problem).y0
+        return solve_bsde_lsmc(BsdeProblem(driver=driver, terminal=W_T, ensemble=ens)).y0
 
     y_zero = solve(zero_driver())
     ok_zero = abs(y_zero) <= 0.02
@@ -193,12 +192,11 @@ def test_criterion_3_gradient_correctness():
 
 def test_criterion_4_axiom_suite():
     grid = make_time_grid(1.0, 40)
-    bundle = sample_brownian(grid, 40_000, 1, seed=44)
-    model = brownian_model(1)
+    ens = simulate_forward(brownian_model(1), grid, sample_brownian(grid, 40_000, 1, seed=44))
 
     mono = build_driver("MonotoneY", NetLayout(hidden=(8, 8)), init_seed=7)
     comparison = check_comparison(
-        BsdeProblem(driver=mono, model=model, grid=grid, bundle=bundle),
+        BsdeProblem(driver=mono, ensemble=ens),
         terminal_high=lambda e: np.abs(W_T(e)),
         terminal_low=lambda e: np.zeros(e.n_paths),
     )
@@ -207,7 +205,7 @@ def test_criterion_4_axiom_suite():
     icnn = build_driver("IcnnYZ", NetLayout(hidden=(8, 8), activation="softplus"),
                         init_seed=7)
     cvx = check_convexity_and_jensen(
-        BsdeProblem(driver=icnn, model=model, grid=grid, bundle=bundle),
+        BsdeProblem(driver=icnn, ensemble=ens),
         terminal_1=W_T, terminal_2=lambda e: -W_T(e), lam=0.5,
         phi=SmoothFunction.square(),
     )
@@ -215,21 +213,19 @@ def test_criterion_4_axiom_suite():
 
     hom = build_homogeneous_icnn(init_seed=9)
     jen = check_convexity_and_jensen(
-        BsdeProblem(driver=hom, model=model, grid=grid, bundle=bundle),
+        BsdeProblem(driver=hom, ensemble=ens),
         terminal_1=W_T, terminal_2=lambda e: -W_T(e), lam=0.5,
         phi=SmoothFunction.square(),
     )
     ok_jen = jen.delta_jensen >= -3.0 * jen.mc_noise
 
     dyn = check_dynamic_consistency(
-        BsdeProblem(driver=entropic_driver(1.0), terminal=W_T, model=model,
-                    grid=grid, bundle=bundle),
+        BsdeProblem(driver=entropic_driver(1.0), terminal=W_T, ensemble=ens),
         split_time=0.5,
     )
     ok_dyn = dyn.gap <= 0.02 * abs(dyn.y0_direct)
 
-    quad_problem = BsdeProblem(driver=quadratic_z_driver(1.0), terminal=W_T,
-                               model=model, grid=grid, bundle=bundle)
+    quad_problem = BsdeProblem(driver=quadratic_z_driver(1.0), terminal=W_T, ensemble=ens)
     sol = solve_bsde_lsmc(quad_problem)
     dual = dual_lower_bound(quad_problem, [[0.0], [0.5], [1.0], [1.5]],
                             fenchel=lambda u: float(u @ u) / 2.0)
@@ -274,11 +270,10 @@ def test_criterion_6_fbsde_picard():
     grid = make_time_grid(0.2, 10)
     bundle = sample_brownian(grid, 20_000, 1, seed=66)
     zero_coupling = solve_fbsde_picard(coupled(0.0), grid, bundle, W_T, zero_driver())
+    uncoupled = ForwardModel(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0,
+                             x0=np.array([0.5]), state_dim=1)
     decoupled = solve_bsde_lsmc(BsdeProblem(
-        driver=zero_driver(), terminal=W_T,
-        model=ForwardModel(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0,
-                           x0=np.array([0.5]), state_dim=1),
-        grid=grid, bundle=bundle))
+        driver=zero_driver(), terminal=W_T, ensemble=simulate_forward(uncoupled, grid, bundle)))
     ok_zero = (zero_coupling.iterations == 1
                and zero_coupling.solution.y0 == decoupled.y0)
 

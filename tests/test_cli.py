@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from bsdelab import cli, engine, stochastic
+from bsdelab import cli, nets
 from bsdelab.cli import (
     CheckResult,
     ExperimentConfig,
@@ -68,6 +68,31 @@ class TestConfigValidation:
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
+
+    def test_unreadable_driver_path(self, tmp_path, capsys):
+        truncated = tmp_path / "truncated.txt"
+        net = nets.build_driver("Free", nets.NetLayout(hidden=(4,)), init_seed=1)
+        truncated.write_text("\n".join(nets.emit_driver_net(net).splitlines()[:2]) + "\n")
+        for path in (tmp_path / "absent.txt", truncated):
+            cfg = write_config(tmp_path, {
+                "kind": "solve", "seed": 1, "out": str(tmp_path / "out"), "n_paths": 500,
+                "grid": {"T": 1.0, "n_steps": 4}, "driver": {"name": "net", "path": str(path)},
+            })
+            assert main(["solve", "--config", cfg]) == 2
+            assert "driver.path" in capsys.readouterr().err
+
+    def test_missing_dataset_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "train", "seed": 1, "out": str(tmp_path / "out"),
+                                      "dataset_csv": str(tmp_path / "absent.csv")})
+        assert main(["train", "--config", cfg]) == 2
+        assert "dataset_csv" in capsys.readouterr().err
+
+    def test_missing_observations_csv(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"kind": "calibrate", "seed": 1,
+                                      "out": str(tmp_path / "out"),
+                                      "observations_csv": str(tmp_path / "absent.csv")})
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert "observations_csv" in capsys.readouterr().err
 
 
 class TestReports:
@@ -138,23 +163,14 @@ class TestRunExperiment:
         assert sorted(factorizations) == list(range(15))
 
     def test_verify_axioms_simulates_and_factors_once(self, tmp_path, factorizations,
-                                                       monkeypatch):
-        simulated = []
-        original = stochastic.simulate_forward
-
-        def counting(*args, **kwargs):
-            simulated.append(1)
-            return original(*args, **kwargs)
-
-        for module in (stochastic, engine):
-            monkeypatch.setattr(module, "simulate_forward", counting)
+                                                       simulations):
         config = ExperimentConfig.from_dict({
             "kind": "verify-axioms", "seed": 3, "out": str(tmp_path / "run"),
             "n_paths": 2_000, "grid": {"T": 1.0, "n_steps": 8},
         })
         report = run_experiment(config)
         assert len(report.checks) == 5
-        assert len(simulated) == 1
+        assert len(simulations) == 1
         assert sorted(factorizations) == list(range(8))
 
     def test_solve_kind_writes_artifacts(self, tmp_path):

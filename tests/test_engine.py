@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from bsdelab import engine
+from bsdelab import engine, stochastic
 from bsdelab.drivers import (
     TruncatedDriver,
     entropic_driver,
@@ -41,7 +41,7 @@ from bsdelab.errors import (
     OracleOverflowError,
     SingularRegressionError,
 )
-from bsdelab.learning import solve_sensitivity_bsde
+from bsdelab.learning import Dataset, DatasetRecord, loss_and_gradient, solve_sensitivity_bsde
 from bsdelab.nets import NetLayout, build_driver, build_homogeneous_icnn
 from bsdelab.stochastic import (
     BrownianBundle,
@@ -61,9 +61,8 @@ W_T = lambda ens: ens.states[:, -1, 0]
 def brownian_problem(driver, n_paths=20_000, n_steps=25, horizon=1.0, seed=11,
                      terminal=W_T):
     grid = make_time_grid(horizon, n_steps)
-    bundle = sample_brownian(grid, n_paths, 1, seed=seed)
-    return BsdeProblem(driver=driver, terminal=terminal, model=brownian_model(1),
-                       grid=grid, bundle=bundle)
+    ens = simulate_forward(brownian_model(1), grid, sample_brownian(grid, n_paths, 1, seed=seed))
+    return BsdeProblem(driver=driver, terminal=terminal, ensemble=ens)
 
 
 class TestClosedFormOracle:
@@ -131,19 +130,20 @@ class TestSolver:
     def test_terminal_anchoring_exact(self):
         problem = brownian_problem(entropic_driver(0.5), n_paths=2_000, n_steps=10)
         sol = solve_bsde_lsmc(problem)
-        xi = problem.terminal(problem.realize())
+        xi = problem.terminal(problem.ensemble)
         np.testing.assert_array_equal(sol.y[:, -1], xi)
 
     def test_zero_driver_y0_is_mean(self):
         problem = brownian_problem(zero_driver(), n_paths=5_000, n_steps=15)
         sol = solve_bsde_lsmc(problem)
-        xi = problem.terminal(problem.realize())
+        xi = problem.terminal(problem.ensemble)
         assert sol.y0 == pytest.approx(xi.mean(), abs=1e-12)
 
     @pytest.mark.parametrize("n_paths", [1_000, 10_000, 100_000])
     def test_oracle_equivalence_within_mc_error(self, n_paths):
         grid = make_time_grid(1.0, 20)
         bundle = sample_brownian(grid, n_paths, 1, seed=29)
+        ens = simulate_forward(brownian_model(1), grid, bundle)
         w = bundle.terminal_motion()
         cases = [
             (zero_driver(), closed_form_oracle("zero", w[:, 0])),
@@ -153,9 +153,7 @@ class TestSolver:
             (entropic_driver(1.0), closed_form_oracle("entropic", w[:, 0], theta=1.0)),
         ]
         for driver, oracle in cases:
-            problem = BsdeProblem(driver=driver, terminal=W_T, model=brownian_model(1),
-                                  grid=grid, bundle=bundle)
-            sol = solve_bsde_lsmc(problem)
+            sol = solve_bsde_lsmc(BsdeProblem(driver=driver, terminal=W_T, ensemble=ens))
             assert abs(sol.y0 - oracle) <= 3.0 * sol.y0_standard_error
 
     def test_grid_refinement_improves(self):
@@ -181,8 +179,8 @@ class TestSolver:
             ratio = 40 // n_steps
             inc = fine.increments.reshape(m, n_steps, ratio, 1).sum(axis=2)
             bundle = BrownianBundle(increments=inc, dt=grid.dt, seed=53)
-            problem = BsdeProblem(driver=zero_driver(), terminal=W_T, model=model,
-                                  grid=grid, bundle=bundle)
+            problem = BsdeProblem(driver=zero_driver(), terminal=W_T,
+                                  ensemble=simulate_forward(model, grid, bundle))
             return solve_bsde_lsmc(problem).y0
 
         y10, y20, y40 = solve_at(10), solve_at(20), solve_at(40)
@@ -357,6 +355,26 @@ class TestRegressionPlan:
         check_comparison(problem, lambda e: W_T(e) + 1.0, W_T)
         assert sorted(factorizations) == list(range(8))
 
+    def test_a_problem_is_simulated_and_factored_once(self, factorizations, simulations):
+        # Built by the caller, the problem's ensemble serves every solve and
+        # check on it: the library simulates nothing and factors each step once.
+        problem = brownian_problem(entropic_driver(1.0), n_paths=2_000, n_steps=8)
+        for driver in (zero_driver(), linear_z_driver(0.3), entropic_driver(1.0)):
+            solve_bsde_lsmc(replace(problem, driver=driver))
+        check_dynamic_consistency(problem, 0.5)
+        dual_lower_bound(replace(problem, driver=quadratic_z_driver(1.0)), [[0.0], [1.0]],
+                         fenchel=lambda u: float(u @ u) / 2.0)
+        assert simulations == []
+        assert sorted(factorizations) == list(range(8))
+
+    def test_a_problem_needs_its_ensemble(self):
+        with pytest.raises(TypeError):
+            BsdeProblem(driver=zero_driver(), terminal=W_T)
+        dataset = Dataset(records=(DatasetRecord(terminal=W_T, observed=0.0),),
+                          grid=make_time_grid(1.0, 4), n_paths=100)
+        with pytest.raises(ValueError, match="bundle or an ensemble"):
+            loss_and_gradient(dataset, zero_driver())
+
     def test_plan_is_keyed_by_ensemble_basis_and_cond_limit(self, factorizations):
         problem = reference_problem("entropic", 1)
         ens = problem.ensemble
@@ -376,7 +394,7 @@ class TestRegressionPlan:
     def test_dropped_ensemble_is_freed_without_the_cycle_collector(self):
         problem = reference_problem("entropic", 1)
         sol = solve_bsde_lsmc(problem)
-        ref = weakref.ref(sol.ensemble)
+        ref = weakref.ref(sol.problem.ensemble)
         gc.disable()
         try:
             del problem, sol
@@ -529,26 +547,25 @@ class TestDriftDecomposition:
         dec = effective_drift_decomposition(sol, SmoothFunction.identity())
         np.testing.assert_array_equal(dec.convexity_correction, 0.0)
 
-    def test_solution_readers_reuse_its_ensemble(self, monkeypatch):
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return simulate_forward(*args, **kwargs)
-
-        monkeypatch.setattr(engine, "simulate_forward", counting)
-        problem = brownian_problem(entropic_driver(1.0), n_paths=2_000, n_steps=10)
-        sol = solve_bsde_lsmc(problem)
+    def test_solution_readers_reuse_its_ensemble(self, simulations):
+        # The caller simulates once; the solve and the readers of its
+        # solution run on those paths and simulate nothing more.
+        grid = make_time_grid(1.0, 10)
+        ens = stochastic.simulate_forward(brownian_model(1), grid,
+                                          sample_brownian(grid, 2_000, 1, seed=11))
+        assert simulations == [grid]
+        sol = solve_bsde_lsmc(BsdeProblem(driver=entropic_driver(1.0), terminal=W_T,
+                                          ensemble=ens))
         solve_sensitivity_bsde(sol)
         effective_drift_decomposition(sol, SmoothFunction.square())
-        assert len(calls) == 1
+        assert simulations == [grid]
 
     def test_discrete_ito_reconstruction(self):
         def mean_residual(n_steps):
             problem = brownian_problem(entropic_driver(1.0), n_paths=50_000,
                                        n_steps=n_steps, seed=41)
             sol = solve_bsde_lsmc(problem)
-            ens = sol.ensemble
+            ens = sol.problem.ensemble
             phi = SmoothFunction.square()
             dec = effective_drift_decomposition(sol, phi, return_pathwise=True)
             dt = ens.grid.dt
@@ -590,7 +607,7 @@ class TestDualBound:
                                    n_steps=15, seed=47)
         sol = solve_bsde_lsmc(problem)
         rep = dual_lower_bound(problem, [[0.0]], fenchel=lambda u: float(u @ u) / 2.0)
-        xi = problem.terminal(problem.realize())
+        xi = problem.terminal(problem.ensemble)
         assert rep.best_value == pytest.approx(xi.mean(), abs=1e-12)
         assert rep.best_value <= sol.y0 + 3.0 * sol.y0_standard_error
 
@@ -637,12 +654,10 @@ class TestFbsdePicard:
         assert res.iterations == 1
         assert res.residuals[0] == 0.0
         # matches the decoupled solve exactly
-        decoupled = BsdeProblem(
-            driver=zero_driver(), terminal=W_T,
-            model=ForwardModel(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0,
-                               x0=np.array([0.5]), state_dim=1),
-            grid=grid, bundle=bundle,
-        )
+        uncoupled = ForwardModel(drift=lambda t, x: 0.0, diffusion=lambda t, x: 1.0,
+                                 x0=np.array([0.5]), state_dim=1)
+        decoupled = BsdeProblem(driver=zero_driver(), terminal=W_T,
+                                ensemble=simulate_forward(uncoupled, grid, bundle))
         np.testing.assert_array_equal(res.solution.y, solve_bsde_lsmc(decoupled).y)
 
     def test_small_horizon_contracts_geometrically(self):

@@ -44,9 +44,8 @@ W_T = lambda ens: ens.states[:, -1, 0]
 
 def brownian_problem(driver, n_paths=20_000, n_steps=25, seed=11):
     grid = make_time_grid(1.0, n_steps)
-    bundle = sample_brownian(grid, n_paths, 1, seed=seed)
-    return BsdeProblem(driver=driver, terminal=W_T, model=brownian_model(1),
-                       grid=grid, bundle=bundle)
+    ens = simulate_forward(brownian_model(1), grid, sample_brownian(grid, n_paths, 1, seed=seed))
+    return BsdeProblem(driver=driver, terminal=W_T, ensemble=ens)
 
 
 def dead_coordinate_driver(theta0, c):
@@ -147,8 +146,8 @@ class TestAdjointAgainstForwardMode:
         grid = make_time_grid(1.0, 6)
         bundle = sample_brownian(grid, 800, d, seed=5)
         terminal = lambda ens: np.sin(ens.states[:, -1, 0]) + 0.3 * ens.states[:, -1, -1] ** 2
-        problem = BsdeProblem(driver=net, terminal=terminal, model=brownian_model(d),
-                              grid=grid, bundle=bundle)
+        problem = BsdeProblem(driver=net, terminal=terminal,
+                              ensemble=simulate_forward(brownian_model(d), grid, bundle))
         for passes in (1, 2, 3):
             for z_clip in (None, 0.5):
                 opts = SolveOptions(inner_picard_iters=passes, z_clip=z_clip)
@@ -242,13 +241,15 @@ class TestLoss:
 
     def test_normalization_term_structural_zero(self):
         dataset = small_dataset()
-        report = loss_and_gradient(dataset, linear_z_driver(0.4), lam_norm=1.0, seed=2)
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=2)
+        report = loss_and_gradient(dataset, linear_z_driver(0.4), lam_norm=1.0, bundle=bundle)
         assert report.norm_term == 0.0
 
     def test_normalization_term_positive_for_constant_driver(self):
         dataset = small_dataset()
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=2)
         report = loss_and_gradient(dataset, scaled_constant_driver(1.0, 1.0),
-                                   lam_norm=1.0, seed=2)
+                                   lam_norm=1.0, bundle=bundle)
         assert report.norm_term == pytest.approx(1.0, rel=1e-9)
 
     def test_normalization_gradient_against_fd(self):
@@ -278,8 +279,9 @@ class TestLoss:
     def test_regularizer_terms(self):
         dataset = small_dataset()
         driver = entropic_driver(2.0)
-        plain = loss_and_gradient(dataset, driver, seed=3)
-        reg = loss_and_gradient(dataset, driver, lam_reg=0.5, seed=3)
+        bundle = sample_brownian(dataset.grid, dataset.n_paths, 1, seed=3)
+        plain = loss_and_gradient(dataset, driver, bundle=bundle)
+        reg = loss_and_gradient(dataset, driver, lam_reg=0.5, bundle=bundle)
         assert reg.reg_term == pytest.approx(0.5 * 4.0)
         assert reg.gradient[0] == pytest.approx(plain.gradient[0] + 2 * 0.5 * 2.0)
 
@@ -307,8 +309,9 @@ class TestLoss:
         bad = DatasetRecord(terminal=lambda ens: np.full(ens.n_paths, np.nan),
                             observed=0.0, label="broken")
         dataset = Dataset(records=(bad,), grid=grid, n_paths=256)
+        bundle = sample_brownian(grid, 256, 1, seed=0)
         with pytest.raises(ValueError, match="record 0"):
-            loss_and_gradient(dataset, entropic_driver(1.0))
+            loss_and_gradient(dataset, entropic_driver(1.0), bundle=bundle)
 
 
 class TestTraining:

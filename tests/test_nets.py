@@ -418,6 +418,12 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.theta, net.theta)
         assert loaded.kind == net.kind
 
+    def test_truncated_document_rejected(self):
+        lines = emit_driver_net(build_driver("Free", layout_for("Free"), init_seed=5)).splitlines()
+        for cut in (1, 2, 9, 10, len(lines) - 1):
+            with pytest.raises(ValueError, match="driver-net document"):
+                parse_driver_net("\n".join(lines[:cut]) + "\n")
+
     def test_round_trip_preserves_evaluation(self):
         net = build_driver("IcnnYZ", layout_for("IcnnYZ"), init_seed=21)
         back = parse_driver_net(emit_driver_net(net))
