@@ -417,12 +417,11 @@ def _run_meanfield(config, out_dir, which):
     model = meanfield.MODEL_REGISTRY[model_name](**opt.get("model_params", {}))
     n_list = opt.get("N_list", [16, 64, 256, 1024])
     n_trials = opt.get("n_trials", 20)
-    basis = _basis(opt)
     n_ref = opt.get("n_reference", 65536)
 
     if which == "meanfield-lln":
         res = meanfield.lln_experiment(model, n_list, grid, n_trials,
-                                       split_seed(config.seed, "lln"), basis,
+                                       split_seed(config.seed, "lln"), _basis(opt),
                                        n_reference=n_ref)
         path = os.path.join(out_dir, "lln.csv")
         meanfield.export_lln_csv(res, path)
@@ -437,8 +436,7 @@ def _run_meanfield(config, out_dir, which):
         return checks, [path]
 
     res = meanfield.clt_experiment(model, n_list, grid, n_trials,
-                                   split_seed(config.seed, "clt"), basis,
-                                   n_reference=n_ref,
+                                   split_seed(config.seed, "clt"), n_reference=n_ref,
                                    u0_std=opt.get("u0_std", 0.5))
     path = os.path.join(out_dir, "clt.csv")
     meanfield.export_clt_csv(res, path)
@@ -663,7 +661,7 @@ def main(argv=None) -> int:
                                       f"subcommand '{args.command}'")
         report = run_experiment(config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 2
     except BsdelabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

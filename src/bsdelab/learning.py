@@ -308,6 +308,10 @@ def loss_and_gradient(
             raise ValueError(f"the ensemble ({ens.n_paths} paths on {ens.grid}) does not "
                              f"match the dataset ({dataset.n_paths} paths on {dataset.grid})")
     else:
+        if bundle.n_paths != dataset.n_paths or bundle.n_steps != dataset.grid.n_steps:
+            raise ValueError(f"the bundle ({bundle.n_paths} paths of {bundle.n_steps} steps) "
+                             f"does not match the dataset ({dataset.n_paths} paths of "
+                             f"{dataset.grid.n_steps} steps)")
         ens = simulate_forward(dataset.model, dataset.grid, bundle)
     dt = dataset.grid.dt
     nodes = dataset.grid.nodes

@@ -8,16 +8,27 @@ solve, the fluctuation system's V loop and the Picard decoupling. The
 fluctuation system's measure terms are also kept in their dense form, as
 (M, M') Lions-derivative matrices, to check the factored term against, and
 `DesignTransform.apply` is kept in its cumprod form, to check the direct
-build against bit for bit.
+build against bit for bit. The CLT experiment is kept as it was written
+with two backward solves per trial and per N, reading the terminal slice
+of each solution, to check the forward-only experiment against bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
+from bsdelab.engine import RegressionBasis, SolveOptions
 from bsdelab.errors import NoContractionError, SingularRegressionError
-from bsdelab.meanfield import _broadcast, _measure_term, _simulate_cloud
-from bsdelab.stochastic import sample_brownian, simulate_forward, split_seed
+from bsdelab.meanfield import (
+    CltResult,
+    _broadcast,
+    _jackknife_var_se,
+    _measure_term,
+    _simulate_cloud,
+    _solve_cloud_backward,
+    solve_mckean_vlasov,
+)
+from bsdelab.stochastic import TimeGrid, sample_brownian, simulate_forward, split_seed
 
 
 def cumprod_apply(self, x: np.ndarray) -> np.ndarray:
@@ -233,3 +244,41 @@ def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_wo
         all_v.append(v)
         all_z.append(zv)
     return np.concatenate(all_u), np.concatenate(all_v), np.concatenate(all_z)
+
+
+def clt_reference(model, n_list, grid, n_trials, seed, basis=RegressionBasis(),
+                  opts=SolveOptions(), n_reference=65536, u0_std=0.0):
+    """The CLT experiment with a backward solve on the particle cloud and on
+    the limit copies, per trial and per N; V is read from sol.y[:, -1]."""
+    n_values = sorted(int(n) for n in n_list)
+    ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "clt-reference"),
+                              solve_backward=False)
+    n_max = n_values[-1]
+    samples_u = {n: [] for n in n_values}
+    samples_v = {n: [] for n in n_values}
+    for trial in range(n_trials):
+        inc_full = sample_brownian(grid, n_max, 1,
+                                   split_seed(seed, "clt-noise", trial)).increments
+        x0_full = np.asarray(model.initial_sampler(n_max, split_seed(seed, "clt-x0", trial)))
+        zeta_full = sample_brownian(TimeGrid(1.0, 1), n_max, 1,
+                                    split_seed(seed, "clt-zeta", trial)).increments[:, 0, 0]
+        for n_particles in n_values:
+            inc = inc_full[:n_particles]
+            x0_c = x0_full[:n_particles]
+            x0_p = x0_c + u0_std * zeta_full[:n_particles] / np.sqrt(n_particles)
+            states_p, flow_p = _simulate_cloud(model, grid, inc, x0_p, None)
+            sol_p = _solve_cloud_backward(model, grid, states_p, inc, flow_p, basis, opts)
+            states_c, _ = _simulate_cloud(model, grid, inc, x0_c, flow=ref.flow)
+            sol_c = _solve_cloud_backward(model, grid, states_c, inc, ref.flow, basis, opts)
+            root_n = np.sqrt(n_particles)
+            samples_u[n_particles].append(root_n * (states_p[:, -1] - states_c[:, -1]))
+            samples_v[n_particles].append(root_n * (sol_p.y[:, -1] - sol_c.y[:, -1]))
+
+    pooled = lambda samples: [float(np.var(np.concatenate(samples[n]), ddof=1))
+                              for n in n_values]
+    jackknife = lambda samples: [_jackknife_var_se(samples[n]) for n in n_values]
+    return CltResult(n_values=np.array(n_values),
+                     var_u=np.array(pooled(samples_u)), var_v=np.array(pooled(samples_v)),
+                     var_u_se=np.array(jackknife(samples_u)),
+                     var_v_se=np.array(jackknife(samples_v)),
+                     u0_std=u0_std, n_trials=n_trials)

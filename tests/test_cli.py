@@ -85,7 +85,9 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, {"kind": "train", "seed": 1, "out": str(tmp_path / "out"),
                                       "dataset_csv": str(tmp_path / "absent.csv")})
         assert main(["train", "--config", cfg]) == 2
-        assert "dataset_csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dataset_csv" in err
+        assert err.count("config error") == 1
 
     def test_missing_observations_csv(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"kind": "calibrate", "seed": 1,

@@ -297,6 +297,14 @@ class TestLoss:
         with pytest.raises(ValueError, match="does not match the dataset"):
             loss_and_gradient(small_dataset(n_paths=1_000, n_steps=6), driver, ensemble=ens)
 
+    def test_bundle_mismatches_rejected(self):
+        dataset = small_dataset(n_paths=1_000, n_steps=8)
+        driver = entropic_driver(0.5)
+        for bundle in (sample_brownian(dataset.grid, 300, 1, seed=4),
+                       sample_brownian(make_time_grid(1.0, 6), 1_000, 1, seed=4)):
+            with pytest.raises(ValueError, match="does not match the dataset"):
+                loss_and_gradient(dataset, driver, bundle=bundle)
+
     def test_records_share_one_factorization(self, factorizations):
         dataset = small_dataset(n_paths=1_000, n_steps=8)
         assert len(dataset.records) == 2

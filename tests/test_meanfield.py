@@ -1,9 +1,11 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from bsdelab import meanfield
 from bsdelab.errors import IncompleteCoefficientsError, NoFixedPointError
 from bsdelab.meanfield import (
     _FlowDriver,
@@ -238,6 +240,46 @@ class TestClt:
         v_star = limit_variance_oracle(a, c, sigma, s0, u0_std, 1.0)
         assert res.var_u[-1] == pytest.approx(v_star, rel=0.10)
         assert res.stabilized()
+
+    def test_matches_the_backward_solving_reference(self):
+        # With a driver and a feature-dependent terminal, V at T is still the
+        # terminal functional: the backward solves of the reference do not
+        # move it.
+        model = replace(mean_reversion_to_crowd_model(sigma=0.3),
+                        terminal=lambda x, feats: x * x - feats.mean,
+                        driver=lambda t, x, y, z, feats: feats.mean - 0.5 * y + 0.1 * z * z)
+        args = (model, [16, 64], make_time_grid(0.5, 8), 3, 13)
+        res = clt_experiment(*args, n_reference=1024, u0_std=0.4)
+        ref = lstsq_reference.clt_reference(*args, n_reference=1024, u0_std=0.4)
+        assert np.all(res.var_v > 0)
+        for name in ("var_u", "var_v", "var_u_se", "var_v_se"):
+            np.testing.assert_array_equal(getattr(res, name), getattr(ref, name))
+
+    def test_non_finite_terminal_raises(self):
+        model = replace(independent_model(), terminal=lambda x, feats: np.full_like(x, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            clt_experiment(model, [8, 16], make_time_grid(0.5, 4), n_trials=1, seed=5,
+                           n_reference=256)
+
+    def test_runs_no_backward_solve(self, factorizations, monkeypatch):
+        solves = []
+        original = meanfield.solve_bsde_lsmc
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(meanfield, "solve_bsde_lsmc", counting)
+        grid = make_time_grid(0.5, 6)
+        clt_experiment(linear_gaussian_model(), [8, 16], grid, n_trials=2, seed=5,
+                       n_reference=256, u0_std=0.3)
+        assert solves == [] and factorizations == []
+        # The LLN experiment still solves the cloud and the copies, per trial
+        # and per N, each on its own ensemble.
+        lln_experiment(linear_gaussian_model(), [8, 16], grid, n_trials=2, seed=5,
+                       n_reference=256)
+        assert len(solves) == 2 * 2 * 2
+        assert len(factorizations) == 2 * 2 * 2 * grid.n_steps
 
     def test_csv_export(self, tmp_path):
         grid = make_time_grid(0.5, 8)
