@@ -6,7 +6,13 @@ the control is read from the regression of Y_{k+1} dW / dt on state
 features and the value is the regressed continuation plus the driver
 increment, optionally refined by inner fixed-point passes for implicitness
 in y. `_backward_solve` is that loop for the primary solve, the
-dynamic-consistency tail and the fluctuation system's V loop. Conditional
+dynamic-consistency tail and the fluctuation system's V loop. It sweeps R
+terminals on one ensemble at once, as R columns: per step one design, one
+(m, R) projection for the continuation values, one (m, R d) projection for
+the martingale increments, one clip call and one driver evaluation on the
+R m stacked rows. `solve_bsde_many` returns one solution per terminal, and
+the loss and the comparison and convexity checks solve their terminals in
+that one sweep; `solve_bsde_lsmc` is its one-column case. Conditional
 expectations use global polynomial least squares on standardized
 monomials, with one factorization per step: the R factor of the design's
 QR, whose singular values give the rank (count above
@@ -25,6 +31,7 @@ and the dynamic-consistency smoothing neither simulate nor factor again.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -59,6 +66,7 @@ __all__ = [
     "RegressionPlan",
     "SmoothFunction",
     "solve_bsde_lsmc",
+    "solve_bsde_many",
     "solve_truncated",
     "closed_form_oracle",
     "check_comparison",
@@ -247,12 +255,47 @@ class BsdeSolution:
 
 
 def _clip_z(z: np.ndarray, mult: float):
-    """Clip each column to median +- mult * IQR (none if the IQR is 0); returns (clipped, count)."""
+    """Clip each column to median +- mult * IQR (none if the IQR is 0);
+    returns (clipped, per-column clip counts)."""
     q1, med, q3 = np.percentile(z, [25.0, 50.0, 75.0], axis=0)
     iqr = q3 - q1
     lo = np.where(iqr > 0, med - mult * iqr, -np.inf)
     hi = np.where(iqr > 0, med + mult * iqr, np.inf)
-    return np.clip(z, lo, hi), int(np.count_nonzero((z < lo) | (z > hi)))
+    return np.clip(z, lo, hi), np.count_nonzero((z < lo) | (z > hi), axis=0)
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """(m, R, ...) per-path columns as (R * m, ...) stacked rows, record-major."""
+    return np.swapaxes(a, 0, 1).reshape(-1, *a.shape[2:])
+
+
+def _columns(rows: np.ndarray, n_cols: int) -> np.ndarray:
+    """(R * m, c) or (R * m,) stacked rows as an (m, R * c) response whose
+    column r * c + j is component j of column r: the inverse of `_rows`."""
+    m = rows.shape[0] // n_cols
+    return np.swapaxes(rows.reshape(n_cols, m, -1), 0, 1).reshape(m, -1)
+
+
+def _stack(parts: list) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _state_rows(ens: PathEnsemble, n_cols: int) -> Callable:
+    """k -> step k's states once per column, as the rows of a stacked driver
+    call; the last step's tiling is kept for the step's further passes."""
+    if n_cols == 1:
+        return lambda k: ens.states[:, k, :]
+    return functools.lru_cache(maxsize=1)(lambda k: np.tile(ens.states[:, k, :], (n_cols, 1)))
+
+
+def _check_finite(rows: np.ndarray, n_cols: int, message: str) -> None:
+    """Raise SolverDivergedError naming, as terminal_index, the first column
+    whose stacked rows hold a non-finite value."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        exc = SolverDivergedError(message)
+        exc.terminal_index = int(np.argmin(finite.reshape(n_cols, -1).all(axis=1)))
+        raise exc
 
 
 def _backward_solve(
@@ -266,18 +309,25 @@ def _backward_solve(
 ):
     """The LSMC recursion over the steps of increments, from terminal values.
 
-    step_design(k) gives step k's (design, Projection) and step_value(k, y, z)
-    the driver value there. Returns (y, z, continuation, clip counts).
+    terminal_values is (m,) for one terminal or (m, R) for R terminals on
+    the same paths. Per step the design is projected once for every
+    column: the continuation values as one (m, R) response and (Y - C) dW
+    as one (m, R * d) response. step_design(k) gives step k's (design,
+    Projection) and step_value(k, y, z) the driver value on the R * m
+    stacked rows (see `_rows`). Returns (y, z, continuation, clip counts),
+    shaped (m, n + 1), (m, n, d), (m, n) and (n,) for one terminal and
+    (m, n + 1, R), (m, n, R, d), (m, n, R) and (n, R) for R.
     """
     m, n, d = increments.shape
-    y = np.empty((m, n + 1))
-    z = np.zeros((m, n, d))
-    cont = np.empty((m, n))
-    clips = np.zeros(n, dtype=int)
+    xi = terminal_values.reshape(m, -1)
+    n_cols = xi.shape[1]
+    y = np.empty((m, n + 1, n_cols))
+    z = np.zeros((m, n, n_cols, d))
+    cont = np.empty((m, n, n_cols))
+    clips = np.zeros((n, n_cols), dtype=int)
 
-    y[:, n] = terminal_values
-    if not np.all(np.isfinite(y[:, n])):
-        raise SolverDivergedError("non-finite terminal values")
+    y[:, n] = xi
+    _check_finite(xi.T, n_cols, "non-finite terminal values")
 
     for k in range(n - 1, -1, -1):
         design, fit = step_design(k)
@@ -286,28 +336,36 @@ def _backward_solve(
         # Martingale-increment regression for Z with the continuation value
         # as control variate: E[(Y - c)dW | X] = E[Y dW | X], at far lower
         # response variance (the compounding term of the plain estimator).
-        z_k = fit.project(design, (y[:, k + 1] - c_k)[:, None] * increments[:, k, :]) / dt
+        # A contiguous copy: broadcasting the strided slice is several times slower.
+        dw = np.ascontiguousarray(increments[:, k, :])
+        dw_response = (y[:, k + 1] - c_k)[:, :, None] * dw[:, None, :]
+        z_k = fit.project(design, dw_response.reshape(m, n_cols * d)) / dt
         if z_clip is not None and np.isfinite(z_clip):
-            z_k, clips[k] = _clip_z(z_k, z_clip)
+            z_k, counts = _clip_z(z_k, z_clip)
+            clips[k] = counts.reshape(n_cols, d).sum(axis=1)
+        z_k = z_k.reshape(m, n_cols, d)
 
-        y_k = c_k
+        c_rows = _rows(c_k)
+        z_rows = _rows(z_k)
+        y_rows = c_rows
         for _ in range(max(1, passes)):
-            if not np.all(np.isfinite(y_k)):
-                raise SolverDivergedError(f"non-finite values at step {k}")
-            y_k = c_k + step_value(k, y_k, z_k) * dt
-        if not np.all(np.isfinite(y_k)):
-            raise SolverDivergedError(f"non-finite values at step {k}")
+            _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
+            y_rows = c_rows + step_value(k, y_rows, z_rows) * dt
+        _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
 
-        y[:, k] = y_k
-        z[:, k, :] = z_k
+        y[:, k] = y_rows.reshape(n_cols, m).T
+        z[:, k] = z_k
         cont[:, k] = c_k
 
+    if terminal_values.ndim == 1:
+        return y[:, :, 0], z[:, :, 0], cont[:, :, 0], clips[:, 0]
     return y, z, cont, clips
 
 
-def _driver_value(driver: Driver, ens: PathEnsemble) -> Callable:
+def _driver_value(driver: Driver, ens: PathEnsemble, n_cols: int = 1) -> Callable:
     nodes = ens.grid.nodes
-    return lambda k, y_k, z_k: driver.value(nodes[k], ens.states[:, k, :], y_k, z_k)
+    rows = _state_rows(ens, n_cols)
+    return lambda k, y_k, z_k: driver.value(nodes[k], rows(k), y_k, z_k)
 
 
 def solve_bsde_lsmc(
@@ -323,30 +381,62 @@ def solve_bsde_lsmc(
     projected with the ensemble's plan for basis and opts.cond_limit, so
     each is factored by the first solve on the ensemble only.
     """
+    return solve_bsde_many(problem, [problem.terminal], basis, opts)[0]
+
+
+def solve_bsde_many(
+    problem: BsdeProblem,
+    terminals: Sequence[Callable],
+    basis: RegressionBasis = RegressionBasis(),
+    opts: SolveOptions = SolveOptions(),
+) -> list[BsdeSolution]:
+    """Solve the problem's driver for several terminal functionals at once.
+
+    One backward sweep on the problem's ensemble serves every terminal:
+    each step projects all of them in one product per response and
+    evaluates the driver once on their stacked rows. Solution r is that of
+    `solve_bsde_lsmc` with terminals[r], up to roundoff (bit for bit for a
+    single terminal). An error that belongs to one terminal, a non-finite
+    terminal value or a divergence, carries its position as `terminal_index`.
+    """
+    if len(terminals) == 0:
+        raise ValueError("terminals must be non-empty")
     ens = problem.ensemble
     plan = RegressionPlan.of(ens, basis, opts.cond_limit)
-    xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("terminal functional produced non-finite values")
+    m = ens.n_paths
+    xi = np.empty((m, len(terminals)))
+    for r, terminal in enumerate(terminals):
+        try:
+            xi[:, r] = np.asarray(terminal(ens), dtype=np.float64).reshape(m)
+            if not np.all(np.isfinite(xi[:, r])):
+                raise ValueError("terminal functional produced non-finite values")
+        except Exception as exc:
+            exc.terminal_index = r
+            raise
 
     y, z, cont, clips = _backward_solve(
         xi, ens.bundle.increments, ens.grid.dt, plan.step,
-        _driver_value(problem.driver, ens), opts.inner_picard_iters, z_clip=opts.z_clip,
+        _driver_value(problem.driver, ens, len(terminals)), opts.inner_picard_iters,
+        z_clip=opts.z_clip,
     )
-    m = ens.n_paths
-    # Monte Carlo error of the root value, estimated from the pathwise
-    # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt).
-    pathwise = y[:, -1] + np.sum(y[:, :-1] - cont, axis=1)
-    se = float(np.std(pathwise, ddof=1) / np.sqrt(m))
-    return BsdeSolution(
-        problem, plan,
-        y=y, z=z, continuation=cont,
-        y0=float(y[0, 0]),
-        y0_standard_error=se,
-        passes=max(1, opts.inner_picard_iters),
-        z_clip_count=clips,
-        max_abs_y=float(np.max(np.abs(y))),
-    )
+    solutions = []
+    for r, terminal in enumerate(terminals):
+        y_r, cont_r = y[:, :, r], cont[:, :, r]
+        # Monte Carlo error of the root value, estimated from the pathwise
+        # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt).
+        pathwise = y_r[:, -1] + np.sum(y_r[:, :-1] - cont_r, axis=1)
+        se = float(np.std(pathwise, ddof=1) / np.sqrt(m))
+        solutions.append(BsdeSolution(
+            problem if terminal is problem.terminal else replace(problem, terminal=terminal),
+            plan,
+            y=y_r, z=z[:, :, r], continuation=cont_r,
+            y0=float(y_r[0, 0]),
+            y0_standard_error=se,
+            passes=max(1, opts.inner_picard_iters),
+            z_clip_count=clips[:, r],
+            max_abs_y=float(np.max(np.abs(y_r))),
+        ))
+    return solutions
 
 
 def solve_truncated(
@@ -482,8 +572,7 @@ def check_comparison(
     if not mono.passed:
         raise InvalidDriverError(f"driver is not monotone in y (max df/dy = {mono.max_dy:.3e})")
 
-    sol_hi = solve_bsde_lsmc(replace(problem, terminal=terminal_high), basis, opts)
-    sol_lo = solve_bsde_lsmc(replace(problem, terminal=terminal_low), basis, opts)
+    sol_hi, sol_lo = solve_bsde_many(problem, [terminal_high, terminal_low], basis, opts)
     diff = sol_hi.y - sol_lo.y
     return ComparisonReport(
         y0_high=sol_hi.y0,
@@ -541,15 +630,12 @@ def check_convexity_and_jensen(
     if np.max(mid_gap) > 1e-9:
         raise ValueError("phi failed the midpoint convexity spot check")
 
-    sol1 = solve_bsde_lsmc(replace(problem, terminal=terminal_1), basis, opts)
-    sol2 = solve_bsde_lsmc(replace(problem, terminal=terminal_2), basis, opts)
-    sol_mix = solve_bsde_lsmc(
-        replace(problem, terminal=lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e)),
-        basis, opts,
-    )
-    sol_phi = solve_bsde_lsmc(
-        replace(problem, terminal=lambda e: phi.f(terminal_1(e))), basis, opts
-    )
+    sol1, sol2, sol_mix, sol_phi = solve_bsde_many(problem, [
+        terminal_1,
+        terminal_2,
+        lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e),
+        lambda e: phi.f(terminal_1(e)),
+    ], basis, opts)
 
     delta_cvx = lam * sol1.y0 + (1.0 - lam) * sol2.y0 - sol_mix.y0
     delta_jen = sol_phi.y0 - float(phi.f(sol1.y0))

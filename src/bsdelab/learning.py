@@ -20,11 +20,16 @@ so the gradient is exact only where the primary's `z_clip_count` is all
 zero. `train` defaults to `z_clip=10`; at `z_clip=2` a Free net with a
 cubic terminal showed a 4.3e-3 gap to finite differences of the loss.
 
-Gradients of the learning loss are assembled from these adjoints by the
-chain rule; the descent loop is plain gradient descent on a fixed noise
-bundle (common random numbers across iterations). `train` simulates the
-forward paths once and solves every iteration and record on that one
-ensemble, so each step's design is factored once per training run.
+The loss solves all its records in one backward sweep (`solve_bsde_many`).
+The adjoint is linear in its weights, so the loss gradient, the data term
+weighted 2 (Y0_i - O_i) / n at path 0 of record i and the normalization
+penalty's continuation weights together, is one adjoint per call: it
+carries an (m, R) multiplier for the R records and linearizes the driver
+once per pass and step on their stacked rows. The descent loop is plain
+gradient descent on a fixed noise bundle (common random numbers across
+iterations). `train` simulates the forward paths once and runs every
+iteration's sweep and adjoint on that one ensemble, so each step's design
+is factored once per training run.
 """
 
 from __future__ import annotations
@@ -40,8 +45,14 @@ from .engine import (
     BsdeProblem,
     BsdeSolution,
     RegressionBasis,
+    RegressionPlan,
     SolveOptions,
+    _columns,
+    _rows,
+    _stack,
+    _state_rows,
     solve_bsde_lsmc,
+    solve_bsde_many,
 )
 from .errors import SimulationDivergedError, SolverDivergedError, TrainingDivergedError
 from .stochastic import (
@@ -80,44 +91,56 @@ class SensitivitySolution:
 
 
 def _adjoint_gradient(
-    primary: BsdeSolution,
-    root: np.ndarray,
+    problem: BsdeProblem,
+    plan: RegressionPlan,
+    passes: int,
+    z: Sequence[np.ndarray],
+    continuation: Sequence[np.ndarray],
+    roots: np.ndarray,
     continuation_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Parameter gradient of root . V_0 + sum_k continuation_weights[:, k] . C_k.
+    """Parameter gradient of sum_r [roots[:, r] . V_0^r
+    + sum_k continuation_weights[:, k, r] . C_k^r] over R primaries.
 
-    V_k is the sensitivity slice dY_k/dtheta and C_k that of the regressed
-    continuation values, both of the discrete scheme along the primary
-    solution. The scheme is linear in (V, C), so the gradient is read from
-    its transpose: one adjoint m-vector lam_k, carried forward in time, with
-    V_0's weights root and V_n = 0.
+    Primary r is the solution, with Z paths z[r] (m, n, d) and regressed
+    continuation values continuation[r] (m, n), of the problem's driver on
+    its ensemble, projected with plan in `passes` inner passes per step, as
+    the solutions of one `solve_bsde_many` are. V_k^r is its sensitivity
+    slice dY_k/dtheta and C_k^r that of its continuation values, both of
+    the discrete scheme along that primary. The scheme is linear in (V, C),
+    so the gradient is read from its transpose: one adjoint lam_k of shape
+    (m, R), carried forward in time, with V_0's weights roots and V_n = 0.
+    Each step linearizes the driver once per pass on the R * m stacked
+    rows, and each pullback sums the R columns' gradients. The primaries'
+    Y paths are not read.
 
     Per step the linearized update is, pass by pass from v = C_k,
         v <- C_k + (dtheta f + dz f . Z_k + dy f v) dt,
         C_k = Pi V_{k+1},  Z_k,j = Pi((V_{k+1} - C_k) dW_j) / dt,
     with Pi the least-squares projection onto the step's design, read from
-    the primary solve's plan. The transpose of the passes runs
-    last pass first; Pi is symmetric, so
+    the plan. The transpose of the passes runs last pass first; Pi is
+    symmetric, so
         lam_{k+1} = Pi a_cont + (I - Pi)(sum_j dW_j Pi b_j) / dt
     for the adjoints a_cont of C_k and b of Z_k. The z clip of the primary
     is not differentiated, as in the forward scheme.
     """
-    ens = primary.problem.ensemble
-    driver = primary.problem.driver
-    m, n = ens.n_paths, ens.grid.n_steps
+    ens = problem.ensemble
+    driver = problem.driver
+    n_cols = len(z)
+    m, n, d = ens.n_paths, ens.grid.n_steps, ens.bundle.dim
     dt = ens.grid.dt
     nodes = ens.grid.nodes
     inc = ens.bundle.increments
-    passes = primary.passes
+    state_rows = _state_rows(ens, n_cols)
 
     grad = np.zeros(driver.params.size)
-    lam = root
+    lam = _rows(roots)
     for k in range(n):
-        x_k = ens.states[:, k, :]
-        z_k = primary.z[:, k, :]
-        cont = primary.continuation[:, k]
+        x_k = state_rows(k)
+        z_k = _stack([z_r[:, k, :] for z_r in z])
+        cont = _stack([cont_r[:, k] for cont_r in continuation])
 
-        # Linearize f where the primary evaluated it: the inner-pass y
+        # Linearize f where the primaries evaluated it: the inner-pass y
         # iterates are rebuilt from the stored continuation values.
         lins = []
         y_iter = cont
@@ -127,7 +150,8 @@ def _adjoint_gradient(
             y_iter = cont + lin.value * dt
 
         a = lam
-        a_cont = np.zeros(m) if continuation_weights is None else continuation_weights[:, k].copy()
+        a_cont = (np.zeros(n_cols * m) if continuation_weights is None
+                  else _rows(continuation_weights[:, k]).copy())
         b = np.zeros_like(z_k)
         for lin in reversed(lins):
             a_dt = a * dt
@@ -139,9 +163,10 @@ def _adjoint_gradient(
 
         if k + 1 == n:
             break   # V_n = 0: the terminal data do not depend on the parameters
-        design, fit = primary.plan.step(k)
-        mart = np.sum(fit.project(design, b) * inc[:, k, :], axis=1) / dt
-        lam = fit.project(design, a_cont - mart) + mart
+        design, fit = plan.step(k)
+        pb = fit.project(design, _columns(b, n_cols)).reshape(m, n_cols, d)
+        mart = np.sum(pb * np.ascontiguousarray(inc[:, k, :])[:, None, :], axis=2) / dt
+        lam = _rows(fit.project(design, _columns(a_cont, n_cols) - mart) + mart)
     return grad
 
 
@@ -154,9 +179,10 @@ def solve_sensitivity_bsde(primary: BsdeSolution) -> SensitivitySolution:
     path 0 of the root slice, as the primary reads it. The parameters are
     those of the primary's driver.
     """
-    root = np.zeros(primary.y.shape[0])
+    root = np.zeros((primary.y.shape[0], 1))
     root[0] = 1.0
-    grad = _adjoint_gradient(primary, root)
+    grad = _adjoint_gradient(primary.problem, primary.plan, primary.passes, [primary.z],
+                             [primary.continuation], root)
     return SensitivitySolution(grad_y0=grad, primary=primary)
 
 
@@ -315,45 +341,57 @@ def loss_and_gradient(
         ens = simulate_forward(dataset.model, dataset.grid, bundle)
     dt = dataset.grid.dt
     nodes = dataset.grid.nodes
-    n_params = driver.params.size
     n_records = len(dataset.records)
+
+    problem = BsdeProblem(driver=driver, ensemble=ens)
+    try:
+        sols = solve_bsde_many(problem, [rec.terminal for rec in dataset.records], basis, opts)
+    except Exception as exc:
+        i = getattr(exc, "terminal_index", None)
+        if i is None:
+            raise
+        try:
+            wrapped = type(exc)(f"record {i} ('{dataset.records[i].label}'): {exc}")
+        except TypeError:
+            exc.record_index = i
+            raise
+        raise wrapped from exc
+    plan, passes = sols[0].plan, sols[0].passes
+    y0s = np.array([sol.y0 for sol in sols])
+    z = [sol.z for sol in sols]
+    cont = [sol.continuation for sol in sols]
+    # The rest reads Z and the continuation values only: dropping the
+    # solutions frees the records' Y paths before the adjoint's driver
+    # linearizations, which grow with the R m stacked rows.
+    del sols
 
     data_term = 0.0
     norm_term = 0.0
-    grad = np.zeros(n_params)
-    y0s = np.empty(n_records)
-
+    grad = np.zeros(driver.params.size)
+    m = ens.n_paths
+    # Y0 is read from path 0, so the data term weights the adjoint there.
+    roots = np.zeros((m, n_records))
     for i, rec in enumerate(dataset.records):
-        try:
-            prob = BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens)
-            sol = solve_bsde_lsmc(prob, basis, opts)
-            sens = solve_sensitivity_bsde(sol)
-        except Exception as exc:
-            try:
-                wrapped = type(exc)(f"record {i} ('{rec.label}'): {exc}")
-            except TypeError:
-                exc.record_index = i
-                raise
-            raise wrapped from exc
-        y0s[i] = sol.y0
-        residual = sol.y0 - rec.observed
+        residual = y0s[i] - rec.observed
         data_term += residual * residual / n_records
-        grad += (2.0 * residual / n_records) * sens.grad_y0
+        roots[0, i] = 2.0 * residual / n_records
 
-        if lam_norm != 0.0:
-            # d/dtheta of mean f^2 at (Ytilde_k, 0): the direct term by the
-            # driver's pullback, the term through Ytilde_k = C_k by one more
-            # adjoint solve weighted on the continuation slices.
-            m = ens.n_paths
-            z0 = np.zeros_like(sol.z[:, 0, :])
-            cont_weights = np.empty((m, dataset.grid.n_steps))
-            scale = lam_norm * 2.0 * dt / n_records
-            for k in range(dataset.grid.n_steps):
-                lin = driver.linearize(nodes[k], ens.states[:, k, :], sol.continuation[:, k], z0)
-                norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
-                grad += scale * lin.pullback(lin.value / m)
-                cont_weights[:, k] = lin.value * lin.dy / m
-            grad += scale * _adjoint_gradient(sol, np.zeros(m), cont_weights)
+    cont_weights = None
+    if lam_norm != 0.0:
+        # d/dtheta of mean f^2 at (Ytilde_k, 0): the direct term by the
+        # driver's pullback, the term through Ytilde_k = C_k by continuation
+        # weights on the same adjoint as the data term.
+        state_rows = _state_rows(ens, n_records)
+        z0 = np.zeros((n_records * m, ens.bundle.dim))
+        cont_weights = np.empty((m, dataset.grid.n_steps, n_records))
+        scale = lam_norm * 2.0 * dt / n_records
+        for k in range(dataset.grid.n_steps):
+            lin = driver.linearize(nodes[k], state_rows(k), _stack([c[:, k] for c in cont]), z0)
+            per_record = np.mean(lin.value.reshape(n_records, m) ** 2, axis=1)
+            norm_term += float(np.sum(per_record)) * dt / n_records
+            grad += scale * lin.pullback(lin.value / m)
+            cont_weights[:, k] = scale * (lin.value * lin.dy / m).reshape(n_records, m).T
+    grad += _adjoint_gradient(problem, plan, passes, z, cont, roots, cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
     grad += 2.0 * lam_reg * driver.params

@@ -138,6 +138,15 @@ def _broadcast(vals, n: int) -> np.ndarray:
     return np.broadcast_to(np.asarray(vals, dtype=np.float64), (n,))
 
 
+def _per_particle(vals, n: int) -> np.ndarray:
+    """A per-particle coefficient as float64: a scalar, (1,) or (n,), the
+    shapes that broadcast to (n,). The Euler update broadcasts it itself."""
+    vals = np.asarray(vals, dtype=np.float64)
+    if vals.shape not in ((), (1,), (n,)):
+        raise ValueError(f"expected a scalar or {n} per-particle values, got shape {vals.shape}")
+    return vals
+
+
 def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarray,
                     x0: np.ndarray, flow: list | None = None):
     """Euler stepping of the cloud; live features when flow is None."""
@@ -151,8 +160,8 @@ def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarra
     for k in range(n):
         feats = compute_features(states[:, k], model.feature_names) if flow is None else flow[k]
         flow_out.append(feats)
-        b = _broadcast(model.drift(nodes[k], states[:, k], feats), n_particles)
-        s = _broadcast(model.diffusion(nodes[k], states[:, k], feats), n_particles)
+        b = _per_particle(model.drift(nodes[k], states[:, k], feats), n_particles)
+        s = _per_particle(model.diffusion(nodes[k], states[:, k], feats), n_particles)
         states[:, k + 1] = states[:, k] + b * dt + s * increments[:, k, 0]
     feats_T = compute_features(states[:, n], model.feature_names) if flow is None else flow[n]
     flow_out.append(feats_T)

@@ -11,13 +11,25 @@ fluctuation system's measure terms are also kept in their dense form, as
 build against bit for bit. The CLT experiment is kept as it was written
 with two backward solves per trial and per N, reading the terminal slice
 of each solution, to check the forward-only experiment against bit for bit.
+The learning loss, the comparison check and the convexity check are kept
+as they were written with one solve per terminal and, for the loss, one
+single-column adjoint per record, to check the batched sweep against; the
+cloud's Euler update is kept with every coefficient broadcast to (N,).
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from bsdelab.engine import RegressionBasis, SolveOptions
+from bsdelab.engine import (
+    BsdeProblem,
+    ComparisonReport,
+    ConvexityJensenReport,
+    RegressionBasis,
+    SolveOptions,
+    solve_bsde_lsmc,
+)
 from bsdelab.errors import NoContractionError, SingularRegressionError
 from bsdelab.meanfield import (
     CltResult,
@@ -26,6 +38,7 @@ from bsdelab.meanfield import (
     _measure_term,
     _simulate_cloud,
     _solve_cloud_backward,
+    compute_features,
     solve_mckean_vlasov,
 )
 from bsdelab.stochastic import TimeGrid, sample_brownian, simulate_forward, split_seed
@@ -182,6 +195,22 @@ def dense_measure_term(partials, names, x, u, ghost=None):
     return out
 
 
+def broadcast_simulate_cloud(model, grid, increments, x0, flow=None):
+    """Euler stepping of the cloud with every drift and diffusion value
+    broadcast to (N,) before the update."""
+    n_particles = x0.size
+    n, dt, nodes = grid.n_steps, grid.dt, grid.nodes
+    states = np.empty((n_particles, n + 1))
+    states[:, 0] = x0
+    for k in range(n):
+        feats = (compute_features(states[:, k], model.feature_names) if flow is None
+                 else flow[k])
+        b = _broadcast(model.drift(nodes[k], states[:, k], feats), n_particles)
+        s = _broadcast(model.diffusion(nodes[k], states[:, k], feats), n_particles)
+        states[:, k + 1] = states[:, k] + b * dt + s * increments[:, k, 0]
+    return states
+
+
 def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_worlds=1,
                        include_sampling_noise=False, degree=3):
     """The fluctuation solve with its V loop regressing by lstsq; returns (u, v, z)."""
@@ -282,3 +311,112 @@ def clt_reference(model, n_list, grid, n_trials, seed, basis=RegressionBasis(),
                      var_u_se=np.array(jackknife(samples_u)),
                      var_v_se=np.array(jackknife(samples_v)),
                      u0_std=u0_std, n_trials=n_trials)
+
+
+def single_adjoint_gradient(primary, root, continuation_weights=None):
+    """Parameter gradient of root . V_0 + sum_k continuation_weights[:, k] . C_k
+    for one primary, with an m-vector adjoint carried forward in time."""
+    ens = primary.problem.ensemble
+    driver = primary.problem.driver
+    m, n = ens.n_paths, ens.grid.n_steps
+    dt, nodes, inc = ens.grid.dt, ens.grid.nodes, ens.bundle.increments
+    grad = np.zeros(driver.params.size)
+    lam = root
+    for k in range(n):
+        x_k = ens.states[:, k, :]
+        z_k = primary.z[:, k, :]
+        cont = primary.continuation[:, k]
+        lins = []
+        y_iter = cont
+        for _ in range(primary.passes):
+            lin = driver.linearize(nodes[k], x_k, y_iter, z_k)
+            lins.append(lin)
+            y_iter = cont + lin.value * dt
+        a = lam
+        a_cont = np.zeros(m) if continuation_weights is None else continuation_weights[:, k].copy()
+        b = np.zeros_like(z_k)
+        for lin in reversed(lins):
+            a_dt = a * dt
+            grad += lin.pullback(a_dt)
+            a_cont += a
+            b += a_dt[:, None] * lin.dz
+            a = lin.dy * a_dt
+        a_cont += a
+        if k + 1 == n:
+            break
+        design, fit = primary.plan.step(k)
+        mart = np.sum(fit.project(design, b) * inc[:, k, :], axis=1) / dt
+        lam = fit.project(design, a_cont - mart) + mart
+    return grad
+
+
+def per_record_loss(dataset, driver, ensemble, lam_reg=0.0, lam_norm=0.0,
+                    basis=RegressionBasis(), opts=SolveOptions()):
+    """(loss, gradient, per-record Y0, per-record solutions): one solve and
+    one or two adjoints per record."""
+    ens = ensemble
+    dt, nodes = dataset.grid.dt, dataset.grid.nodes
+    n_records = len(dataset.records)
+    data_term = norm_term = 0.0
+    grad = np.zeros(driver.params.size)
+    y0s = np.empty(n_records)
+    sols = []
+    for i, rec in enumerate(dataset.records):
+        try:
+            sol = solve_bsde_lsmc(BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens),
+                                  basis, opts)
+        except Exception as exc:
+            raise type(exc)(f"record {i} ('{rec.label}'): {exc}") from exc
+        root = np.zeros(ens.n_paths)
+        root[0] = 1.0
+        sols.append(sol)
+        y0s[i] = sol.y0
+        residual = sol.y0 - rec.observed
+        data_term += residual * residual / n_records
+        grad += (2.0 * residual / n_records) * single_adjoint_gradient(sol, root)
+        if lam_norm != 0.0:
+            m = ens.n_paths
+            z0 = np.zeros_like(sol.z[:, 0, :])
+            cont_weights = np.empty((m, dataset.grid.n_steps))
+            scale = lam_norm * 2.0 * dt / n_records
+            for k in range(dataset.grid.n_steps):
+                lin = driver.linearize(nodes[k], ens.states[:, k, :], sol.continuation[:, k], z0)
+                norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
+                grad += scale * lin.pullback(lin.value / m)
+                cont_weights[:, k] = lin.value * lin.dy / m
+            grad += scale * single_adjoint_gradient(sol, np.zeros(m), cont_weights)
+    grad += 2.0 * lam_reg * driver.params
+    loss = data_term + float(lam_reg * driver.params @ driver.params) + lam_norm * norm_term
+    return loss, grad, y0s, sols
+
+
+def per_terminal_comparison(problem, terminal_high, terminal_low, basis=RegressionBasis(),
+                            opts=SolveOptions(), tol=0.0):
+    """The comparison report from one solve per terminal (no preconditions)."""
+    sol_hi = solve_bsde_lsmc(replace(problem, terminal=terminal_high), basis, opts)
+    sol_lo = solve_bsde_lsmc(replace(problem, terminal=terminal_low), basis, opts)
+    diff = sol_hi.y - sol_lo.y
+    return ComparisonReport(
+        y0_high=sol_hi.y0, y0_low=sol_lo.y0, y0_gap=sol_hi.y0 - sol_lo.y0,
+        per_step_min=diff.min(axis=0), violation_count=int(np.sum(diff < -tol)),
+        max_violation=float(max(0.0, -diff.min())),
+        mc_noise=max(sol_hi.y0_standard_error, sol_lo.y0_standard_error),
+    )
+
+
+def per_terminal_convexity(problem, terminal_1, terminal_2, lam, phi, basis=RegressionBasis(),
+                           opts=SolveOptions(), tol=0.0):
+    """The convexity and Jensen report from one solve per terminal (no preconditions)."""
+    solve = lambda terminal: solve_bsde_lsmc(replace(problem, terminal=terminal), basis, opts)
+    sol1, sol2 = solve(terminal_1), solve(terminal_2)
+    sol_mix = solve(lambda e: lam * terminal_1(e) + (1.0 - lam) * terminal_2(e))
+    sol_phi = solve(lambda e: phi.f(terminal_1(e)))
+    delta_cvx = lam * sol1.y0 + (1.0 - lam) * sol2.y0 - sol_mix.y0
+    delta_jen = sol_phi.y0 - float(phi.f(sol1.y0))
+    return ConvexityJensenReport(
+        delta_convexity=float(delta_cvx), delta_jensen=float(delta_jen),
+        y0_mix=sol_mix.y0, y0_1=sol1.y0, y0_2=sol2.y0,
+        mc_noise=max(sol1.y0_standard_error, sol2.y0_standard_error,
+                     sol_mix.y0_standard_error, sol_phi.y0_standard_error),
+        tol=tol, passed=(delta_cvx >= -tol) and (delta_jen >= -tol),
+    )

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 
 from bsdelab import engine, stochastic
 from bsdelab.drivers import (
+    AnalyticDriver,
     TruncatedDriver,
     entropic_driver,
     linear_z_driver,
@@ -31,6 +32,7 @@ from bsdelab.engine import (
     effective_drift_decomposition,
     export_solution_csv,
     solve_bsde_lsmc,
+    solve_bsde_many,
     solve_fbsde_picard,
     solve_truncated,
 )
@@ -40,6 +42,7 @@ from bsdelab.errors import (
     NoContractionError,
     OracleOverflowError,
     SingularRegressionError,
+    SolverDivergedError,
 )
 from bsdelab.learning import Dataset, DatasetRecord, loss_and_gradient, solve_sensitivity_bsde
 from bsdelab.nets import NetLayout, build_driver, build_homogeneous_icnn
@@ -401,6 +404,104 @@ class TestRegressionPlan:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def assert_close(batched, reference, rel=1e-12):
+    reference = np.asarray(reference, dtype=np.float64)
+    scale = max(float(np.max(np.abs(reference))), 1e-300)
+    assert float(np.max(np.abs(np.asarray(batched) - reference))) <= rel * scale
+
+
+class TestBatchedSweep:
+    """One backward sweep for several terminals against one solve per terminal."""
+
+    OPTS = (SolveOptions(), SolveOptions(z_clip=0.5, inner_picard_iters=3))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["entropic", "free-net", "truncated"])
+    def test_single_terminal_is_bit_identical(self, name, d):
+        problem = reference_problem(name, d)
+        basis, opts = RegressionBasis(), SolveOptions(z_clip=0.5)
+        (many,) = solve_bsde_many(problem, [problem.terminal], basis, opts)
+        solo = solve_bsde_lsmc(problem, basis, opts)
+        assert solo.z_clip_count.sum() > 0
+        assert many.problem is problem and many.plan is solo.plan
+        for field in ("y", "z", "continuation", "z_clip_count"):
+            np.testing.assert_array_equal(getattr(many, field), getattr(solo, field))
+        for field in ("y0", "y0_standard_error", "passes", "max_abs_y"):
+            assert getattr(many, field) == getattr(solo, field)
+        np.testing.assert_array_equal(solve_sensitivity_bsde(many).grad_y0,
+                                      solve_sensitivity_bsde(solo).grad_y0)
+
+    @pytest.mark.parametrize("opts", OPTS, ids=["default", "clip-0.5-passes-3"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", ["zero", "linear", "entropic", "free-net", "truncated"])
+    def test_matches_one_solve_per_terminal(self, name, d, opts):
+        problem = reference_problem(name, d)
+        terminals = [problem.terminal,
+                     lambda e: 2.0 * e.states[:, -1, -1],
+                     lambda e: np.cos(3.0 * e.states[:, -1, 0]) - 0.5]
+        batched = solve_bsde_many(problem, terminals, opts=opts)
+        assert len(batched) == 3
+        for terminal, sol in zip(terminals, batched):
+            ref = solve_bsde_lsmc(replace(problem, terminal=terminal), opts=opts)
+            assert sol.problem.terminal is terminal
+            for field in ("y", "z", "continuation"):
+                assert_close(getattr(sol, field), getattr(ref, field))
+            assert abs(sol.y0 - ref.y0) <= 1e-12 * max(np.max(np.abs(ref.y)), 1e-300)
+            assert sol.y0_standard_error == pytest.approx(ref.y0_standard_error, rel=1e-10)
+            assert sol.max_abs_y == pytest.approx(ref.max_abs_y, rel=1e-12)
+            np.testing.assert_array_equal(sol.z_clip_count, ref.z_clip_count)
+        if opts.z_clip == 0.5:
+            assert all(sol.z_clip_count.sum() > 0 for sol in batched)
+
+    def test_comparison_matches_one_solve_per_terminal(self):
+        net = build_driver("MonotoneY", NetLayout(hidden=(5,)), init_seed=2)
+        problem = brownian_problem(net, n_paths=3_000, n_steps=10, seed=8)
+        high, low = (lambda e: np.abs(W_T(e)) + 0.1), (lambda e: np.zeros(e.n_paths))
+        rep = check_comparison(problem, high, low, tol=1e-3)
+        ref = lstsq_reference.per_terminal_comparison(problem, high, low, tol=1e-3)
+        scale = max(abs(ref.y0_high), abs(ref.y0_low))
+        for field in ("y0_high", "y0_low", "y0_gap", "max_violation"):
+            assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-12 * scale
+        assert_close(rep.per_step_min, ref.per_step_min)
+        assert rep.violation_count == ref.violation_count
+        assert rep.mc_noise == pytest.approx(ref.mc_noise, rel=1e-10)
+
+    def test_convexity_matches_one_solve_per_terminal(self):
+        problem = brownian_problem(quadratic_z_driver(0.5), n_paths=3_000, n_steps=10, seed=8)
+        second = lambda e: np.maximum(W_T(e), 0.0)
+        rep = check_convexity_and_jensen(problem, W_T, second, 0.3, SmoothFunction.square())
+        ref = lstsq_reference.per_terminal_convexity(problem, W_T, second, 0.3,
+                                                     SmoothFunction.square())
+        scale = max(abs(ref.y0_1), abs(ref.y0_2), abs(ref.y0_mix))
+        for field in ("y0_1", "y0_2", "y0_mix", "delta_convexity", "delta_jensen"):
+            assert abs(getattr(rep, field) - getattr(ref, field)) <= 1e-12 * scale
+        assert rep.mc_noise == pytest.approx(ref.mc_noise, rel=1e-10)
+        assert rep.passed == ref.passed
+
+    def test_errors_name_the_first_bad_terminal(self):
+        problem = reference_problem("zero", 1)
+        nan = lambda e: np.full(e.n_paths, np.nan)
+        with pytest.raises(ValueError, match="non-finite") as info:
+            solve_bsde_many(problem, [W_T, nan, nan])
+        assert info.value.terminal_index == 1
+
+        # The driver blows up below t = 0.5 where |y| > 10: terminals 1 and 2
+        # diverge at step 3 of 8, terminal 0 never does.
+        driver = AnalyticDriver(
+            value_fn=lambda p, t, x, y, z: np.where((t < 0.5) & (np.abs(y) > 10.0), np.inf, 0.0),
+            grad_fn=lambda p, t, x, y, z: (0.0, np.zeros_like(z), np.zeros((x.shape[0], 1))),
+            params=[0.0],
+        )
+        big = lambda e: 100.0 + W_T(e)
+        with pytest.raises(SolverDivergedError, match="at step 3") as info:
+            solve_bsde_many(replace(problem, driver=driver), [W_T, big, big])
+        assert info.value.terminal_index == 1
+
+    def test_no_terminals_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            solve_bsde_many(reference_problem("zero", 1), [])
 
 
 class TestTruncation:

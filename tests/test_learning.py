@@ -17,8 +17,9 @@ from bsdelab.engine import (
     RegressionBasis,
     SolveOptions,
     solve_bsde_lsmc,
+    solve_bsde_many,
 )
-from bsdelab.errors import TrainingDivergedError
+from bsdelab.errors import SolverDivergedError, TrainingDivergedError
 from bsdelab.learning import (
     Dataset,
     DatasetRecord,
@@ -37,6 +38,7 @@ from bsdelab.stochastic import (
     simulate_forward,
     split_seed,
 )
+import lstsq_reference
 from sensitivity_reference import forward_sensitivity
 
 W_T = lambda ens: ens.states[:, -1, 0]
@@ -320,6 +322,130 @@ class TestLoss:
         bundle = sample_brownian(grid, 256, 1, seed=0)
         with pytest.raises(ValueError, match="record 0"):
             loss_and_gradient(dataset, entropic_driver(1.0), bundle=bundle)
+
+
+def scaled_records(scales, terminal=W_T, theta=1.5):
+    return tuple(
+        DatasetRecord(terminal=(lambda cc: (lambda ens: cc * terminal(ens)))(c),
+                      observed=-theta * c * c / 2.0, label=f"scale-{c}")
+        for c in scales
+    )
+
+
+def dataset_ensemble(dataset, seed=4):
+    d = dataset.model.state_dim   # Brownian models: one noise per state coordinate
+    bundle = sample_brownian(dataset.grid, dataset.n_paths, d, seed=seed)
+    return simulate_forward(dataset.model, dataset.grid, bundle)
+
+
+class TestBatchedLoss:
+    """The loss from one sweep and one adjoint against one solve and one or
+    two adjoints per record."""
+
+    @staticmethod
+    def assert_matches_per_record(dataset, driver, ens, lam_reg=0.0, lam_norm=0.0,
+                                  opts=SolveOptions()):
+        report = loss_and_gradient(dataset, driver, lam_reg, lam_norm, opts=opts, ensemble=ens)
+        loss, grad, y0s, ref_sols = lstsq_reference.per_record_loss(
+            dataset, driver, ens, lam_reg, lam_norm, opts=opts)
+        assert report.loss == pytest.approx(loss, rel=1e-12)
+        np.testing.assert_allclose(report.per_record_y0, y0s, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(report.gradient - grad)) <= 1e-12 * np.max(np.abs(grad))
+        sols = solve_bsde_many(BsdeProblem(driver=driver, ensemble=ens),
+                               [rec.terminal for rec in dataset.records], opts=opts)
+        for sol, ref in zip(sols, ref_sols):
+            for field in ("y", "z", "continuation"):
+                batched, single = getattr(sol, field), getattr(ref, field)
+                assert np.max(np.abs(batched - single)) <= 1e-12 * np.max(np.abs(single))
+            np.testing.assert_array_equal(sol.z_clip_count, ref.z_clip_count)
+        return sols
+
+    def test_entropic_with_the_clip_binding(self):
+        # train_entropic's setup: 10 records, 4 000 paths, 25 steps, z_clip 10.
+        grid = make_time_grid(1.0, 25)
+        dataset = Dataset(records=scaled_records([0.2 * i for i in range(1, 11)]), grid=grid,
+                          n_paths=4_000)
+        ens = dataset_ensemble(dataset, seed=split_seed(11, "train-bundle"))
+        sols = self.assert_matches_per_record(dataset, entropic_driver(0.3), ens,
+                                              opts=SolveOptions(z_clip=10.0))
+        assert sum(int(sol.z_clip_count.sum()) for sol in sols) > 0
+
+    def test_free_net_with_the_normalization_penalty(self):
+        dataset = small_dataset(n_paths=2_000, n_steps=10, scales=(0.5, 1.0, 1.5))
+        net = build_driver("Free", NetLayout(hidden=(5,)), init_seed=3)
+        self.assert_matches_per_record(dataset, net, dataset_ensemble(dataset), lam_reg=0.01,
+                                       lam_norm=0.5, opts=SolveOptions(inner_picard_iters=2))
+
+    def test_truncated_driver(self):
+        dataset = small_dataset(n_paths=2_000, n_steps=10, scales=(0.5, 2.0, 3.0))
+        net = build_driver("MonotoneY", NetLayout(hidden=(5,)), init_seed=2)
+        truncated = TruncatedDriver(net, 0.4)
+        sols = self.assert_matches_per_record(dataset, truncated, dataset_ensemble(dataset),
+                                              lam_norm=0.3, opts=SolveOptions(z_clip=None))
+        assert any(np.any(np.abs(sol.y) > 0.4) for sol in sols)
+
+    def test_two_dimensional_paths(self):
+        grid = make_time_grid(1.0, 8)
+        second = lambda ens: ens.states[:, -1, 0] * ens.states[:, -1, 1]
+        dataset = Dataset(records=scaled_records([0.5, 1.0]) + scaled_records([0.7], second),
+                          grid=grid, model=brownian_model(2), n_paths=2_000)
+        net = build_driver("Free", NetLayout(state_dim=2, z_dim=2, hidden=(4,)), init_seed=6)
+        self.assert_matches_per_record(dataset, net, dataset_ensemble(dataset), lam_norm=0.2,
+                                       opts=SolveOptions(z_clip=0.5, inner_picard_iters=3))
+
+    def test_one_record_is_bit_identical_to_its_own_solve(self):
+        dataset = small_dataset(n_paths=1_000, n_steps=8, scales=(1.0,))
+        net = build_driver("Free", NetLayout(hidden=(4,)), init_seed=5)
+        ens = dataset_ensemble(dataset)
+        report = loss_and_gradient(dataset, net, ensemble=ens)
+        sol = solve_bsde_lsmc(BsdeProblem(driver=net, terminal=dataset.records[0].terminal,
+                                          ensemble=ens))
+        residual = sol.y0 - dataset.records[0].observed
+        assert report.per_record_y0[0] == sol.y0
+        root = np.zeros(ens.n_paths)
+        root[0] = 2.0 * residual
+        np.testing.assert_array_equal(solve_sensitivity_bsde(sol).grad_y0,
+                                      lstsq_reference.single_adjoint_gradient(sol, root / root[0]))
+        np.testing.assert_array_equal(report.gradient,
+                                      lstsq_reference.single_adjoint_gradient(sol, root))
+
+    def test_a_non_finite_terminal_names_its_record(self):
+        grid = make_time_grid(1.0, 5)
+        bad = DatasetRecord(terminal=lambda ens: np.full(ens.n_paths, np.nan),
+                            observed=0.0, label="broken")
+        records = scaled_records([0.5]) + (bad,) + scaled_records([1.0])
+        dataset = Dataset(records=records, grid=grid, n_paths=256)
+        ens = dataset_ensemble(dataset, seed=0)
+        with pytest.raises(ValueError) as ref:
+            lstsq_reference.per_record_loss(dataset, entropic_driver(1.0), ens)
+        with pytest.raises(ValueError, match=r"record 1 \('broken'\)") as info:
+            loss_and_gradient(dataset, entropic_driver(1.0), ensemble=ens)
+        assert str(info.value) == str(ref.value)
+
+    @pytest.mark.parametrize("bad_records", [(1,), (1, 2)])
+    def test_a_divergence_names_its_record_and_step(self, bad_records):
+        # The driver blows up below t = 0.5 where |y| > 10, so the records
+        # with a large terminal diverge partway through the sweep, at step 4
+        # of 10; the first of them is named.
+        grid = make_time_grid(1.0, 10)
+        records = tuple(
+            DatasetRecord(terminal=(lambda c: lambda ens: c + W_T(ens))(100.0 if i in bad_records
+                                                                        else 0.0),
+                          observed=0.0, label=f"rec-{i}")
+            for i in range(3)
+        )
+        dataset = Dataset(records=records, grid=grid, n_paths=500)
+        driver = AnalyticDriver(
+            value_fn=lambda p, t, x, y, z: np.where((t < 0.5) & (np.abs(y) > 10.0), np.inf, 0.0),
+            grad_fn=lambda p, t, x, y, z: (0.0, np.zeros_like(z), np.zeros((x.shape[0], 1))),
+            params=[0.0],
+        )
+        ens = dataset_ensemble(dataset, seed=0)
+        with pytest.raises(SolverDivergedError) as ref:
+            lstsq_reference.per_record_loss(dataset, driver, ens)
+        with pytest.raises(SolverDivergedError, match=r"record 1 \('rec-1'\).*at step 4") as info:
+            loss_and_gradient(dataset, driver, ensemble=ens)
+        assert str(info.value) == str(ref.value)
 
 
 class TestTraining:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -123,6 +124,34 @@ class TestParticles:
     def test_unknown_feature_rejected(self):
         with pytest.raises(ValueError, match="sorted_sample"):
             compute_features(np.arange(4.0), ("mean", "sorted_sample"))
+
+    @pytest.mark.parametrize("shape", ["scalar", "one", "per-particle"])
+    def test_cloud_matches_the_broadcast_update(self, shape):
+        # The Euler update broadcasts scalar, (1,) and (N,) coefficients
+        # itself; the states equal those of the update that broadcast each
+        # value to (N,) first, bit for bit.
+        grid = make_time_grid(1.0, 12)
+        n = 64
+        wrap = {"scalar": float, "one": lambda v: np.full(1, v),
+                "per-particle": lambda v: np.full(n, v)}[shape]
+        model = replace(mean_reversion_to_crowd_model(sigma=0.3),
+                        diffusion=lambda t, x, feats: wrap(0.3 + 0.1 * t))
+        inc = sample_brownian(grid, n, 1, seed=4).increments
+        x0 = model.initial_sampler(n, 2)
+        states, _ = meanfield._simulate_cloud(model, grid, inc, x0)
+        np.testing.assert_array_equal(
+            states, lstsq_reference.broadcast_simulate_cloud(model, grid, inc, x0))
+
+    @pytest.mark.parametrize("bad", [(64, 1), (63,), (1, 64)])
+    def test_cloud_rejects_coefficients_that_do_not_broadcast_to_the_cloud(self, bad):
+        # A (N, 1) drift would otherwise broadcast against the (N,) states
+        # into an (N, N) update.
+        grid = make_time_grid(1.0, 4)
+        model = replace(mean_reversion_to_crowd_model(),
+                        drift=lambda t, x, feats: np.zeros(bad))
+        inc = sample_brownian(grid, 64, 1, seed=4).increments
+        with pytest.raises(ValueError, match=re.escape(f"got shape {bad}")):
+            meanfield._simulate_cloud(model, grid, inc, np.zeros(64))
 
     def test_flow_driver_rejects_off_grid_times(self):
         grid = make_time_grid(1.0, 4)
