@@ -7,17 +7,29 @@ features and the value is the regressed continuation plus the driver
 increment, optionally refined by inner fixed-point passes for implicitness
 in y. `_backward_solve` is that loop for the primary solve, the
 dynamic-consistency tail and the fluctuation system's V loop. It sweeps R
-terminals on one ensemble at once, as R columns: per step one design, one
-(m, R) projection for the continuation values, one (m, R d) projection for
+terminals on one ensemble at once, as R records: per step one design, one
+(R, m) projection for the continuation values, one (R d, m) projection for
 the martingale increments, one clip call and one driver evaluation on the
 R m stacked rows. `solve_bsde_many` returns one solution per terminal, and
 the loss and the comparison and convexity checks solve their terminals in
-that one sweep; `solve_bsde_lsmc` is its one-column case. Conditional
-expectations use global polynomial least squares on standardized
-monomials, with one factorization per step: the R factor of the design's
-QR, whose singular values give the rank (count above
+that one sweep; `solve_bsde_lsmc` is its one-column case.
+
+Per-path data is time-major, as in `stochastic`: the sweep keeps Y, Z and
+the continuation values in record-major (R, n + 1, m), (R, n, m, d) and
+(R, n, m) buffers, so each step of each record is one contiguous row of m
+values, and the R rows of a step are the R m stacked rows of the driver
+call. A solution's y, z and continuation are (m, n + 1), (m, n, d) and
+(m, n) views of its one contiguous record, and responses are projected
+as rows of m values. The design stays row-major (m, p): a column-major
+design builds faster, but BLAS then sums every projection's A^T b in
+another order, which moves Z by several 1e-13 of its scale at 100 000
+paths.
+
+Conditional expectations use global polynomial least squares on
+standardized monomials, with one factorization per step: the R factor of
+the design's QR, whose singular values give the rank (count above
 eps * max(m, p) * sigma_max) and the condition number checked against
-cond_limit; a response b projects as A R^-1 R^-T A^T b. The projections
+cond_limit; a response row b projects as b A R^-1 R^-T A^T. The projections
 depend on the forward states alone, so each ensemble keeps one
 `RegressionPlan` per basis and cond_limit: the first solve on the ensemble
 factors each step, and every later solve on it projects with the stored
@@ -147,8 +159,9 @@ class RegressionBasis:
 class Projection:
     """Least-squares projection onto one step's design A, from R^-1 of A's QR.
 
-    The transform rebuilds A from the step's states; it is None for designs
-    that are not a basis of the state alone.
+    Responses are rows: an (m,) vector or a (c, m) stack of them, one value
+    per path. The transform rebuilds A from the step's states; it is None
+    for designs that are not a basis of the state alone.
     """
 
     r_inv: np.ndarray
@@ -156,10 +169,11 @@ class Projection:
     transform: DesignTransform | None = None
 
     def coef(self, design: np.ndarray, response: np.ndarray) -> np.ndarray:
-        return self.r_inv @ (self.r_inv.T @ (design.T @ response))
+        """The coefficients of each response row on the design's columns."""
+        return response @ design @ self.r_inv @ self.r_inv.T
 
     def project(self, design: np.ndarray, response: np.ndarray) -> np.ndarray:
-        return design @ self.coef(design, response)
+        return self.coef(design, response) @ design.T
 
 
 def fit_projection(design: np.ndarray, step: int, cond_limit: float,
@@ -244,6 +258,8 @@ class SolveOptions:
 class BsdeSolution:
     problem: BsdeProblem       # its ensemble holds the forward paths the solve ran on
     plan: RegressionPlan       # the ensemble's fits, each with its condition number
+    # Views of one contiguous time-major record: y[:, k] and z[:, k, :]
+    # are contiguous blocks.
     y: np.ndarray              # (m, n_steps + 1)
     z: np.ndarray              # (m, n_steps, d)
     continuation: np.ndarray   # (m, n_steps) regressed continuation values
@@ -255,29 +271,13 @@ class BsdeSolution:
 
 
 def _clip_z(z: np.ndarray, mult: float):
-    """Clip each column to median +- mult * IQR (none if the IQR is 0);
-    returns (clipped, per-column clip counts)."""
-    q1, med, q3 = np.percentile(z, [25.0, 50.0, 75.0], axis=0)
+    """Clip each row to median +- mult * IQR (none if the IQR is 0);
+    returns (clipped, per-row clip counts)."""
+    q1, med, q3 = np.percentile(z, [25.0, 50.0, 75.0], axis=1, keepdims=True)
     iqr = q3 - q1
     lo = np.where(iqr > 0, med - mult * iqr, -np.inf)
     hi = np.where(iqr > 0, med + mult * iqr, np.inf)
-    return np.clip(z, lo, hi), np.count_nonzero((z < lo) | (z > hi), axis=0)
-
-
-def _rows(a: np.ndarray) -> np.ndarray:
-    """(m, R, ...) per-path columns as (R * m, ...) stacked rows, record-major."""
-    return np.swapaxes(a, 0, 1).reshape(-1, *a.shape[2:])
-
-
-def _columns(rows: np.ndarray, n_cols: int) -> np.ndarray:
-    """(R * m, c) or (R * m,) stacked rows as an (m, R * c) response whose
-    column r * c + j is component j of column r: the inverse of `_rows`."""
-    m = rows.shape[0] // n_cols
-    return np.swapaxes(rows.reshape(n_cols, m, -1), 0, 1).reshape(m, -1)
-
-
-def _stack(parts: list) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.clip(z, lo, hi), np.count_nonzero((z < lo) | (z > hi), axis=1)
 
 
 def _state_rows(ens: PathEnsemble, n_cols: int) -> Callable:
@@ -309,25 +309,27 @@ def _backward_solve(
 ):
     """The LSMC recursion over the steps of increments, from terminal values.
 
-    terminal_values is (m,) for one terminal or (m, R) for R terminals on
+    terminal_values is (m,) for one terminal or (R, m) for R terminals on
     the same paths. Per step the design is projected once for every
-    column: the continuation values as one (m, R) response and (Y - C) dW
-    as one (m, R * d) response. step_design(k) gives step k's (design,
-    Projection) and step_value(k, y, z) the driver value on the R * m
-    stacked rows (see `_rows`). Returns (y, z, continuation, clip counts),
-    shaped (m, n + 1), (m, n, d), (m, n) and (n,) for one terminal and
-    (m, n + 1, R), (m, n, R, d), (m, n, R) and (n, R) for R.
+    column: the continuation values as R response rows and (Y - C) dW as
+    R * d rows, row r * d + j for component j of column r.
+    step_design(k) gives step k's (design, Projection) and
+    step_value(k, y, z) the driver value on the R * m stacked rows, column
+    r in rows r * m to (r + 1) * m. Returns (y, z, continuation, clip
+    counts): record-major buffers (R, n + 1, m), (R, n, m, d), (R, n, m)
+    and (R, n) for R terminals, and for one terminal the (m, n + 1),
+    (m, n, d), (m, n) and (n,) views of its record.
     """
     m, n, d = increments.shape
-    xi = terminal_values.reshape(m, -1)
-    n_cols = xi.shape[1]
-    y = np.empty((m, n + 1, n_cols))
-    z = np.zeros((m, n, n_cols, d))
-    cont = np.empty((m, n, n_cols))
-    clips = np.zeros((n, n_cols), dtype=int)
+    xi = terminal_values.reshape(-1, m)
+    n_cols = xi.shape[0]
+    y = np.empty((n_cols, n + 1, m))
+    z = np.empty((n_cols, n, m, d))
+    cont = np.empty((n_cols, n, m))
+    clips = np.zeros((n_cols, n), dtype=int)
 
     y[:, n] = xi
-    _check_finite(xi.T, n_cols, "non-finite terminal values")
+    _check_finite(xi, n_cols, "non-finite terminal values")
 
     for k in range(n - 1, -1, -1):
         design, fit = step_design(k)
@@ -336,29 +338,26 @@ def _backward_solve(
         # Martingale-increment regression for Z with the continuation value
         # as control variate: E[(Y - c)dW | X] = E[Y dW | X], at far lower
         # response variance (the compounding term of the plain estimator).
-        # A contiguous copy: broadcasting the strided slice is several times slower.
-        dw = np.ascontiguousarray(increments[:, k, :])
-        dw_response = (y[:, k + 1] - c_k)[:, :, None] * dw[:, None, :]
-        z_k = fit.project(design, dw_response.reshape(m, n_cols * d)) / dt
+        dw_response = (y[:, k + 1] - c_k)[:, None, :] * increments[:, k, :].T
+        z_k = fit.project(design, dw_response.reshape(n_cols * d, m)) / dt
         if z_clip is not None and np.isfinite(z_clip):
             z_k, counts = _clip_z(z_k, z_clip)
-            clips[k] = counts.reshape(n_cols, d).sum(axis=1)
-        z_k = z_k.reshape(m, n_cols, d)
+            clips[:, k] = counts.reshape(n_cols, d).sum(axis=1)
+        z[:, k] = np.swapaxes(z_k.reshape(n_cols, d, m), 1, 2)
 
-        c_rows = _rows(c_k)
-        z_rows = _rows(z_k)
+        c_rows = c_k.reshape(-1)
+        z_rows = z[:, k].reshape(n_cols * m, d)
         y_rows = c_rows
         for _ in range(max(1, passes)):
             _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
             y_rows = c_rows + step_value(k, y_rows, z_rows) * dt
         _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
 
-        y[:, k] = y_rows.reshape(n_cols, m).T
-        z[:, k] = z_k
+        y[:, k] = y_rows.reshape(n_cols, m)
         cont[:, k] = c_k
 
     if terminal_values.ndim == 1:
-        return y[:, :, 0], z[:, :, 0], cont[:, :, 0], clips[:, 0]
+        return y[0].T, np.swapaxes(z[0], 0, 1), cont[0].T, clips[0]
     return y, z, cont, clips
 
 
@@ -384,6 +383,37 @@ def solve_bsde_lsmc(
     return solve_bsde_many(problem, [problem.terminal], basis, opts)[0]
 
 
+def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
+           basis: RegressionBasis, opts: SolveOptions):
+    """One backward sweep for the terminals on the problem's ensemble.
+
+    Returns (plan, y, z, continuation, clip counts), the last four
+    record-major as `_backward_solve` keeps them. An error that belongs to
+    one terminal, a non-finite terminal value or a divergence, carries its
+    position as `terminal_index`.
+    """
+    if len(terminals) == 0:
+        raise ValueError("terminals must be non-empty")
+    ens = problem.ensemble
+    plan = RegressionPlan.of(ens, basis, opts.cond_limit)
+    m = ens.n_paths
+    xi = np.empty((len(terminals), m))
+    for r, terminal in enumerate(terminals):
+        try:
+            xi[r] = np.asarray(terminal(ens), dtype=np.float64).reshape(m)
+            if not np.all(np.isfinite(xi[r])):
+                raise ValueError("terminal functional produced non-finite values")
+        except Exception as exc:
+            exc.terminal_index = r
+            raise
+
+    return (plan,) + _backward_solve(
+        xi, ens.bundle.increments, ens.grid.dt, plan.step,
+        _driver_value(problem.driver, ens, len(terminals)), opts.inner_picard_iters,
+        z_clip=opts.z_clip,
+    )
+
+
 def solve_bsde_many(
     problem: BsdeProblem,
     terminals: Sequence[Callable],
@@ -396,45 +426,30 @@ def solve_bsde_many(
     each step projects all of them in one product per response and
     evaluates the driver once on their stacked rows. Solution r is that of
     `solve_bsde_lsmc` with terminals[r], up to roundoff (bit for bit for a
-    single terminal). An error that belongs to one terminal, a non-finite
-    terminal value or a divergence, carries its position as `terminal_index`.
+    single terminal), and its arrays are views of record r of the sweep's
+    buffers. An error that belongs to one terminal, a non-finite terminal
+    value or a divergence, carries its position as `terminal_index`.
     """
-    if len(terminals) == 0:
-        raise ValueError("terminals must be non-empty")
-    ens = problem.ensemble
-    plan = RegressionPlan.of(ens, basis, opts.cond_limit)
-    m = ens.n_paths
-    xi = np.empty((m, len(terminals)))
-    for r, terminal in enumerate(terminals):
-        try:
-            xi[:, r] = np.asarray(terminal(ens), dtype=np.float64).reshape(m)
-            if not np.all(np.isfinite(xi[:, r])):
-                raise ValueError("terminal functional produced non-finite values")
-        except Exception as exc:
-            exc.terminal_index = r
-            raise
-
-    y, z, cont, clips = _backward_solve(
-        xi, ens.bundle.increments, ens.grid.dt, plan.step,
-        _driver_value(problem.driver, ens, len(terminals)), opts.inner_picard_iters,
-        z_clip=opts.z_clip,
-    )
+    plan, y, z, cont, clips = _sweep(problem, terminals, basis, opts)
+    _, n, m = cont.shape
     solutions = []
     for r, terminal in enumerate(terminals):
-        y_r, cont_r = y[:, :, r], cont[:, :, r]
         # Monte Carlo error of the root value, estimated from the pathwise
-        # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt).
-        pathwise = y_r[:, -1] + np.sum(y_r[:, :-1] - cont_r, axis=1)
-        se = float(np.std(pathwise, ddof=1) / np.sqrt(m))
+        # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt),
+        # summed step by step rather than through an (n, m) temporary.
+        euler_sum = np.zeros(m)
+        for k in range(n):
+            euler_sum += y[r, k] - cont[r, k]
+        se = float(np.std(y[r, -1] + euler_sum, ddof=1) / np.sqrt(m))
         solutions.append(BsdeSolution(
             problem if terminal is problem.terminal else replace(problem, terminal=terminal),
             plan,
-            y=y_r, z=z[:, :, r], continuation=cont_r,
-            y0=float(y_r[0, 0]),
+            y=y[r].T, z=np.swapaxes(z[r], 0, 1), continuation=cont[r].T,
+            y0=float(y[r, 0, 0]),
             y0_standard_error=se,
             passes=max(1, opts.inner_picard_iters),
-            z_clip_count=clips[:, r],
-            max_abs_y=float(np.max(np.abs(y_r))),
+            z_clip_count=clips[r],
+            max_abs_y=float(max(y[r].max(), -y[r].min())),
         ))
     return solutions
 
@@ -825,20 +840,20 @@ class FieldTable:
     """Regressed (y, z) fields, evaluable at new states per step."""
 
     fits: tuple
-    coefs: list      # per step, the coefficients of [Y_k, Z_k] on the step's design
+    coefs: list      # per step, the coefficients of [Y_k, Z_k] on the step's design, one row each
 
     def y_field(self, k: int, x: np.ndarray) -> np.ndarray:
-        return self.fits[k].transform.apply(x) @ self.coefs[k][:, 0]
+        return self.fits[k].transform.apply(x) @ self.coefs[k][0]
 
     def z_field(self, k: int, x: np.ndarray) -> np.ndarray:
-        return self.fits[k].transform.apply(x) @ self.coefs[k][:, 1:]
+        return self.fits[k].transform.apply(x) @ self.coefs[k][1:].T
 
 
 def _fit_fields(sol: BsdeSolution) -> FieldTable:
     coefs = []
     for k in range(sol.problem.ensemble.grid.n_steps):
         design, fit = sol.plan.step(k)
-        coefs.append(fit.coef(design, np.column_stack([sol.y[:, k], sol.z[:, k, :]])))
+        coefs.append(fit.coef(design, np.vstack([sol.y[:, k], sol.z[:, k, :].T])))
     return FieldTable(fits=tuple(sol.plan.fits), coefs=coefs)
 
 

@@ -20,11 +20,13 @@ so the gradient is exact only where the primary's `z_clip_count` is all
 zero. `train` defaults to `z_clip=10`; at `z_clip=2` a Free net with a
 cubic terminal showed a 4.3e-3 gap to finite differences of the loss.
 
-The loss solves all its records in one backward sweep (`solve_bsde_many`).
+The loss solves all its records in one backward sweep, the one
+`solve_bsde_many` runs, and reads Z and the continuation values from the
+sweep's record-major buffers: step k of every record is one block there.
 The adjoint is linear in its weights, so the loss gradient, the data term
 weighted 2 (Y0_i - O_i) / n at path 0 of record i and the normalization
 penalty's continuation weights together, is one adjoint per call: it
-carries an (m, R) multiplier for the R records and linearizes the driver
+carries an (R, m) multiplier for the R records and linearizes the driver
 once per pass and step on their stacked rows. The descent loop is plain
 gradient descent on a fixed noise bundle (common random numbers across
 iterations). `train` simulates the forward paths once and runs every
@@ -47,12 +49,9 @@ from .engine import (
     RegressionBasis,
     RegressionPlan,
     SolveOptions,
-    _columns,
-    _rows,
-    _stack,
     _state_rows,
+    _sweep,
     solve_bsde_lsmc,
-    solve_bsde_many,
 )
 from .errors import SimulationDivergedError, SolverDivergedError, TrainingDivergedError
 from .stochastic import (
@@ -94,22 +93,23 @@ def _adjoint_gradient(
     problem: BsdeProblem,
     plan: RegressionPlan,
     passes: int,
-    z: Sequence[np.ndarray],
-    continuation: Sequence[np.ndarray],
+    z: np.ndarray,
+    continuation: np.ndarray,
     roots: np.ndarray,
     continuation_weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Parameter gradient of sum_r [roots[:, r] . V_0^r
-    + sum_k continuation_weights[:, k, r] . C_k^r] over R primaries.
+    """Parameter gradient of sum_r [roots[r] . V_0^r
+    + sum_k continuation_weights[r, k] . C_k^r] over R primaries.
 
-    Primary r is the solution, with Z paths z[r] (m, n, d) and regressed
-    continuation values continuation[r] (m, n), of the problem's driver on
+    Primary r is the solution, with Z paths z[r] (n, m, d) and regressed
+    continuation values continuation[r] (n, m), of the problem's driver on
     its ensemble, projected with plan in `passes` inner passes per step, as
-    the solutions of one `solve_bsde_many` are. V_k^r is its sensitivity
+    the records of one backward sweep are; z, continuation and the weights
+    are record-major, as the sweep stores them. V_k^r is its sensitivity
     slice dY_k/dtheta and C_k^r that of its continuation values, both of
     the discrete scheme along that primary. The scheme is linear in (V, C),
     so the gradient is read from its transpose: one adjoint lam_k of shape
-    (m, R), carried forward in time, with V_0's weights roots and V_n = 0.
+    (R, m), carried forward in time, with V_0's weights roots and V_n = 0.
     Each step linearizes the driver once per pass on the R * m stacked
     rows, and each pullback sums the R columns' gradients. The primaries'
     Y paths are not read.
@@ -126,19 +126,18 @@ def _adjoint_gradient(
     """
     ens = problem.ensemble
     driver = problem.driver
-    n_cols = len(z)
-    m, n, d = ens.n_paths, ens.grid.n_steps, ens.bundle.dim
+    n_cols, n, m, d = z.shape
     dt = ens.grid.dt
     nodes = ens.grid.nodes
     inc = ens.bundle.increments
     state_rows = _state_rows(ens, n_cols)
 
     grad = np.zeros(driver.params.size)
-    lam = _rows(roots)
+    lam = roots.reshape(-1)
     for k in range(n):
         x_k = state_rows(k)
-        z_k = _stack([z_r[:, k, :] for z_r in z])
-        cont = _stack([cont_r[:, k] for cont_r in continuation])
+        z_k = z[:, k].reshape(n_cols * m, d)
+        cont = continuation[:, k].reshape(n_cols * m)
 
         # Linearize f where the primaries evaluated it: the inner-pass y
         # iterates are rebuilt from the stored continuation values.
@@ -151,7 +150,7 @@ def _adjoint_gradient(
 
         a = lam
         a_cont = (np.zeros(n_cols * m) if continuation_weights is None
-                  else _rows(continuation_weights[:, k]).copy())
+                  else continuation_weights[:, k].flatten())
         b = np.zeros_like(z_k)
         for lin in reversed(lins):
             a_dt = a * dt
@@ -164,9 +163,11 @@ def _adjoint_gradient(
         if k + 1 == n:
             break   # V_n = 0: the terminal data do not depend on the parameters
         design, fit = plan.step(k)
-        pb = fit.project(design, _columns(b, n_cols)).reshape(m, n_cols, d)
-        mart = np.sum(pb * np.ascontiguousarray(inc[:, k, :])[:, None, :], axis=2) / dt
-        lam = _rows(fit.project(design, _columns(a_cont, n_cols) - mart) + mart)
+        # b's rows r * m + i as response rows r * d + j, one per component.
+        b_rows = np.swapaxes(b.reshape(n_cols, m, d), 1, 2).reshape(n_cols * d, m)
+        pb = fit.project(design, b_rows).reshape(n_cols, d, m)
+        mart = np.sum(pb * inc[:, k, :].T, axis=1) / dt
+        lam = (fit.project(design, a_cont.reshape(n_cols, m) - mart) + mart).reshape(-1)
     return grad
 
 
@@ -179,10 +180,11 @@ def solve_sensitivity_bsde(primary: BsdeSolution) -> SensitivitySolution:
     path 0 of the root slice, as the primary reads it. The parameters are
     those of the primary's driver.
     """
-    root = np.zeros((primary.y.shape[0], 1))
-    root[0] = 1.0
-    grad = _adjoint_gradient(primary.problem, primary.plan, primary.passes, [primary.z],
-                             [primary.continuation], root)
+    root = np.zeros((1, primary.y.shape[0]))
+    root[0, 0] = 1.0
+    grad = _adjoint_gradient(primary.problem, primary.plan, primary.passes,
+                             np.swapaxes(primary.z, 0, 1)[None], primary.continuation.T[None],
+                             root)
     return SensitivitySolution(grad_y0=grad, primary=primary)
 
 
@@ -345,7 +347,8 @@ def loss_and_gradient(
 
     problem = BsdeProblem(driver=driver, ensemble=ens)
     try:
-        sols = solve_bsde_many(problem, [rec.terminal for rec in dataset.records], basis, opts)
+        plan, y, z, cont, _ = _sweep(problem, [rec.terminal for rec in dataset.records],
+                                     basis, opts)
     except Exception as exc:
         i = getattr(exc, "terminal_index", None)
         if i is None:
@@ -356,25 +359,22 @@ def loss_and_gradient(
             exc.record_index = i
             raise
         raise wrapped from exc
-    plan, passes = sols[0].plan, sols[0].passes
-    y0s = np.array([sol.y0 for sol in sols])
-    z = [sol.z for sol in sols]
-    cont = [sol.continuation for sol in sols]
-    # The rest reads Z and the continuation values only: dropping the
-    # solutions frees the records' Y paths before the adjoint's driver
-    # linearizations, which grow with the R m stacked rows.
-    del sols
+    y0s = y[:, 0, 0].copy()
+    # The rest reads Z and the continuation values only: dropping Y frees
+    # the records' Y paths before the adjoint's driver linearizations,
+    # which grow with the R m stacked rows.
+    del y
 
     data_term = 0.0
     norm_term = 0.0
     grad = np.zeros(driver.params.size)
     m = ens.n_paths
     # Y0 is read from path 0, so the data term weights the adjoint there.
-    roots = np.zeros((m, n_records))
+    roots = np.zeros((n_records, m))
     for i, rec in enumerate(dataset.records):
         residual = y0s[i] - rec.observed
         data_term += residual * residual / n_records
-        roots[0, i] = 2.0 * residual / n_records
+        roots[i, 0] = 2.0 * residual / n_records
 
     cont_weights = None
     if lam_norm != 0.0:
@@ -383,15 +383,16 @@ def loss_and_gradient(
         # weights on the same adjoint as the data term.
         state_rows = _state_rows(ens, n_records)
         z0 = np.zeros((n_records * m, ens.bundle.dim))
-        cont_weights = np.empty((m, dataset.grid.n_steps, n_records))
+        cont_weights = np.empty((n_records, dataset.grid.n_steps, m))
         scale = lam_norm * 2.0 * dt / n_records
         for k in range(dataset.grid.n_steps):
-            lin = driver.linearize(nodes[k], state_rows(k), _stack([c[:, k] for c in cont]), z0)
+            lin = driver.linearize(nodes[k], state_rows(k), cont[:, k].reshape(-1), z0)
             per_record = np.mean(lin.value.reshape(n_records, m) ** 2, axis=1)
             norm_term += float(np.sum(per_record)) * dt / n_records
             grad += scale * lin.pullback(lin.value / m)
-            cont_weights[:, k] = scale * (lin.value * lin.dy / m).reshape(n_records, m).T
-    grad += _adjoint_gradient(problem, plan, passes, z, cont, roots, cont_weights)
+            cont_weights[:, k] = scale * (lin.value * lin.dy / m).reshape(n_records, m)
+    grad += _adjoint_gradient(problem, plan, max(1, opts.inner_picard_iters), z, cont, roots,
+                              cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
     grad += 2.0 * lam_reg * driver.params

@@ -122,7 +122,7 @@ class MeanFieldModel:
 
 @dataclass(frozen=True)
 class ParticleRun:
-    states: np.ndarray            # (N, n_steps + 1)
+    states: np.ndarray            # (N, n_steps + 1), views of time-major buffers
     y: np.ndarray                 # (N, n_steps + 1)
     z: np.ndarray                 # (N, n_steps)
     features: list                # per node, length n_steps + 1
@@ -149,23 +149,26 @@ def _per_particle(vals, n: int) -> np.ndarray:
 
 def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarray,
                     x0: np.ndarray, flow: list | None = None):
-    """Euler stepping of the cloud; live features when flow is None."""
+    """Euler stepping of the cloud; live features when flow is None.
+
+    Returns the (N, n_steps + 1) states, a view of a time-major buffer, and
+    the feature flow."""
     n_particles = x0.size
     n = grid.n_steps
     dt = grid.dt
     nodes = grid.nodes
-    states = np.empty((n_particles, n + 1))
-    states[:, 0] = x0
+    states = np.empty((n + 1, n_particles))
+    states[0] = x0
     flow_out = []
     for k in range(n):
-        feats = compute_features(states[:, k], model.feature_names) if flow is None else flow[k]
+        feats = compute_features(states[k], model.feature_names) if flow is None else flow[k]
         flow_out.append(feats)
-        b = _per_particle(model.drift(nodes[k], states[:, k], feats), n_particles)
-        s = _per_particle(model.diffusion(nodes[k], states[:, k], feats), n_particles)
-        states[:, k + 1] = states[:, k] + b * dt + s * increments[:, k, 0]
-    feats_T = compute_features(states[:, n], model.feature_names) if flow is None else flow[n]
+        b = _per_particle(model.drift(nodes[k], states[k], feats), n_particles)
+        s = _per_particle(model.diffusion(nodes[k], states[k], feats), n_particles)
+        states[k + 1] = states[k] + b * dt + s * increments[:, k, 0]
+    feats_T = compute_features(states[n], model.feature_names) if flow is None else flow[n]
     flow_out.append(feats_T)
-    return states, flow_out
+    return states.T, flow_out
 
 
 class _FlowDriver:
@@ -655,41 +658,41 @@ def solve_fluctuation_system(
 
         def linear_term(dx, dmu, k):
             """dx U + E'[dmu U'], plus the centered sampling forcing, at node k."""
-            x_k, f_k, u_k = states[:, k], flow[k], u[:, k]
+            x_k, f_k, u_k = states[:, k], flow[k], u[k]
             return (_broadcast(dx(nodes[k], x_k, f_k), per_world) * u_k
                     + _measure_term(dmu(nodes[k], x_k, f_k), names, x_k, u_k,
                                     None if ghost is None else ghost[0, k]))
 
         # The backward forcing from U depends on forward data only, so it is
-        # collected in the forward pass.
-        u = np.empty((per_world, n + 1))
-        forcing = np.empty((per_world, n))
-        dy_f = np.empty((per_world, n))
-        dz_f = np.empty((per_world, n))
-        u[:, 0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
+        # collected in the forward pass, time-major like the states.
+        u = np.empty((n + 1, per_world))
+        forcing = np.empty((n, per_world))
+        dy_f = np.empty((n, per_world))
+        dz_f = np.empty((n, per_world))
+        u[0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
         for k in range(n):
             drift = linear_term(coeffs.dx_b, coeffs.dmu_b, k)
             diff = linear_term(coeffs.dx_sigma, coeffs.dmu_sigma, k)
-            forcing[:, k] = linear_term(coeffs.dx_f, coeffs.dmu_f, k)
-            dy_f[:, k] = _broadcast(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
-            dz_f[:, k] = _broadcast(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
-            u[:, k + 1] = u[:, k] + drift * dt + diff * inc[:, k, 0]
+            forcing[k] = linear_term(coeffs.dx_f, coeffs.dmu_f, k)
+            dy_f[k] = _broadcast(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
+            dz_f[k] = _broadcast(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
+            u[k + 1] = u[k] + drift * dt + diff * inc[:, k, 0]
         # Terminal derivatives take no time argument.
         timeless = lambda fn: lambda t, *args: fn(*args)
         v_t = linear_term(timeless(coeffs.dx_g), timeless(coeffs.dmu_g), n)
 
         def step_design(k):
-            design = _augmented_design(basis, states[:, k], u[:, k])
+            design = _augmented_design(basis, states[:, k], u[k])
             return design, fit_projection(design, k, opts.cond_limit)
 
         def step_value(k, v_k, z_k):
-            return forcing[:, k] + dz_f[:, k] * z_k[:, 0] + dy_f[:, k] * v_k
+            return forcing[k] + dz_f[k] * z_k[:, 0] + dy_f[k] * v_k
 
         v, zv, _, _ = _backward_solve(v_t, inc, dt, step_design, step_value,
                                       opts.inner_picard_iters)
         zv = zv[:, :, 0]
 
-        all_u.append(u)
+        all_u.append(u.T)
         all_v.append(v)
         all_z.append(zv)
 

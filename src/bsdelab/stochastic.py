@@ -5,6 +5,16 @@ counter-based Philox generator, so every stochastic quantity is a pure
 function of (seed, shape). Gaussian increments are produced by inverse-CDF
 of strictly interior uniforms, which keeps common-random-number couplings
 monotone under parameter perturbations.
+
+Per-path data is stored time-major: the Brownian increments in an
+(n_steps, n_paths, dim) buffer and the forward states in an
+(n_steps + 1, n_paths, state_dim) one. `BrownianBundle.increments` and
+`PathEnsemble.states` are path-major (n_paths, ...) views of those buffers,
+so every step's slice `[:, k, :]` is one C-contiguous block, which is what
+the backward recursion reads step by step. An array given to either class
+in path-major order is copied time-major once, at construction. The draw
+itself keeps the path-major stream order: `sample_brownian` fills the
+buffer in blocks of paths, and `save_bundle` writes path-major bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ __all__ = [
 ]
 
 _BUNDLE_MAGIC = b"BWB1"
+# Paths per block when a path-major draw, sum or dump meets a time-major
+# buffer: small enough that a block's temporaries stay in cache.
+_PATH_BLOCK = 4096
 
 
 def split_seed(seed: int, *labels) -> int:
@@ -94,17 +107,34 @@ def make_time_grid(horizon: float, n_steps: int) -> TimeGrid:
     return TimeGrid(float(horizon), int(n_steps))
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """a (n_paths, n, dim) as a view whose step slices a[:, k, :] are each
+    one C-contiguous block: a itself if they are, else a time-major copy
+    that keeps a's writeable flag."""
+    if a.ndim != 3:
+        raise ValueError(f"expected an (n_paths, n_steps, dim) array, got shape {a.shape}")
+    if a[:, :1].flags.c_contiguous:
+        return a
+    steps = np.ascontiguousarray(np.swapaxes(a, 0, 1))
+    steps.setflags(write=a.flags.writeable)
+    return np.swapaxes(steps, 0, 1)
+
+
 @dataclass(frozen=True)
 class BrownianBundle:
     """Brownian increments for a batch of paths.
 
-    increments has shape (n_paths, n_steps, dim); each coordinate is
-    N(0, dt) and the whole array is a pure function of the seed.
+    increments has shape (n_paths, n_steps, dim), a view of a time-major
+    (n_steps, n_paths, dim) buffer; each coordinate is N(0, dt) and the
+    whole array is a pure function of the seed.
     """
 
     increments: np.ndarray
     dt: float
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "increments", _time_major(self.increments))
 
     @property
     def n_paths(self) -> int:
@@ -119,21 +149,36 @@ class BrownianBundle:
         return self.increments.shape[2]
 
     def terminal_motion(self) -> np.ndarray:
-        """W_T per path, shape (n_paths, dim)."""
-        return self.increments.sum(axis=1)
+        """W_T per path, shape (n_paths, dim).
+
+        Each path's increments are summed as a path-major array sums them,
+        block by block, so W_T does not depend on the storage order.
+        """
+        w = np.empty((self.n_paths, self.dim))
+        for i in range(0, self.n_paths, _PATH_BLOCK):
+            w[i:i + _PATH_BLOCK] = np.ascontiguousarray(
+                self.increments[i:i + _PATH_BLOCK]).sum(axis=1)
+        return w
 
 
 def sample_brownian(grid: TimeGrid, n_paths: int, dim: int, seed: int) -> BrownianBundle:
-    """Sample i.i.d. Gaussian increments with variance dt per coordinate."""
+    """Sample i.i.d. Gaussian increments with variance dt per coordinate.
+
+    The stream is drawn in path-major order, one block of paths at a time,
+    so the values are those of one (n_paths, n_steps, dim) draw, bit for bit.
+    """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     gen = _generator(split_seed(seed, "brownian-bundle", n_paths, grid.n_steps, dim))
-    z = _standard_normal(gen, (n_paths, grid.n_steps, dim))
-    inc = z * np.sqrt(grid.dt)
-    inc.setflags(write=False)
-    return BrownianBundle(increments=inc, dt=grid.dt, seed=int(seed))
+    scale = np.sqrt(grid.dt)
+    steps = np.empty((grid.n_steps, n_paths, dim))
+    for i in range(0, n_paths, _PATH_BLOCK):
+        block = _standard_normal(gen, (min(_PATH_BLOCK, n_paths - i), grid.n_steps, dim))
+        np.multiply(block, scale, out=np.swapaxes(steps[:, i:i + len(block)], 0, 1))
+    steps.setflags(write=False)
+    return BrownianBundle(increments=np.swapaxes(steps, 0, 1), dt=grid.dt, seed=int(seed))
 
 
 def save_bundle(bundle: BrownianBundle, path) -> None:
@@ -142,18 +187,20 @@ def save_bundle(bundle: BrownianBundle, path) -> None:
         fh.write(_BUNDLE_MAGIC)
         fh.write(struct.pack("<qqqq", bundle.n_paths, bundle.n_steps, bundle.dim, bundle.seed))
         fh.write(struct.pack("<d", bundle.dt))
-        fh.write(np.ascontiguousarray(bundle.increments, dtype="<f8").tobytes())
+        for i in range(0, bundle.n_paths, _PATH_BLOCK):
+            block = bundle.increments[i:i + _PATH_BLOCK]
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
 def load_bundle(path) -> BrownianBundle:
+    """Read a `save_bundle` dump; the path-major body is stored time-major."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _BUNDLE_MAGIC:
             raise ValueError("not a bundle dump")
         n_paths, n_steps, dim, seed = struct.unpack("<qqqq", fh.read(32))
         (dt,) = struct.unpack("<d", fh.read(8))
-        body = np.frombuffer(fh.read(), dtype="<f8").reshape(n_paths, n_steps, dim).copy()
-    body.setflags(write=False)
+        body = np.frombuffer(fh.read(), dtype="<f8").reshape(n_paths, n_steps, dim)
     return BrownianBundle(increments=body, dt=dt, seed=seed)
 
 
@@ -184,7 +231,8 @@ class ForwardModel:
 class PathEnsemble:
     """Euler paths with the grid and bundle that produced them.
 
-    states has shape (n_paths, n_steps + 1, state_dim) and
+    states has shape (n_paths, n_steps + 1, state_dim), a view of a
+    time-major (n_steps + 1, n_paths, state_dim) buffer, and
     states[:, 0, :] = x0 for every path. Regression plans on these states
     (`engine.RegressionPlan.of`) are kept in _plans.
     """
@@ -193,6 +241,9 @@ class PathEnsemble:
     grid: TimeGrid
     bundle: BrownianBundle
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", _time_major(self.states))
 
     @property
     def n_paths(self) -> int:
@@ -243,10 +294,10 @@ def simulate_forward(
     inc = bundle.increments
     nodes = grid.nodes
     dt = grid.dt
-    states = np.empty((m, grid.n_steps + 1, n), dtype=np.float64)
-    states[:, 0, :] = model.x0
+    states = np.empty((grid.n_steps + 1, m, n), dtype=np.float64)
+    states[0] = model.x0
 
-    x = states[:, 0, :]
+    x = states[0]
     for k in range(grid.n_steps):
         t = nodes[k]
         if model.coupled_in_yz:
@@ -261,10 +312,10 @@ def simulate_forward(
         if not np.all(np.isfinite(x)):
             bad = np.argwhere(~np.isfinite(x))
             raise SimulationDivergedError(path=bad[0, 0], step=k + 1)
-        states[:, k + 1, :] = x
+        states[k + 1] = x
 
     states.setflags(write=False)
-    return PathEnsemble(states=states, grid=grid, bundle=bundle)
+    return PathEnsemble(states=np.swapaxes(states, 0, 1), grid=grid, bundle=bundle)
 
 
 def wasserstein2_1d(samples_a: Sequence[float], samples_b: Sequence[float]) -> float:

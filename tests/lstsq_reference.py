@@ -345,7 +345,7 @@ def single_adjoint_gradient(primary, root, continuation_weights=None):
         if k + 1 == n:
             break
         design, fit = primary.plan.step(k)
-        mart = np.sum(fit.project(design, b) * inc[:, k, :], axis=1) / dt
+        mart = np.sum(fit.project(design, b.T).T * inc[:, k, :], axis=1) / dt
         lam = fit.project(design, a_cont - mart) + mart
     return grad
 

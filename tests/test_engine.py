@@ -468,6 +468,33 @@ class TestBatchedSweep:
         assert rep.violation_count == ref.violation_count
         assert rep.mc_noise == pytest.approx(ref.mc_noise, rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_records_are_time_major(self, d):
+        # Every per-step slice the recursion and the adjoint read is one
+        # contiguous block, and each record's Y is one contiguous block.
+        problem = reference_problem("free-net", d)
+        ens = problem.ensemble
+        terminals = [problem.terminal, lambda e: 2.0 * e.states[:, -1, -1],
+                     lambda e: np.cos(3.0 * e.states[:, -1, 0])]
+        sols = solve_bsde_many(problem, terminals, opts=SolveOptions(z_clip=0.5))
+        n = ens.grid.n_steps
+        for k in range(n + 1):
+            assert ens.states[:, k, :].flags.c_contiguous
+        for k in range(n):
+            assert ens.bundle.increments[:, k, :].flags.c_contiguous
+        for sol in sols:
+            assert sol.y.T.flags.c_contiguous
+            for k in range(n + 1):
+                assert sol.y[:, k].flags.c_contiguous
+            for k in range(n):
+                assert sol.z[:, k, :].flags.c_contiguous
+                assert sol.continuation[:, k].flags.c_contiguous
+        path_major = np.ascontiguousarray(ens.states)
+        assert not path_major[:, 0, :].flags.c_contiguous
+        copy = PathEnsemble(states=path_major, grid=ens.grid, bundle=ens.bundle)
+        assert np.swapaxes(copy.states, 0, 1).flags.c_contiguous
+        np.testing.assert_array_equal(copy.states, ens.states)
+
     def test_convexity_matches_one_solve_per_terminal(self):
         problem = brownian_problem(quadratic_z_driver(0.5), n_paths=3_000, n_steps=10, seed=8)
         second = lambda e: np.maximum(W_T(e), 0.0)

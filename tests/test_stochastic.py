@@ -1,11 +1,17 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from bsdelab import stochastic
 from bsdelab.errors import SimulationDivergedError
 from bsdelab.stochastic import (
+    BrownianBundle,
     ForwardModel,
+    PathEnsemble,
     brownian_model,
     geometric_brownian_model,
     load_bundle,
@@ -90,6 +96,108 @@ class TestBrownianSampling:
         np.testing.assert_array_equal(back.increments, bundle.increments)
         assert back.seed == bundle.seed
         assert back.dt == bundle.dt
+
+    @pytest.mark.parametrize("n_paths", [37, 2 * stochastic._PATH_BLOCK + 37])
+    def test_dump_body_is_path_major(self, tmp_path, n_paths):
+        # The file keeps the path-major format; the loaded bundle is stored
+        # time-major and sums W_T as the draw does.
+        grid = make_time_grid(0.5, 3)
+        bundle = sample_brownian(grid, n_paths, 2, seed=11)
+        path = tmp_path / "bundle.bin"
+        save_bundle(bundle, path)
+        reference = one_shot_increments(grid, n_paths, 2, seed=11)
+        header = b"BWB1" + struct.pack("<qqqqd", n_paths, 3, 2, 11, grid.dt)
+        assert path.read_bytes() == header + reference.astype("<f8").tobytes()
+        back = load_bundle(path)
+        assert_time_major(back.increments)
+        assert not back.increments.flags.writeable
+        np.testing.assert_array_equal(back.increments, reference)
+        np.testing.assert_array_equal(back.terminal_motion(), reference.sum(axis=1))
+
+
+def one_shot_increments(grid, n_paths, dim, seed):
+    """The increments as one (n_paths, n_steps, dim) draw, path-major: the
+    reference the blocked, time-major fill must equal bit for bit."""
+    gen = stochastic._generator(
+        split_seed(seed, "brownian-bundle", n_paths, grid.n_steps, dim))
+    return stochastic._standard_normal(gen, (n_paths, grid.n_steps, dim)) * np.sqrt(grid.dt)
+
+
+def path_major_euler(model, grid, increments):
+    """Euler states of a decoupled model stepped on a path-major array."""
+    m = increments.shape[0]
+    states = np.empty((m, grid.n_steps + 1, model.state_dim))
+    states[:, 0, :] = model.x0
+    x = states[:, 0, :]
+    for k in range(grid.n_steps):
+        t = grid.nodes[k]
+        b = np.broadcast_to(model.drift(t, x), x.shape)
+        sig = np.broadcast_to(model.diffusion(t, x), x.shape + (increments.shape[2],))
+        x = x + b * grid.dt + np.einsum("pnd,pd->pn", sig, increments[:, k, :])
+        states[:, k + 1, :] = x
+    return states
+
+
+def assert_time_major(a):
+    assert np.swapaxes(a, 0, 1).flags.c_contiguous
+    for k in range(a.shape[1]):
+        assert a[:, k, :].flags.c_contiguous
+
+
+MIX = np.array([[0.3, 0.1], [0.0, 0.2]])
+LINEAR_2D = ForwardModel(drift=lambda t, x: -0.5 * x, diffusion=lambda t, x: MIX,
+                         x0=np.array([0.2, -0.1]), state_dim=2)
+
+
+class TestTimeMajorStorage:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n_paths", [
+        100,                                  # less than one block
+        stochastic._PATH_BLOCK,               # exactly one block
+        2 * stochastic._PATH_BLOCK + 37,      # not a multiple of the block
+    ])
+    def test_blocked_draw_is_the_one_shot_draw(self, n_paths, dim):
+        grid = make_time_grid(1.0, 6)
+        bundle = sample_brownian(grid, n_paths, dim, seed=3)
+        reference = one_shot_increments(grid, n_paths, dim, seed=3)
+        assert_time_major(bundle.increments)
+        assert np.array_equal(bundle.increments, reference)
+        assert np.array_equal(bundle.terminal_motion(), reference.sum(axis=1))
+        model = LINEAR_2D if dim == 2 else geometric_brownian_model(0.05, 0.3, 1.0)
+        ens = simulate_forward(model, grid, bundle)
+        assert_time_major(ens.states)
+        assert np.array_equal(ens.states, path_major_euler(model, grid, reference))
+
+    def test_draw_and_states_match_recorded_digests(self):
+        # blake2b digests of the path-major bytes, recorded from the one-shot
+        # draw and the path-major Euler loop (x86-64, numpy 2.4, scipy 1.17):
+        # any change to the bits of the draw, W_T or the Euler states fails.
+        grid = make_time_grid(1.0, 6)
+        bundle = sample_brownian(grid, stochastic._PATH_BLOCK + 5, 2, seed=20261019)
+        ens = simulate_forward(LINEAR_2D, grid, bundle)
+        digest = lambda a: hashlib.blake2b(np.ascontiguousarray(a).tobytes(),
+                                           digest_size=16).hexdigest()
+        assert digest(bundle.increments) == "7cc5fcd07e5a1a114614b084f29db865"
+        assert digest(bundle.terminal_motion()) == "721c44aa0cbb29823ef5a4e51add74ca"
+        assert digest(ens.states) == "5228b476fed57ed29d253113ebb5c0cd"
+
+    def test_path_major_arrays_are_stored_time_major(self):
+        grid = make_time_grid(1.0, 4)
+        increments = np.random.default_rng(0).standard_normal((50, 4, 2))
+        bundle = BrownianBundle(increments=increments, dt=grid.dt, seed=0)
+        assert_time_major(bundle.increments)
+        np.testing.assert_array_equal(bundle.increments, increments)
+        np.testing.assert_array_equal(bundle.terminal_motion(), increments.sum(axis=1))
+        states = np.random.default_rng(1).standard_normal((50, 5, 2))
+        ens = PathEnsemble(states=states, grid=grid, bundle=bundle)
+        assert_time_major(ens.states)
+        np.testing.assert_array_equal(ens.states, states)
+        # A time-major view is kept as it is, not copied again.
+        assert PathEnsemble(states=ens.states, grid=grid, bundle=bundle).states is ens.states
+
+    def test_arrays_that_are_not_three_dimensional_are_rejected(self):
+        with pytest.raises(ValueError, match="n_paths, n_steps, dim"):
+            BrownianBundle(increments=np.zeros((10, 4)), dt=0.25, seed=0)
 
 
 class TestForwardSimulation:
