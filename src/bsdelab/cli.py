@@ -6,6 +6,10 @@ reproduces its report bit for bit (timings aside). Reports carry the full
 config echo, a hash of it, one row per check with the measured value and
 tolerance, and the paths of the CSV artifacts written.
 
+`_KINDS` is the config format: the keys each kind reads, with their
+defaults. A config is resolved against it before a run starts, and a key it
+does not list for the kind is a config error at the key's dotted path.
+
 Exit codes: 0 all checks passed, 1 a check failed, 2 malformed config,
 3 numerical failure (divergence or singular regression).
 """
@@ -14,66 +18,26 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import glob
 import hashlib
+import inspect
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import drivers, engine, learning, meanfield, merton, nets
+from . import drivers, engine, learning, meanfield, merton, nets, stochastic
 from .errors import BsdelabError, ConfigError
-from .stochastic import make_time_grid, sample_brownian, split_seed
+from .stochastic import (ForwardModel, brownian_model, geometric_brownian_model,
+                         make_time_grid, sample_brownian, split_seed)
 
 __all__ = ["ExperimentConfig", "CheckResult", "RunReport", "run_experiment",
            "emit_report", "parse_report", "main"]
-
-_KINDS = ("solve", "verify-axioms", "oracle-suite", "train", "meanfield-lln",
-          "meanfield-clt", "fbsde", "merton", "calibrate")
-
-_SUBCOMMAND_KINDS = {
-    "solve": ("solve",),
-    "verify": ("verify-axioms", "oracle-suite"),
-    "train": ("train",),
-    "meanfield": ("meanfield-lln", "meanfield-clt"),
-    "fbsde": ("fbsde",),
-    "merton": ("merton",),
-    "calibrate": ("calibrate",),
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    kind: str
-    seed: int
-    out_dir: str
-    options: dict
-
-    @staticmethod
-    def from_dict(raw: dict) -> "ExperimentConfig":
-        if "kind" not in raw:
-            raise ConfigError("kind", "missing")
-        if raw["kind"] not in _KINDS:
-            raise ConfigError("kind", f"unknown kind '{raw['kind']}'")
-        if "seed" not in raw:
-            raise ConfigError("seed", "missing (runs must be seeded)")
-        if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
-            raise ConfigError("seed", "must be an integer")
-        options = {k: v for k, v in raw.items() if k not in ("kind", "seed", "out")}
-        return ExperimentConfig(kind=raw["kind"], seed=raw["seed"],
-                                out_dir=raw.get("out", "runs"), options=options)
-
-    def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "seed": self.seed, "out": self.out_dir}
-        doc.update(self.options)
-        return doc
-
-
-def _config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -134,18 +98,20 @@ def emit_report(report: RunReport, fmt: str = "text") -> str:
 
 
 def parse_report(text: str) -> RunReport:
+    """The report that emit_report(report, "json") wrote; ValueError if text is not one."""
     doc = json.loads(text)
-    return RunReport(
-        config=doc["config"],
-        config_hash=doc["config_hash"],
-        checks=tuple(CheckResult(**c) for c in doc["checks"]),
-        artifacts=tuple(doc["artifacts"]),
-        timings=doc["timings"],
-    )
+    keys = {f.name for f in dataclasses.fields(RunReport)}
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise ValueError(f"a report is a JSON object with the keys {', '.join(sorted(keys))}")
+    try:
+        return RunReport(**dict(doc, checks=tuple(CheckResult(**c) for c in doc["checks"]),
+                                artifacts=tuple(doc["artifacts"])))
+    except TypeError as exc:
+        raise ValueError(f"malformed report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# problem construction from config fragments
+# experiment kinds
 # ---------------------------------------------------------------------------
 
 def _read_file(key: str, reader, path, *args, **kwargs):
@@ -156,86 +122,48 @@ def _read_file(key: str, reader, path, *args, **kwargs):
         raise ConfigError(key, str(exc)) from exc
 
 
-def _build_grid(options: dict):
-    grid_spec = options.get("grid", {})
-    return make_time_grid(grid_spec.get("T", 1.0), grid_spec.get("n_steps", 50))
+def _final_state(ens):
+    return ens.states[:, -1, 0]
 
 
-def _build_driver(spec: dict):
-    name = spec.get("name")
-    if name == "zero":
-        return drivers.zero_driver()
-    if name == "linear":
-        return drivers.linear_z_driver(spec.get("b", 0.3))
-    if name == "entropic":
-        return drivers.entropic_driver(spec.get("theta", 1.0))
-    if name == "quadratic":
-        return drivers.quadratic_z_driver(spec.get("theta", 1.0))
-    if name == "net":
-        if "path" in spec:
-            return _read_file("driver.path", nets.load_driver_net, spec["path"])
-        layout = nets.NetLayout(
-            state_dim=spec.get("state_dim", 1),
-            z_dim=spec.get("z_dim", 1),
-            hidden=tuple(spec.get("hidden", (8, 8))),
-            activation=spec.get("activation", "tanh"),
-            n2_hidden=tuple(spec.get("n2_hidden", (8,))),
-            n2_monotone=spec.get("n2_monotone", False),
-            interaction_bound=spec.get("interaction_bound", 1.0),
-        )
-        return nets.build_driver(spec.get("architecture", "Free"), layout,
-                                 init_seed=spec.get("init_seed", 0))
-    raise ConfigError("driver.name", f"unknown driver '{name}'")
+def _scaled_state(scale):
+    return lambda ens: scale * ens.states[:, -1, 0]
 
 
-def _build_forward(spec: dict):
-    from .stochastic import brownian_model, geometric_brownian_model
-    name = spec.get("name", "brownian")
-    if name == "brownian":
-        return brownian_model(spec.get("dim", 1))
-    if name == "gbm":
-        return geometric_brownian_model(spec.get("mu", 0.08), spec.get("sigma", 0.2),
-                                        spec.get("x0", 1.0))
-    raise ConfigError("forward.name", f"unknown forward model '{name}'")
+def _grid(opt: dict):
+    return make_time_grid(opt["grid"]["T"], opt["grid"]["n_steps"])
 
 
-def _build_terminal(spec: dict):
-    name = spec.get("name", "state")
-    if name == "state":
-        return lambda ens: ens.states[:, -1, 0]
-    if name == "scaled_state":
-        c = spec.get("scale", 1.0)
-        return lambda ens: c * ens.states[:, -1, 0]
-    if name == "call":
-        k = spec.get("strike", 1.0)
-        return lambda ens: np.maximum(ens.states[:, -1, 0] - k, 0.0)
-    raise ConfigError("terminal.name", f"unknown terminal '{name}'")
+def _paths(config, label: str, dim: int = 1):
+    """The config's time grid and its Brownian draws, seeded under label."""
+    grid = _grid(config.options)
+    return grid, sample_brownian(grid, config.options["n_paths"], dim,
+                                 split_seed(config.seed, label))
 
 
-def _build_problem(config: ExperimentConfig):
-    from .stochastic import simulate_forward
-    opt = config.options
-    grid = _build_grid(opt)
-    n_paths = opt.get("n_paths", 20_000)
-    bundle = sample_brownian(grid, n_paths, opt.get("forward", {}).get("dim", 1),
-                             split_seed(config.seed, "cli-paths"))
-    driver = _build_driver(opt.get("driver", {"name": "zero"}))
-    terminal = _build_terminal(opt.get("terminal", {}))
-    ens = simulate_forward(_build_forward(opt.get("forward", {})), grid, bundle)
-    return engine.BsdeProblem(driver=driver, terminal=terminal, ensemble=ens)
+def _ensemble(config, label: str, model: ForwardModel | None = None):
+    """Forward paths of model (one-dimensional Brownian motion by default)."""
+    model = model or brownian_model(1)
+    return stochastic.simulate_forward(model, *_paths(config, label, model.state_dim))
 
 
-def _basis(options: dict) -> engine.RegressionBasis:
-    return engine.RegressionBasis(degree=options.get("basis_degree", 3))
+def _basis(opt: dict) -> engine.RegressionBasis:
+    return engine.RegressionBasis(degree=opt["basis_degree"])
 
 
-# ---------------------------------------------------------------------------
-# experiment kinds
-# ---------------------------------------------------------------------------
+def _market(opt: dict):
+    p = opt["params"]
+    params = merton.MarketParams(mu=p["mu"], r=p["r"], sigma=p["sigma"], gamma=p["gamma"],
+                                 horizon=p["T"])
+    return params, merton.HjbGridSpec.default(params, n_space=opt["n_space"])
+
 
 def _run_solve(config, out_dir):
-    problem = _build_problem(config)
-    sol = engine.solve_bsde_lsmc(problem, _basis(config.options))
+    opt = config.options
+    problem = engine.BsdeProblem(
+        driver=_DRIVER.build(opt["driver"]), terminal=_TERMINAL.build(opt["terminal"]),
+        ensemble=_ensemble(config, "cli-paths", _FORWARD.build(opt["forward"])))
+    sol = engine.solve_bsde_lsmc(problem, _basis(opt))
     path = os.path.join(out_dir, "solution.csv")
     engine.export_solution_csv(sol, path)
     xi = problem.terminal(problem.ensemble)
@@ -249,37 +177,31 @@ def _run_solve(config, out_dir):
 
 def _run_oracle_suite(config, out_dir):
     opt = config.options
-    grid = _build_grid(opt)
-    n_paths = opt.get("n_paths", 100_000)
-    bundle = sample_brownian(grid, n_paths, 1, split_seed(config.seed, "oracle-paths"))
-    from .stochastic import brownian_model, simulate_forward
-    ens = simulate_forward(brownian_model(1), grid, bundle)
-    term = lambda ens: ens.states[:, -1, 0]
+    ens = _ensemble(config, "oracle-paths")
+    horizon = ens.grid.horizon
+    w_t = ens.bundle.terminal_motion()[:, 0]
     basis = _basis(opt)
-    opts = engine.SolveOptions()
-    w_t = bundle.terminal_motion()[:, 0]
+    solve = lambda driver: engine.solve_bsde_lsmc(
+        engine.BsdeProblem(driver=driver, terminal=_final_state, ensemble=ens), basis)
 
     # Stated tolerances assume the acceptance path count; smaller runs fall
     # back to a 3 sigma Monte Carlo floor.
     checks = []
-    sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.zero_driver(), terminal=term, ensemble=ens), basis, opts)
+    sol = solve(drivers.zero_driver())
     tol = max(0.02, 3.0 * sol.y0_standard_error)
     checks.append(CheckResult("oracle_zero", abs(sol.y0) <= tol, sol.y0, tol,
                               "martingale case, Y0 = 0"))
 
-    b = opt.get("linear_b", 0.3)
-    sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.linear_z_driver(b), terminal=term, ensemble=ens), basis, opts)
-    target = b * grid.horizon
+    b = opt["linear_b"]
+    sol = solve(drivers.linear_z_driver(b))
+    target = b * horizon
     tol = max(0.02 * abs(target), 3.0 * sol.y0_standard_error)
     checks.append(CheckResult("oracle_linear", abs(sol.y0 - target) <= tol,
                               sol.y0, tol, f"target {target}"))
 
-    theta = opt.get("entropic_theta", 1.0)
-    sol = engine.solve_bsde_lsmc(engine.BsdeProblem(
-        driver=drivers.entropic_driver(theta), terminal=term, ensemble=ens), basis, opts)
-    target = -theta * grid.horizon / 2.0
+    theta = opt["entropic_theta"]
+    sol = solve(drivers.entropic_driver(theta))
+    target = -theta * horizon / 2.0
     mc = engine.closed_form_oracle("entropic", w_t, theta=theta)
     tol = max(0.02 * abs(target), 3.0 * sol.y0_standard_error)
     ok = abs(sol.y0 - target) <= tol and abs(sol.y0 - mc) <= tol
@@ -289,25 +211,17 @@ def _run_oracle_suite(config, out_dir):
 
 
 def _run_verify_axioms(config, out_dir):
-    opt = config.options
-    grid = _build_grid(opt)
-    n_paths = opt.get("n_paths", 20_000)
-    bundle = sample_brownian(grid, n_paths, 1, split_seed(config.seed, "axiom-paths"))
-    from .stochastic import brownian_model, simulate_forward
     # Every check runs on one simulation, and so on one factorization per step.
-    ens = simulate_forward(brownian_model(1), grid, bundle)
-    basis = _basis(opt)
+    ens = _ensemble(config, "axiom-paths")
+    basis = _basis(config.options)
     checks = []
 
     mono_net = nets.build_driver(
         "MonotoneY", nets.NetLayout(hidden=(8, 8)), init_seed=split_seed(config.seed, "mono"))
-    base = engine.BsdeProblem(driver=mono_net, ensemble=ens)
     rep = engine.check_comparison(
-        base,
-        terminal_high=lambda e: np.abs(e.states[:, -1, 0]),
-        terminal_low=lambda e: np.zeros(e.n_paths),
-        basis=basis,
-    )
+        engine.BsdeProblem(driver=mono_net, ensemble=ens),
+        terminal_high=lambda e: np.abs(_final_state(e)),
+        terminal_low=lambda e: np.zeros(e.n_paths), basis=basis)
     tol = 3.0 * rep.mc_noise
     checks.append(CheckResult("comparison_y0_order", rep.y0_gap >= -tol, rep.y0_gap, tol))
 
@@ -317,47 +231,24 @@ def _run_verify_axioms(config, out_dir):
     icnn = nets.build_driver(
         "IcnnYZ", nets.NetLayout(hidden=(8, 8), activation="softplus"),
         init_seed=split_seed(config.seed, "icnn"))
-    base = engine.BsdeProblem(driver=icnn, ensemble=ens)
-    rep = engine.check_convexity_and_jensen(
-        base,
-        terminal_1=lambda e: e.states[:, -1, 0],
-        terminal_2=lambda e: -e.states[:, -1, 0],
-        lam=0.5,
-        phi=engine.SmoothFunction.square(),
-        basis=basis,
-    )
-    tol = 3.0 * max(rep.mc_noise, 1e-4)
-    checks.append(CheckResult("operator_convexity", rep.delta_convexity >= -tol,
-                              rep.delta_convexity, tol))
-
     hom = nets.build_homogeneous_icnn(init_seed=split_seed(config.seed, "icnn-hom"))
-    base = engine.BsdeProblem(driver=hom, ensemble=ens)
-    rep = engine.check_convexity_and_jensen(
-        base,
-        terminal_1=lambda e: e.states[:, -1, 0],
-        terminal_2=lambda e: -e.states[:, -1, 0],
-        lam=0.5,
-        phi=engine.SmoothFunction.square(),
-        basis=basis,
-    )
-    tol = 3.0 * max(rep.mc_noise, 1e-4)
-    checks.append(CheckResult("jensen_gap", rep.delta_jensen >= -tol,
-                              rep.delta_jensen, tol))
+    for name, gap, driver in (("operator_convexity", "delta_convexity", icnn),
+                              ("jensen_gap", "delta_jensen", hom)):
+        rep = engine.check_convexity_and_jensen(
+            engine.BsdeProblem(driver=driver, ensemble=ens), terminal_1=_final_state,
+            terminal_2=lambda e: -_final_state(e), lam=0.5,
+            phi=engine.SmoothFunction.square(), basis=basis)
+        tol = 3.0 * max(rep.mc_noise, 1e-4)
+        checks.append(CheckResult(name, getattr(rep, gap) >= -tol, getattr(rep, gap), tol))
 
-    ent = engine.BsdeProblem(
-        driver=drivers.entropic_driver(1.0),
-        terminal=lambda e: e.states[:, -1, 0],
-        ensemble=ens,
-    )
-    rep = engine.check_dynamic_consistency(ent, grid.horizon / 2.0, basis)
+    ent = engine.BsdeProblem(driver=drivers.entropic_driver(1.0), terminal=_final_state,
+                             ensemble=ens)
+    rep = engine.check_dynamic_consistency(ent, ens.grid.horizon / 2.0, basis)
     tol = 0.02 * abs(rep.y0_direct)
     checks.append(CheckResult("dynamic_consistency", rep.gap <= tol, rep.gap, tol))
 
-    quad = engine.BsdeProblem(
-        driver=drivers.quadratic_z_driver(1.0),
-        terminal=lambda e: e.states[:, -1, 0],
-        ensemble=ens,
-    )
+    quad = engine.BsdeProblem(driver=drivers.quadratic_z_driver(1.0), terminal=_final_state,
+                              ensemble=ens)
     sol = engine.solve_bsde_lsmc(quad, basis)
     dual = engine.dual_lower_bound(quad, [[0.0], [0.5], [1.0], [1.5]],
                                    fenchel=lambda u: float(u @ u) / 2.0)
@@ -371,36 +262,28 @@ def _run_verify_axioms(config, out_dir):
 
 def _run_train(config, out_dir):
     opt = config.options
-    grid = _build_grid(opt)
-    theta_true = opt.get("theta_true", 1.5)
-    theta_init = opt.get("theta_init", 0.3)
-    n_paths = opt.get("n_paths", 4000)
-    scales = opt.get("scales", [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0])
+    grid = _grid(opt)
+    theta_true = opt["theta_true"]
 
-    if "dataset_csv" in opt:
+    if opt["dataset_csv"] is not None:
         dataset = _read_file("dataset_csv", learning.read_dataset_csv, opt["dataset_csv"],
-                             grid, n_paths=n_paths)
+                             grid, n_paths=opt["n_paths"])
     else:
         oracle_draw = sample_brownian(grid, 200_000, 1,
                                       split_seed(config.seed, "train-oracle"))
         w_t = oracle_draw.terminal_motion()[:, 0]
-        records = []
-        for c in scales:
-            obs = engine.closed_form_oracle("entropic", c * w_t, theta=theta_true)
-            records.append(learning.DatasetRecord(
-                terminal=(lambda cc: (lambda ens: cc * ens.states[:, -1, 0]))(c),
-                observed=obs, label=f"scale-{c}"))
-        dataset = learning.Dataset(records=tuple(records), grid=grid, n_paths=n_paths)
+        records = tuple(learning.DatasetRecord(
+            terminal=_scaled_state(c), label=f"scale-{c}",
+            observed=engine.closed_form_oracle("entropic", c * w_t, theta=theta_true))
+            for c in opt["scales"])
+        dataset = learning.Dataset(records=records, grid=grid, n_paths=opt["n_paths"])
 
-    schedule = learning.TrainSchedule(
-        learning_rate=opt.get("learning_rate", 0.4),
-        max_iters=opt.get("max_iters", 40),
-        seed=split_seed(config.seed, "train"),
-        loss_tol=opt.get("loss_tol"),
-    )
+    schedule = learning.TrainSchedule(learning_rate=opt["learning_rate"],
+                                      max_iters=opt["max_iters"], loss_tol=opt["loss_tol"],
+                                      seed=split_seed(config.seed, "train"))
     log_path = os.path.join(out_dir, "training_log.csv")
-    state, final = learning.train(dataset, drivers.entropic_driver(theta_init), schedule,
-                                  log_path=log_path)
+    state, final = learning.train(dataset, drivers.entropic_driver(opt["theta_init"]),
+                                  schedule, log_path=log_path)
     recovered = float(final.params[0])
     rel = abs(recovered - theta_true) / abs(theta_true)
     checks = [CheckResult("entropic_recovery", rel <= 0.05, recovered, 0.05,
@@ -408,21 +291,15 @@ def _run_train(config, out_dir):
     return checks, [log_path]
 
 
-def _run_meanfield(config, out_dir, which):
+def _run_meanfield(config, out_dir):
     opt = config.options
-    grid = _build_grid({"grid": opt.get("grid", {"T": 1.0, "n_steps": 50})})
-    model_name = opt.get("model", "linear-gaussian-clt")
-    if model_name not in meanfield.MODEL_REGISTRY:
-        raise ConfigError("model", f"unknown mean-field model '{model_name}'")
-    model = meanfield.MODEL_REGISTRY[model_name](**opt.get("model_params", {}))
-    n_list = opt.get("N_list", [16, 64, 256, 1024])
-    n_trials = opt.get("n_trials", 20)
-    n_ref = opt.get("n_reference", 65536)
+    grid = _grid(opt)
+    model = meanfield.MODEL_REGISTRY[opt["model"]](**opt["model_params"])
 
-    if which == "meanfield-lln":
-        res = meanfield.lln_experiment(model, n_list, grid, n_trials,
+    if config.kind == "meanfield-lln":
+        res = meanfield.lln_experiment(model, opt["N_list"], grid, opt["n_trials"],
                                        split_seed(config.seed, "lln"), _basis(opt),
-                                       n_reference=n_ref)
+                                       n_reference=opt["n_reference"])
         path = os.path.join(out_dir, "lln.csv")
         meanfield.export_lln_csv(res, path)
         total = res.err_x + res.err_y + res.err_z
@@ -435,9 +312,9 @@ def _run_meanfield(config, out_dir, which):
         ]
         return checks, [path]
 
-    res = meanfield.clt_experiment(model, n_list, grid, n_trials,
-                                   split_seed(config.seed, "clt"), n_reference=n_ref,
-                                   u0_std=opt.get("u0_std", 0.5))
+    res = meanfield.clt_experiment(model, opt["N_list"], grid, opt["n_trials"],
+                                   split_seed(config.seed, "clt"),
+                                   n_reference=opt["n_reference"], u0_std=opt["u0_std"])
     path = os.path.join(out_dir, "clt.csv")
     meanfield.export_clt_csv(res, path)
     checks = [CheckResult("clt_variance_stabilizes", res.stabilized(),
@@ -448,14 +325,8 @@ def _run_meanfield(config, out_dir, which):
 
 def _run_fbsde(config, out_dir):
     opt = config.options
-    eps = opt.get("epsilon", 0.1)
-    horizon = opt.get("grid", {}).get("T", 0.2)
-    n_steps = opt.get("grid", {}).get("n_steps", 20)
-    grid = make_time_grid(horizon, n_steps)
-    n_paths = opt.get("n_paths", 20_000)
-    bundle = sample_brownian(grid, n_paths, 1, split_seed(config.seed, "fbsde"))
-
-    from .stochastic import ForwardModel
+    eps = opt["epsilon"]
+    grid, bundle = _paths(config, "fbsde")
     model = ForwardModel(
         drift=lambda t, x, y, z: eps * y[:, None],
         diffusion=lambda t, x, y, z: 1.0,
@@ -463,12 +334,8 @@ def _run_fbsde(config, out_dir):
         state_dim=1,
         coupled_in_yz=True,
     )
-    res = engine.solve_fbsde_picard(
-        model, grid, bundle,
-        terminal=lambda ens: ens.states[:, -1, 0],
-        driver=drivers.zero_driver(),
-        basis=_basis(opt),
-    )
+    res = engine.solve_fbsde_picard(model, grid, bundle, terminal=_final_state,
+                                    driver=drivers.zero_driver(), basis=_basis(opt))
     ratios = [b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 1e-12]
     geometric = all(r <= 0.5 for r in ratios) if ratios else True
     checks = [
@@ -481,13 +348,7 @@ def _run_fbsde(config, out_dir):
 
 
 def _run_merton(config, out_dir):
-    opt = config.options
-    p = opt.get("params", {})
-    params = merton.MarketParams(
-        mu=p.get("mu", 0.08), r=p.get("r", 0.02), sigma=p.get("sigma", 0.2),
-        gamma=p.get("gamma", 0.5), horizon=p.get("T", 1.0),
-    )
-    spec = merton.HjbGridSpec.default(params, n_space=opt.get("n_space", 160))
+    params, spec = _market(config.options)
     cls = merton.classical_merton(params)
 
     grid0 = merton.solve_hjb(params, 0.0, spec)
@@ -502,8 +363,7 @@ def _run_merton(config, out_dir):
                     f"pi_classical {cls.pi}"),
     ]
 
-    thetas = opt.get("theta_list", [0.25, 0.5, 1.0])
-    rep = merton.verify_ambiguity_properties(params, [0.0] + list(thetas), spec)
+    rep = merton.verify_ambiguity_properties(params, [0.0, *config.options["theta_list"]], spec)
     checks.append(CheckResult("ambiguity_caution", rep.caution_passed,
                               rep.max_interior_pi[-1], cls.pi))
     checks.append(CheckResult("ambiguity_monotone", rep.monotone_passed, 0.0, 0.0,
@@ -517,28 +377,19 @@ def _run_merton(config, out_dir):
 
 def _run_calibrate(config, out_dir):
     opt = config.options
-    p = opt.get("params", {})
-    params = merton.MarketParams(
-        mu=p.get("mu", 0.08), r=p.get("r", 0.02), sigma=p.get("sigma", 0.2),
-        gamma=p.get("gamma", 0.5), horizon=p.get("T", 1.0),
-    )
-    spec = merton.HjbGridSpec.default(params, n_space=opt.get("n_space", 120))
-    if "observations_csv" in opt:
+    params, spec = _market(opt)
+    if opt["observations_csv"] is not None:
         obs = _read_file("observations_csv", merton.read_observations_csv,
                          opt["observations_csv"])
         theta_true = None
     else:
-        theta_true = opt.get("theta_true", 0.4)
+        theta_true = opt["theta_true"]
         surface = merton.extract_policy(merton.solve_hjb(params, theta_true, spec))
         xs = [0.6, 0.8, 1.0, 1.25, 1.6]
         ts = [0.0, 0.25, 0.5]
         obs = [merton.AllocationObservation(t, x, surface(t, x) * x)
                for t in ts for x in xs]
-    search = opt.get("search", {})
-    result = merton.calibrate_theta(params, obs, spec,
-                                    theta_lo=search.get("theta_lo", 0.0),
-                                    theta_hi=search.get("theta_hi", 1.0),
-                                    tol=search.get("tol", 1e-3))
+    result = merton.calibrate_theta(params, obs, spec, **opt["search"])
     path = os.path.join(out_dir, "calibration_curve.csv")
     with open(path, "w", newline="") as fh:
         fh.write("theta,loss\n")
@@ -553,28 +404,173 @@ def _run_calibrate(config, out_dir):
     return checks, [path]
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "oracle-suite": _run_oracle_suite,
-    "verify-axioms": _run_verify_axioms,
-    "train": _run_train,
-    "meanfield-lln": lambda c, o: _run_meanfield(c, o, "meanfield-lln"),
-    "meanfield-clt": lambda c, o: _run_meanfield(c, o, "meanfield-clt"),
-    "fbsde": _run_fbsde,
-    "merton": _run_merton,
-    "calibrate": _run_calibrate,
+# ---------------------------------------------------------------------------
+# the config format
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Choice:
+    """A block whose keys depend on its `name`: each name maps to a factory
+    and the keys it takes, with their defaults."""
+
+    default: str
+    names: dict
+
+    def __call__(self, block: dict, resolved: dict, path: str) -> dict:
+        name = block["name"] if "name" in block else self.default
+        if not isinstance(name, str) or name not in self.names:
+            raise ConfigError(f"{path}.name", f"unknown {path} '{name}' "
+                                              f"(known: {', '.join(self.names)})")
+        return {"name": name, **self.names[name][1]}
+
+    def build(self, spec: dict):
+        factory = self.names[spec["name"]][0]
+        return factory(**{k: v for k, v in spec.items() if k != "name"})
+
+
+_NET_LAYOUT = {f.name: f.default for f in dataclasses.fields(nets.NetLayout)}
+
+
+def _net_driver(path, architecture, init_seed, **layout):
+    if path is not None:
+        return _read_file("driver.path", nets.load_driver_net, path)
+    return nets.build_driver(architecture, nets.NetLayout(**layout), init_seed=init_seed)
+
+
+def _model_params(block: dict, resolved: dict, path: str) -> dict:
+    """model_params takes the keyword arguments of the model's factory."""
+    if resolved["model"] not in meanfield.MODEL_REGISTRY:
+        raise ConfigError("model", f"unknown mean-field model '{resolved['model']}'")
+    factory = meanfield.MODEL_REGISTRY[resolved["model"]]
+    return {p.name: p.default for p in inspect.signature(factory).parameters.values()}
+
+
+_DRIVER = _Choice("zero", {
+    "zero": (drivers.zero_driver, {}),
+    "linear": (drivers.linear_z_driver, {"b": 0.3}),
+    "entropic": (drivers.entropic_driver, {"theta": 1.0}),
+    "quadratic": (drivers.quadratic_z_driver, {"theta": 1.0}),
+    "net": (_net_driver, {"path": None, "architecture": "Free", "init_seed": 0,
+                          **_NET_LAYOUT}),
+})
+_FORWARD = _Choice("brownian", {
+    "brownian": (brownian_model, {"dim": 1}),
+    "gbm": (geometric_brownian_model, {"mu": 0.08, "sigma": 0.2, "x0": 1.0}),
+})
+_TERMINAL = _Choice("state", {
+    "state": (lambda: _final_state, {}),
+    "scaled_state": (_scaled_state, {"scale": 1.0}),
+    "call": (lambda strike: lambda ens: np.maximum(ens.states[:, -1, 0] - strike, 0.0),
+             {"strike": 1.0}),
+})
+
+_GRID = {"T": 1.0, "n_steps": 50}
+_PATHS = {"grid": _GRID, "n_paths": 20_000, "basis_degree": 3}
+_MEANFIELD = {"grid": _GRID, "model": "linear-gaussian-clt", "model_params": _model_params,
+              "N_list": [16, 64, 256, 1024], "n_trials": 20, "n_reference": 65536}
+_MARKET = {"mu": 0.08, "r": 0.02, "sigma": 0.2, "gamma": 0.5, "T": 1.0}
+
+
+# Each kind's subcommand, its runner, and the keys it reads next to their
+# defaults. A dict value is a nested block with its own keys; a callable
+# value gives the keys of a block that depend on the block's name or on a
+# key listed before it.
+_Kind = namedtuple("_Kind", "subcommand run options")
+_KINDS = {
+    "solve": _Kind("solve", _run_solve,
+                   dict(_PATHS, driver=_DRIVER, forward=_FORWARD, terminal=_TERMINAL)),
+    "verify-axioms": _Kind("verify", _run_verify_axioms, _PATHS),
+    "oracle-suite": _Kind("verify", _run_oracle_suite,
+                          dict(_PATHS, n_paths=100_000, linear_b=0.3, entropic_theta=1.0)),
+    "train": _Kind("train", _run_train, {
+        "grid": _GRID, "n_paths": 4000, "theta_true": 1.5, "theta_init": 0.3,
+        "scales": [0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0], "dataset_csv": None,
+        "learning_rate": 0.4, "max_iters": 40, "loss_tol": None}),
+    "meanfield-lln": _Kind("meanfield", _run_meanfield, dict(_MEANFIELD, basis_degree=3)),
+    "meanfield-clt": _Kind("meanfield", _run_meanfield, dict(_MEANFIELD, u0_std=0.5)),
+    "fbsde": _Kind("fbsde", _run_fbsde,
+                   dict(_PATHS, grid={"T": 0.2, "n_steps": 20}, epsilon=0.1)),
+    "merton": _Kind("merton", _run_merton,
+                    {"params": _MARKET, "n_space": 160, "theta_list": [0.25, 0.5, 1.0]}),
+    "calibrate": _Kind("calibrate", _run_calibrate, {
+        "params": _MARKET, "n_space": 120, "observations_csv": None, "theta_true": 0.4,
+        "search": {"theta_lo": 0.0, "theta_hi": 1.0, "tol": 1e-3}}),
 }
+
+# Two spellings of one input: the keys of the second are not read when the
+# first is given.
+_EXCLUSIVE = {
+    "path": ("architecture", "init_seed", *_NET_LAYOUT),
+    "dataset_csv": ("scales",),
+    "observations_csv": ("theta_true",),
+}
+
+
+def _resolve(doc: dict, table: dict, path: str = "") -> dict:
+    """doc with every key of table, defaults filled in and nested blocks
+    resolved in turn. A key the table does not list, or one given together
+    with a key that excludes it, raises ConfigError at its dotted path."""
+    for key in doc:
+        if key not in table:
+            raise ConfigError(path + key, f"unknown key (known: {', '.join(table)})")
+    for key, excluded in _EXCLUSIVE.items():
+        for other in excluded:
+            if key in doc and other in doc:
+                raise ConfigError(path + other, f"not read together with '{path}{key}'")
+    resolved = {}
+    for key, default in table.items():
+        if not (isinstance(default, dict) or callable(default)):
+            resolved[key] = doc[key] if key in doc else default
+            continue
+        block = doc[key] if key in doc else {}
+        if not isinstance(block, dict):
+            raise ConfigError(path + key, "must be an object")
+        keys = default(block, resolved, path + key) if callable(default) else default
+        resolved[key] = _resolve(block, keys, f"{path}{key}.")
+    return resolved
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A run's config: the document as given, and its options resolved
+    against the kind's keys."""
+
+    kind: str
+    seed: int
+    out_dir: str
+    document: dict
+    options: dict
+
+    @staticmethod
+    def from_dict(raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError("config", "must be a JSON object")
+        if "kind" not in raw:
+            raise ConfigError("kind", "missing")
+        if not isinstance(raw["kind"], str) or raw["kind"] not in _KINDS:
+            raise ConfigError("kind", f"unknown kind '{raw['kind']}'")
+        if "seed" not in raw:
+            raise ConfigError("seed", "missing (runs must be seeded)")
+        if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
+            raise ConfigError("seed", "must be an integer")
+        options = _resolve(raw, {"kind": None, "seed": None, "out": "runs",
+                                 **_KINDS[raw["kind"]].options})
+        return ExperimentConfig(kind=raw["kind"], seed=raw["seed"], out_dir=options["out"],
+                                document=dict(raw), options=options)
+
+    def to_dict(self) -> dict:
+        return dict(self.document, out=self.out_dir)
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
     """Dispatch to the owning module and assemble the report."""
     os.makedirs(config.out_dir, exist_ok=True)
     started = time.time()
-    checks, artifacts = _RUNNERS[config.kind](config, config.out_dir)
+    checks, artifacts = _KINDS[config.kind].run(config, config.out_dir)
     doc = config.to_dict()
     return RunReport(
         config=doc,
-        config_hash=_config_hash(doc),
+        config_hash=hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
         checks=tuple(checks),
         artifacts=tuple(artifacts),
         timings={"wall_seconds": time.time() - started},
@@ -629,7 +625,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="bsdelab",
                                      description="config-driven experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "verify", "train", "meanfield", "fbsde", "merton", "calibrate"):
+    for name in dict.fromkeys(kind.subcommand for kind in _KINDS.values()):
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True)
         cmd.add_argument("--seed", type=int, default=None)
@@ -646,7 +642,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 report = parse_report(fh.read())
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         print(emit_report(report, args.format), end="")
@@ -656,7 +652,7 @@ def main(argv=None) -> int:
         if args.threads is not None:
             _set_blas_threads(args.threads)
         config = _load_config(args.config, args.seed, args.out)
-        if config.kind not in _SUBCOMMAND_KINDS[args.command]:
+        if _KINDS[config.kind].subcommand != args.command:
             raise ConfigError("kind", f"kind '{config.kind}' does not belong to "
                                       f"subcommand '{args.command}'")
         report = run_experiment(config)

@@ -45,6 +45,8 @@ from __future__ import annotations
 import csv
 import functools
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -249,9 +251,27 @@ class BsdeProblem:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Options of a backward solve.
+
+    inner_picard_iters: fixed-point passes of the driver increment per step,
+    an int >= 1. z_clip: None for no clip, or a positive finite multiple of
+    the per-step interquartile range that Z is clipped to around its median.
+    Other values of these two raise ValueError. cond_limit: the largest
+    condition number a step's design may have.
+    """
+
     inner_picard_iters: int = 2
-    z_clip: float | None = 10.0   # multiple of the per-step interquartile range
+    z_clip: float | None = 10.0
     cond_limit: float = 1e12
+
+    def __post_init__(self):
+        passes = self.inner_picard_iters
+        if isinstance(passes, bool) or not isinstance(passes, numbers.Integral) or passes < 1:
+            raise ValueError(f"inner_picard_iters must be an int >= 1, got {passes!r}")
+        clip = self.z_clip
+        if clip is not None and (isinstance(clip, bool) or not isinstance(clip, numbers.Real)
+                                 or not 0.0 < clip < math.inf):
+            raise ValueError(f"z_clip must be None or positive and finite, got {clip!r}")
 
 
 @dataclass(frozen=True)
@@ -340,7 +360,7 @@ def _backward_solve(
         # response variance (the compounding term of the plain estimator).
         dw_response = (y[:, k + 1] - c_k)[:, None, :] * increments[:, k, :].T
         z_k = fit.project(design, dw_response.reshape(n_cols * d, m)) / dt
-        if z_clip is not None and np.isfinite(z_clip):
+        if z_clip is not None:
             z_k, counts = _clip_z(z_k, z_clip)
             clips[:, k] = counts.reshape(n_cols, d).sum(axis=1)
         z[:, k] = np.swapaxes(z_k.reshape(n_cols, d, m), 1, 2)
@@ -348,7 +368,7 @@ def _backward_solve(
         c_rows = c_k.reshape(-1)
         z_rows = z[:, k].reshape(n_cols * m, d)
         y_rows = c_rows
-        for _ in range(max(1, passes)):
+        for _ in range(passes):
             _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
             y_rows = c_rows + step_value(k, y_rows, z_rows) * dt
         _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
@@ -447,7 +467,7 @@ def solve_bsde_many(
             y=y[r].T, z=np.swapaxes(z[r], 0, 1), continuation=cont[r].T,
             y0=float(y[r, 0, 0]),
             y0_standard_error=se,
-            passes=max(1, opts.inner_picard_iters),
+            passes=opts.inner_picard_iters,
             z_clip_count=clips[r],
             max_abs_y=float(max(y[r].max(), -y[r].min())),
         ))
@@ -859,7 +879,6 @@ def _fit_fields(sol: BsdeSolution) -> FieldTable:
 
 @dataclass(frozen=True)
 class FbsdeResult:
-    ensemble: PathEnsemble
     solution: BsdeSolution
     residuals: list
     iterations: int
@@ -920,10 +939,9 @@ def solve_fbsde_picard(
         residual = max(abs(new_sol.y0 - sol.y0), surface_change)
         residuals.append(residual)
 
-        ens, sol, fields = new_ens, new_sol, new_fields
+        sol, fields = new_sol, new_fields
         if residual < tol:
-            return FbsdeResult(ensemble=ens, solution=sol, residuals=residuals,
-                               iterations=iteration)
+            return FbsdeResult(solution=sol, residuals=residuals, iterations=iteration)
         if not np.isfinite(residual) or (len(residuals) >= 4 and all(
             residuals[-i] >= residuals[-i - 1] for i in (1, 2, 3)
         )):

@@ -86,7 +86,6 @@ class SensitivitySolution:
     """Gradient of the root value with respect to the raw driver parameters."""
 
     grad_y0: np.ndarray
-    primary: BsdeSolution
 
 
 def _adjoint_gradient(
@@ -185,7 +184,7 @@ def solve_sensitivity_bsde(primary: BsdeSolution) -> SensitivitySolution:
     grad = _adjoint_gradient(primary.problem, primary.plan, primary.passes,
                              np.swapaxes(primary.z, 0, 1)[None], primary.continuation.T[None],
                              root)
-    return SensitivitySolution(grad_y0=grad, primary=primary)
+    return SensitivitySolution(grad_y0=grad)
 
 
 @dataclass(frozen=True)
@@ -391,7 +390,7 @@ def loss_and_gradient(
             norm_term += float(np.sum(per_record)) * dt / n_records
             grad += scale * lin.pullback(lin.value / m)
             cont_weights[:, k] = scale * (lin.value * lin.dy / m).reshape(n_records, m)
-    grad += _adjoint_gradient(problem, plan, max(1, opts.inner_picard_iters), z, cont, roots,
+    grad += _adjoint_gradient(problem, plan, opts.inner_picard_iters, z, cont, roots,
                               cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)

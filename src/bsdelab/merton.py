@@ -120,14 +120,12 @@ class HjbGridSpec:
 
 @dataclass(frozen=True)
 class HjbGrid:
-    """Value, derivatives and optimal allocation on the space-time grid."""
+    """Value and optimal allocation on the space-time grid."""
 
     ell: np.ndarray               # (J + 1,)
     times: np.ndarray             # (M + 1,)
     value: np.ndarray             # (M + 1, J + 1)
     policy: np.ndarray            # (M + 1, J + 1) allocation fractions
-    d_value: np.ndarray           # x V_x on the grid (log-coordinate u_l)
-    d2_value: np.ndarray          # u_ll
     theta: float
     params: MarketParams
     interior_margin: float
@@ -138,8 +136,12 @@ class HjbGrid:
 
     @property
     def interior(self) -> slice:
-        skirt = max(2, int(math.ceil(self.interior_margin * (self.ell.size - 1))))
-        return slice(skirt, self.ell.size - skirt)
+        return _interior(self.ell.size, self.interior_margin)
+
+
+def _interior(n_nodes: int, margin: float) -> slice:
+    skirt = max(2, int(math.ceil(margin * (n_nodes - 1))))
+    return slice(skirt, n_nodes - skirt)
 
 
 def _derivatives(u: np.ndarray, h: float):
@@ -214,20 +216,21 @@ def solve_hjb(
     policy = np.empty((n_time + 1, j_nodes))
     value[n_time] = np.exp(g * ell) / g
 
-    interior = HjbGrid(ell=ell, times=times, value=value, policy=policy,
-                       d_value=np.empty(0), d2_value=np.empty(0), theta=theta,
-                       params=params, interior_margin=spec.interior_margin).interior
+    interior = _interior(j_nodes, spec.interior_margin)
 
-    u = value[n_time]
-    ul, ull = _derivatives(u, h)
-    policy[n_time] = (np.full(j_nodes, fixed_pi) if fixed_pi is not None
-                      else _policy_from_derivatives(params, theta, ul, ull, interior))
-
-    for m in range(n_time - 1, -1, -1):
-        u = value[m + 1]
+    def policy_at(u):
+        """Derivatives of the slice u and the allocation they give."""
         ul, ull = _derivatives(u, h)
         pi = (np.full(j_nodes, fixed_pi) if fixed_pi is not None
               else _policy_from_derivatives(params, theta, ul, ull, interior))
+        return ul, ull, pi
+
+    # Each slice's derivatives and policy are computed once, when the slice
+    # is, and carried into the step that reads them.
+    ul, ull, policy[n_time] = policy_at(value[n_time])
+    for m in range(n_time - 1, -1, -1):
+        u = value[m + 1]
+        pi = policy[m + 1]
 
         advection = params.r + pi * excess - 0.5 * sig2 * pi * pi
         diffusion = 0.5 * sig2 * pi * pi
@@ -242,15 +245,10 @@ def solve_hjb(
         ul_upwind = np.where(advection >= 0, fwd, bwd)
 
         value[m] = u + dt * (advection * ul_upwind + diffusion * ull + penalty)
+        ul, ull, policy[m] = policy_at(value[m])
 
-        ul_m, ull_m = _derivatives(value[m], h)
-        policy[m] = (np.full(j_nodes, fixed_pi) if fixed_pi is not None
-                     else _policy_from_derivatives(params, theta, ul_m, ull_m, interior))
-
-    ul0, ull0 = _derivatives(value[0], h)
-    return HjbGrid(ell=ell, times=times, value=value, policy=policy,
-                   d_value=ul0, d2_value=ull0, theta=theta, params=params,
-                   interior_margin=spec.interior_margin)
+    return HjbGrid(ell=ell, times=times, value=value, policy=policy, theta=theta,
+                   params=params, interior_margin=spec.interior_margin)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,54 @@ class TestConfigValidation:
         assert main(["calibrate", "--config", cfg]) == 2
         assert "observations_csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, doc, dotted", [
+        ("solve", {"kind": "solve", "n_path": 500}, "n_path"),
+        ("solve", {"kind": "solve", "grid": {"n_step": 5}}, "grid.n_step"),
+        ("merton", {"kind": "merton", "params": {"sgima": 0.2}}, "params.sgima"),
+        ("calibrate", {"kind": "calibrate", "search": {"lo": 0.1}}, "search.lo"),
+        ("meanfield", {"kind": "meanfield-lln", "model_params": {"rat": 0.1}},
+         "model_params.rat"),
+        ("solve", {"kind": "solve", "driver": {"name": "entropic", "tehta": 2.0}},
+         "driver.tehta"),
+        ("solve", {"kind": "solve", "forward": {"name": "gbm", "dim": 2}}, "forward.dim"),
+        ("solve", {"kind": "solve", "terminal": {"name": "call", "scale": 2.0}},
+         "terminal.scale"),
+        ("meanfield", {"kind": "meanfield-clt", "basis_degree": 3}, "basis_degree"),
+        ("meanfield", {"kind": "meanfield-lln", "u0_std": 0.5}, "u0_std"),
+        ("train", {"kind": "train", "driver": {"name": "zero"}}, "driver"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "path": "net.txt",
+                                               "hidden": [4]}}, "driver.hidden"),
+        ("train", {"kind": "train", "dataset_csv": "d.csv", "scales": [1.0]}, "scales"),
+        ("calibrate", {"kind": "calibrate", "observations_csv": "o.csv", "theta_true": 0.2},
+         "theta_true"),
+    ], ids=["top-level", "grid", "params", "search", "model_params", "driver", "forward",
+            "terminal", "other-kind", "other-meanfield-kind", "block-of-another-kind",
+            "driver-path-with-layout", "dataset-with-scales", "observations-with-theta"])
+    def test_unread_key_exits_2_naming_its_path(self, tmp_path, capsys, command, doc, dotted):
+        cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))
+        assert main([command, "--config", cfg]) == 2
+        assert f"config error at '{dotted}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_name_of_a_block(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict({"kind": "solve", "seed": 1, "driver": {"name": "nope"}})
+        assert info.value.field == "driver.name"
+
+    def test_options_are_resolved_with_defaults(self):
+        config = ExperimentConfig.from_dict({"kind": "fbsde", "seed": 1, "grid": {"T": 0.1}})
+        assert config.options["grid"] == {"T": 0.1, "n_steps": 20}
+        assert config.options["n_paths"] == 20_000
+        assert config.to_dict() == {"kind": "fbsde", "seed": 1, "out": "runs",
+                                    "grid": {"T": 0.1}}
+        config = ExperimentConfig.from_dict({"kind": "solve", "seed": 1,
+                                             "driver": {"name": "net"}})
+        assert config.options["driver"]["hidden"] == nets.NetLayout().hidden
+        config = ExperimentConfig.from_dict({"kind": "meanfield-clt", "seed": 1,
+                                             "model": "independent"})
+        assert config.options["model_params"] == {"rate": 0.5, "sigma": 0.5, "m0": 0.0,
+                                                  "s0": 1.0}
+
 
 class TestReports:
     def sample_report(self):
@@ -132,6 +180,19 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(self.sample_report(), "yaml")
+
+    def test_malformed_report_exits_2(self, tmp_path, capsys):
+        good = json.loads(emit_report(self.sample_report(), "json"))
+        extra_field = dict(good, checks=[dict(good["checks"][0], extra=1)])
+        missing_key = {k: v for k, v in good.items() if k != "timings"}
+        for doc in ([1, 2], extra_field, missing_key):
+            text = json.dumps(doc)
+            with pytest.raises(ValueError):
+                parse_report(text)
+            path = tmp_path / "report.json"
+            path.write_text(text)
+            assert main(["report", "--config", str(path)]) == 2
+            assert "config error" in capsys.readouterr().err
 
 
 class TestRunExperiment:

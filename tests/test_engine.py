@@ -231,6 +231,22 @@ def reference_driver(name, d):
     }[name]
 
 
+class TestSolveOptions:
+    @pytest.mark.parametrize("field, value", [
+        ("inner_picard_iters", 0), ("inner_picard_iters", 1.5), ("inner_picard_iters", True),
+        ("z_clip", 0.0), ("z_clip", -1.0), ("z_clip", np.inf), ("z_clip", np.nan),
+        ("z_clip", "10"),
+    ])
+    def test_out_of_range_values_raise(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolveOptions(**{field: value})
+
+    def test_valid_values(self):
+        opts = SolveOptions(inner_picard_iters=np.int64(1), z_clip=3)
+        assert opts.inner_picard_iters == 1 and opts.z_clip == 3
+        assert SolveOptions(z_clip=None).z_clip is None
+
+
 class TestProjectionLayer:
     """The R-factor projection against the lstsq solve it replaced."""
 
