@@ -104,20 +104,29 @@ def parse_report(text: str) -> RunReport:
     if not isinstance(doc, dict) or set(doc) != keys:
         raise ValueError(f"a report is a JSON object with the keys {', '.join(sorted(keys))}")
     try:
-        return RunReport(**dict(doc, checks=tuple(CheckResult(**c) for c in doc["checks"]),
-                                artifacts=tuple(doc["artifacts"])))
+        report = RunReport(**dict(doc, checks=tuple(CheckResult(**c) for c in doc["checks"]),
+                                  artifacts=tuple(doc["artifacts"])))
     except TypeError as exc:
         raise ValueError(f"malformed report: {exc}") from exc
+    for c in report.checks:
+        numbers = (c.value, c.tolerance)
+        if not (isinstance(c.name, str) and isinstance(c.detail, str)
+                and isinstance(c.passed, bool)
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers)):
+            raise ValueError(f"malformed check {c.name!r}: name and detail are strings, "
+                             "passed is a bool, value and tolerance are numbers")
+    return report
 
 
 # ---------------------------------------------------------------------------
 # experiment kinds
 # ---------------------------------------------------------------------------
 
-def _read_file(key: str, reader, path, *args, **kwargs):
-    """reader(path, ...), reporting a missing or malformed file as a config error at key."""
+def _from_config(key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on values read at key, reporting a missing or
+    malformed file or a rejected value as a config error at key."""
     try:
-        return reader(path, *args, **kwargs)
+        return fn(*args, **kwargs)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(key, str(exc)) from exc
 
@@ -131,7 +140,7 @@ def _scaled_state(scale):
 
 
 def _grid(opt: dict):
-    return make_time_grid(opt["grid"]["T"], opt["grid"]["n_steps"])
+    return _from_config("grid", make_time_grid, opt["grid"]["T"], opt["grid"]["n_steps"])
 
 
 def _paths(config, label: str, dim: int = 1):
@@ -153,8 +162,8 @@ def _basis(opt: dict) -> engine.RegressionBasis:
 
 def _market(opt: dict):
     p = opt["params"]
-    params = merton.MarketParams(mu=p["mu"], r=p["r"], sigma=p["sigma"], gamma=p["gamma"],
-                                 horizon=p["T"])
+    params = _from_config("params", merton.MarketParams, mu=p["mu"], r=p["r"],
+                          sigma=p["sigma"], gamma=p["gamma"], horizon=p["T"])
     return params, merton.HjbGridSpec.default(params, n_space=opt["n_space"])
 
 
@@ -266,8 +275,8 @@ def _run_train(config, out_dir):
     theta_true = opt["theta_true"]
 
     if opt["dataset_csv"] is not None:
-        dataset = _read_file("dataset_csv", learning.read_dataset_csv, opt["dataset_csv"],
-                             grid, n_paths=opt["n_paths"])
+        dataset = _from_config("dataset_csv", learning.read_dataset_csv, opt["dataset_csv"],
+                               grid, n_paths=opt["n_paths"])
     else:
         oracle_draw = sample_brownian(grid, 200_000, 1,
                                       split_seed(config.seed, "train-oracle"))
@@ -379,8 +388,8 @@ def _run_calibrate(config, out_dir):
     opt = config.options
     params, spec = _market(opt)
     if opt["observations_csv"] is not None:
-        obs = _read_file("observations_csv", merton.read_observations_csv,
-                         opt["observations_csv"])
+        obs = _from_config("observations_csv", merton.read_observations_csv,
+                           opt["observations_csv"])
         theta_true = None
     else:
         theta_true = opt["theta_true"]
@@ -433,8 +442,9 @@ _NET_LAYOUT = {f.name: f.default for f in dataclasses.fields(nets.NetLayout)}
 
 def _net_driver(path, architecture, init_seed, **layout):
     if path is not None:
-        return _read_file("driver.path", nets.load_driver_net, path)
-    return nets.build_driver(architecture, nets.NetLayout(**layout), init_seed=init_seed)
+        return _from_config("driver.path", nets.load_driver_net, path)
+    return _from_config("driver", lambda: nets.build_driver(
+        architecture, nets.NetLayout(**layout), init_seed=init_seed))
 
 
 def _model_params(block: dict, resolved: dict, path: str) -> dict:
@@ -506,10 +516,26 @@ _EXCLUSIVE = {
 }
 
 
+def _fits(value, default) -> bool:
+    """Whether value may stand where default does: a value of its type, an
+    int for a float, a list for a tuple, anything for None. A bool is never
+    a number."""
+    if default is None:
+        return True
+    if isinstance(value, bool) or isinstance(default, bool):
+        return isinstance(value, bool) and isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple))
+    return isinstance(value, type(default))
+
+
 def _resolve(doc: dict, table: dict, path: str = "") -> dict:
     """doc with every key of table, defaults filled in and nested blocks
-    resolved in turn. A key the table does not list, or one given together
-    with a key that excludes it, raises ConfigError at its dotted path."""
+    resolved in turn. A key the table does not list, one given together
+    with a key that excludes it, or a value that does not fit its default
+    raises ConfigError at its dotted path."""
     for key in doc:
         if key not in table:
             raise ConfigError(path + key, f"unknown key (known: {', '.join(table)})")
@@ -520,6 +546,9 @@ def _resolve(doc: dict, table: dict, path: str = "") -> dict:
     resolved = {}
     for key, default in table.items():
         if not (isinstance(default, dict) or callable(default)):
+            if key in doc and not _fits(doc[key], default):
+                raise ConfigError(path + key, f"expected a value like the default "
+                                              f"{default!r}, got {doc[key]!r}")
             resolved[key] = doc[key] if key in doc else default
             continue
         block = doc[key] if key in doc else {}

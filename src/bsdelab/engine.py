@@ -329,27 +329,25 @@ def _backward_solve(
 ):
     """The LSMC recursion over the steps of increments, from terminal values.
 
-    terminal_values is (m,) for one terminal or (R, m) for R terminals on
-    the same paths. Per step the design is projected once for every
-    column: the continuation values as R response rows and (Y - C) dW as
-    R * d rows, row r * d + j for component j of column r.
+    terminal_values is (R, m), for R terminals on the same paths. Per step
+    the design is projected once for every column: the continuation values
+    as R response rows and (Y - C) dW as R * d rows, row r * d + j for
+    component j of column r.
     step_design(k) gives step k's (design, Projection) and
     step_value(k, y, z) the driver value on the R * m stacked rows, column
     r in rows r * m to (r + 1) * m. Returns (y, z, continuation, clip
     counts): record-major buffers (R, n + 1, m), (R, n, m, d), (R, n, m)
-    and (R, n) for R terminals, and for one terminal the (m, n + 1),
-    (m, n, d), (m, n) and (n,) views of its record.
+    and (R, n).
     """
     m, n, d = increments.shape
-    xi = terminal_values.reshape(-1, m)
-    n_cols = xi.shape[0]
+    n_cols = len(terminal_values)
     y = np.empty((n_cols, n + 1, m))
     z = np.empty((n_cols, n, m, d))
     cont = np.empty((n_cols, n, m))
     clips = np.zeros((n_cols, n), dtype=int)
 
-    y[:, n] = xi
-    _check_finite(xi, n_cols, "non-finite terminal values")
+    y[:, n] = terminal_values
+    _check_finite(terminal_values, n_cols, "non-finite terminal values")
 
     for k in range(n - 1, -1, -1):
         design, fit = step_design(k)
@@ -376,8 +374,6 @@ def _backward_solve(
         y[:, k] = y_rows.reshape(n_cols, m)
         cont[:, k] = c_k
 
-    if terminal_values.ndim == 1:
-        return y[0].T, np.swapaxes(z[0], 0, 1), cont[0].T, clips[0]
     return y, z, cont, clips
 
 
@@ -567,6 +563,12 @@ class SmoothFunction:
                               d2f=lambda v: 0.0 * v)
 
 
+# Draws of the sampled precondition checks: df/dy points for comparison,
+# midpoint segments for convexity.
+_MONOTONE_SAMPLES = 2_000
+_CONVEXITY_SEGMENTS = 500
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     y0_high: float
@@ -585,7 +587,6 @@ def check_comparison(
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
     tol: float = 0.0,
-    monotone_samples: int = 2_000,
 ) -> ComparisonReport:
     """Solve both terminal conditions on the same noise and report ordering.
 
@@ -601,7 +602,7 @@ def check_comparison(
             f"terminal ordering violated at path {bad}: {xi_hi[bad]} < {xi_lo[bad]}"
         )
     mono = verify_monotone(
-        problem.driver, n_samples=monotone_samples, seed=0,
+        problem.driver, n_samples=_MONOTONE_SAMPLES, seed=0,
         state_dim=ens.state_dim, z_dim=ens.bundle.dim,
     )
     if not mono.passed:
@@ -641,7 +642,6 @@ def check_convexity_and_jensen(
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
     tol: float = 0.0,
-    convexity_samples: int = 500,
 ) -> ConvexityJensenReport:
     """Operator convexity gap and Jensen gap, on common noise.
 
@@ -652,7 +652,7 @@ def check_convexity_and_jensen(
         raise ValueError("lam must lie in [0, 1]")
     ens = problem.ensemble
     cvx = verify_convexity(
-        problem.driver, n_segments=convexity_samples, seed=0, tol=1e-9,
+        problem.driver, n_segments=_CONVEXITY_SEGMENTS, seed=0, tol=1e-9,
         state_dim=ens.state_dim, z_dim=ens.bundle.dim,
     )
     if not cvx.passed:
@@ -713,11 +713,11 @@ def check_dynamic_consistency(
     else:
         design, fit = direct.plan.step(ks)
         y, _, _, _ = _backward_solve(
-            fit.project(design, direct.y[:, ks]), ens.bundle.increments[:, :ks], ens.grid.dt,
-            direct.plan.step, _driver_value(problem.driver, ens), opts.inner_picard_iters,
-            z_clip=opts.z_clip,
+            fit.project(design, direct.y[:, ks])[None], ens.bundle.increments[:, :ks],
+            ens.grid.dt, direct.plan.step, _driver_value(problem.driver, ens),
+            opts.inner_picard_iters, z_clip=opts.z_clip,
         )
-        nested_y0 = float(y[0, 0])
+        nested_y0 = float(y[0, 0, 0])
     return DynamicConsistencyReport(
         y0_direct=direct.y0,
         y0_nested=nested_y0,

@@ -406,15 +406,10 @@ def loss_and_gradient(
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    learning_rate: float | Callable
+    learning_rate: float
     max_iters: int
     seed: int
     loss_tol: float | None = None
-
-    def rate(self, k: int) -> float:
-        if callable(self.learning_rate):
-            return float(self.learning_rate(k))
-        return float(self.learning_rate)
 
 
 @dataclass(frozen=True)
@@ -474,7 +469,7 @@ def train(
         if (schedule.loss_tol is not None and k > 0
                 and abs(losses[-1] - losses[-2]) < schedule.loss_tol):
             break
-        new_theta = current.params - schedule.rate(k) * report.gradient
+        new_theta = current.params - schedule.learning_rate * report.gradient
         if not np.all(np.isfinite(new_theta)):
             raise TrainingDivergedError(k)
         current = current.with_params(new_theta)

@@ -688,13 +688,12 @@ def solve_fluctuation_system(
         def step_value(k, v_k, z_k):
             return forcing[k] + dz_f[k] * z_k[:, 0] + dy_f[k] * v_k
 
-        v, zv, _, _ = _backward_solve(v_t, inc, dt, step_design, step_value,
+        v, zv, _, _ = _backward_solve(v_t[None], inc, dt, step_design, step_value,
                                       opts.inner_picard_iters)
-        zv = zv[:, :, 0]
 
         all_u.append(u.T)
-        all_v.append(v)
-        all_z.append(zv)
+        all_v.append(v[0].T)
+        all_z.append(zv[0, :, :, 0].T)
 
     return FluctuationResult(
         u=np.concatenate(all_u), v=np.concatenate(all_v), z=np.concatenate(all_z),

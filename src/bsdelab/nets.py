@@ -14,6 +14,9 @@ constraints by construction:
 * BoundedInteraction: the interaction factor is squashed through
   M * tanh(.), hence bounded by M everywhere.
 
+`_architecture` declares each kind's block stacks, and every stack reads
+column groups of one input row [t, x, y, z]. A net's output is the sum of
+its stacks' outputs, except BoundedInteraction's (`DriverNet._output`).
 Reverse mode is hand-written; networks here are small by design (the theory
 constrains structure, not capacity).
 """
@@ -112,7 +115,7 @@ def _transform(raw: np.ndarray, codes: np.ndarray):
 
 @dataclass
 class _Block:
-    source: str          # "prev" or a named input
+    source: str          # "prev" or a column group of the input row
     n_in: int
     codes: np.ndarray    # per-column transform codes, shape (n_in,)
     w_slice: slice = field(default=None)
@@ -128,7 +131,8 @@ class _Layer:
 
 class _BlockStack:
     """A feed-forward stack whose layers read from the previous layer and
-    optionally from named skip inputs, with per-column weight transforms."""
+    optionally from column groups of the input row, with per-column weight
+    transforms."""
 
     def __init__(self, layers: list, offset: int):
         self.layers = layers
@@ -141,14 +145,14 @@ class _BlockStack:
             offset += layer.n_out
         self.end = offset
 
-    def forward(self, theta: np.ndarray, sources: dict, m: int):
+    def forward(self, theta: np.ndarray, inputs: dict, m: int):
         prev = None
         caches = []
         for layer in self.layers:
             pre = np.broadcast_to(theta[layer.b_slice], (m, layer.n_out)).copy()
             layer_cache = {"inputs": [], "w_eff": [], "t_deriv": []}
             for block in layer.blocks:
-                a_in = prev if block.source == "prev" else sources[block.source]
+                a_in = prev if block.source == "prev" else inputs[block.source]
                 raw = theta[block.w_slice].reshape(layer.n_out, block.n_in)
                 w_eff, t_deriv = _transform(raw, block.codes)
                 pre += a_in @ w_eff.T
@@ -164,14 +168,15 @@ class _BlockStack:
             prev = post
         return prev[:, 0], caches
 
-    def backward(self, caches: list, delta_out: np.ndarray, dsources: dict) -> list:
+    def backward(self, caches: list, delta_out: np.ndarray, dinp: np.ndarray,
+                 columns: dict) -> list:
         """delta_out (m,): gradient of the scalar output. Accumulates
-        per-sample gradients of the named inputs into dsources and returns
-        the tape the parameter gradients are built from: per layer, output
-        layer first, (delta, inputs, t_derivs) with delta (m, n_out) the
-        per-sample gradient of the layer's pre-activation. Each delta is
-        written over the layer's cached activation derivative, which is not
-        read again."""
+        per-sample gradients of the input row into dinp (m, 2 + n + d), each
+        block's into the columns of its group, and returns the tape the
+        parameter gradients are built from: per layer, output layer first,
+        (delta, inputs, t_derivs) with delta (m, n_out) the per-sample
+        gradient of the layer's pre-activation. Each delta is written over
+        the layer's cached activation derivative, which is not read again."""
         delta = delta_out[:, None]
         tape = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
@@ -183,7 +188,7 @@ class _BlockStack:
                 if block.source == "prev":
                     delta_prev = delta @ w_eff
                 else:
-                    dsources[block.source] += delta @ w_eff
+                    dinp[:, columns[block.source]] += delta @ w_eff
             delta = delta_prev
             if delta is None:
                 break
@@ -198,21 +203,16 @@ class _BlockStack:
                 grad[block.w_slice] += (((delta * weights[:, None]).T @ a_in) * t_deriv).ravel()
 
 
-def _mlp_layers(n_in: int, hidden: Sequence[int], activation: str,
-                first_codes: np.ndarray, hidden_code: int, out_code: int,
-                source: str) -> list:
+def _mlp_layers(source: str, n_in: int, hidden: Sequence[int], activation: str,
+                first_codes: np.ndarray, code: int) -> list:
+    """Dense layers of the widths hidden and a linear output; the first reads
+    source with first_codes, each later one the previous layer with code."""
     layers = []
-    prev = n_in
-    for i, width in enumerate(hidden):
-        codes = first_codes if i == 0 else np.full(prev, hidden_code)
-        src = source if i == 0 else "prev"
-        layers.append(_Layer(n_out=width, activation=activation,
-                             blocks=[_Block(source=src, n_in=prev, codes=codes)]))
-        prev = width
-    out_first = first_codes if not hidden else np.full(prev, out_code)
-    layers.append(_Layer(n_out=1, activation=None,
-                         blocks=[_Block(source=source if not hidden else "prev",
-                                        n_in=prev, codes=out_first)]))
+    blocks = [_Block(source, n_in, first_codes)]
+    for width in hidden:
+        layers.append(_Layer(width, blocks, activation=activation))
+        blocks = [_Block("prev", width, np.full(width, code))]
+    layers.append(_Layer(1, blocks))
     return layers
 
 
@@ -242,18 +242,93 @@ class NetLayout:
         object.__setattr__(self, "n2_hidden", tuple(int(w) for w in self.n2_hidden))
 
 
+def _architecture(kind: ArchitectureKind, layout: NetLayout) -> dict:
+    """The kind's named block stacks in parameter order; InvalidArchitectureError
+    if the layout does not fit the kind."""
+    n, d, act = layout.state_dim, layout.z_dim, layout.activation
+    if not layout.hidden or any(w < 1 for w in layout.hidden):
+        raise InvalidArchitectureError("hidden widths must be positive")
+    if act not in _ACTIVATIONS:
+        raise InvalidArchitectureError(f"unknown activation '{act}'")
+
+    if kind in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
+        first, code = np.zeros(2 + n + d, dtype=int), _T_ID
+        if kind is ArchitectureKind.MONOTONE_Y:
+            if act not in _SMOOTH_ACTIVATIONS:
+                raise InvalidArchitectureError(
+                    "MonotoneY requires a C1 non-decreasing activation (tanh or softplus)"
+                )
+            first[1 + n], code = _T_NONPOS, _T_NONNEG  # column of the y input
+        layers = {"main": _mlp_layers("in", 2 + n + d, layout.hidden, act, first, code)}
+    elif kind in (ArchitectureKind.SEPARABLE, ArchitectureKind.BOUNDED_INTERACTION):
+        if not layout.n2_hidden or any(w < 1 for w in layout.n2_hidden):
+            raise InvalidArchitectureError("n2_hidden widths must be positive")
+        bounded = kind is ArchitectureKind.BOUNDED_INTERACTION
+        if bounded and layout.interaction_bound <= 0:
+            raise InvalidArchitectureError("interaction_bound must be positive")
+        first, code = np.zeros(1, dtype=int), _T_ID
+        if layout.n2_monotone:
+            if bounded:
+                raise InvalidArchitectureError(
+                    "n2_monotone applies to the Separable architecture only"
+                )
+            if act not in _SMOOTH_ACTIVATIONS:
+                raise InvalidArchitectureError(
+                    "monotone N2 requires a C1 non-decreasing activation"
+                )
+            first, code = np.array([_T_NONPOS]), _T_NONNEG
+        txz = lambda: _mlp_layers("txz", 1 + n + d, layout.hidden, act,
+                                  np.zeros(1 + n + d, dtype=int), _T_ID)
+        layers = {"txz": txz()}
+        if bounded:
+            layers["interaction"] = txz()
+        layers["y"] = _mlp_layers("y", 1, layout.n2_hidden, act, first, code)
+    else:
+        if act not in _CONVEX_ACTIVATIONS:
+            raise InvalidArchitectureError(
+                "IcnnYZ requires a convex non-decreasing activation (softplus or relu)"
+            )
+        layers, prev = [], []
+        for i, width in enumerate((*layout.hidden, 1)):
+            blocks = prev + [_Block("u", 1 + d, np.zeros(1 + d, dtype=int)),
+                             _Block("c", 1 + n, np.zeros(1 + n, dtype=int))]
+            layers.append(_Layer(width, blocks,
+                                 activation=act if i < len(layout.hidden) else None))
+            prev = [_Block("prev", width, np.full(width, _T_NONNEG))]
+        layers = {"icnn": layers}
+
+    stacks, offset = {}, 0
+    for name, stack_layers in layers.items():
+        stacks[name] = _BlockStack(stack_layers, offset)
+        offset = stacks[name].end
+    return stacks
+
+
 class DriverNet:
     """A constrained feed-forward driver f(t, x, y, z).
+
+    Its stacks are `_architecture(kind, layout)`. The output is their sum,
+    except for BoundedInteraction: txz + M tanh(interaction) y, in `_output`.
 
     Instances are immutable; with_params returns a new net sharing the
     architecture. The raw parameter vector is unconstrained, so gradient
     steps preserve the architectural invariants automatically.
     """
 
-    def __init__(self, kind: ArchitectureKind, layout: NetLayout, theta: np.ndarray):
+    def __init__(self, kind: ArchitectureKind, layout: NetLayout, theta: np.ndarray,
+                 stacks: dict):
+        """stacks is `_architecture(kind, layout)`."""
         self.kind = ArchitectureKind(kind)
         self.layout = layout
-        self._build()
+        self._stacks = stacks
+        # The column groups of the input row [t, x, y, z] that blocks read.
+        n, d = layout.state_dim, layout.z_dim
+        groups = {"in": slice(0, 2 + n + d), "txz": np.r_[0:1 + n, 2 + n:2 + n + d],
+                  "y": slice(1 + n, 2 + n), "u": slice(1 + n, 2 + n + d), "c": slice(0, 1 + n)}
+        self._columns = {block.source: groups[block.source]
+                         for stack in stacks.values() for layer in stack.layers
+                         for block in layer.blocks if block.source != "prev"}
+        self.n_params = list(stacks.values())[-1].end
         theta = np.asarray(theta, dtype=np.float64).ravel()
         if theta.size != self.n_params:
             raise ValueError(f"theta must have length {self.n_params}, got {theta.size}")
@@ -268,161 +343,41 @@ class DriverNet:
     def params(self) -> np.ndarray:
         return self.theta
 
-    @property
-    def n_params(self) -> int:
-        return self._n_params
-
-    def _build(self):
-        lay = self.layout
-        n, d = lay.state_dim, lay.z_dim
-        act = lay.activation
-        k = self.kind
-        if not lay.hidden or any(w < 1 for w in lay.hidden):
-            raise InvalidArchitectureError("hidden widths must be positive")
-        if act not in _ACTIVATIONS:
-            raise InvalidArchitectureError(f"unknown activation '{act}'")
-
-        offset = 0
-        self._stacks = {}
-        if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
-            w_in = 1 + n + 1 + d
-            if k is ArchitectureKind.MONOTONE_Y:
-                if act not in _SMOOTH_ACTIVATIONS:
-                    raise InvalidArchitectureError(
-                        "MonotoneY requires a C1 non-decreasing activation (tanh or softplus)"
-                    )
-                first = np.zeros(w_in, dtype=int)
-                first[1 + n] = _T_NONPOS  # column of the y input
-                hidden_code, out_code = _T_NONNEG, _T_NONNEG
-            else:
-                first = np.zeros(w_in, dtype=int)
-                hidden_code, out_code = _T_ID, _T_ID
-            stack = _BlockStack(
-                _mlp_layers(w_in, lay.hidden, act, first, hidden_code, out_code, "in"),
-                offset,
-            )
-            self._stacks["main"] = stack
-            offset = stack.end
-        elif k in (ArchitectureKind.SEPARABLE, ArchitectureKind.BOUNDED_INTERACTION):
-            if not lay.n2_hidden or any(w < 1 for w in lay.n2_hidden):
-                raise InvalidArchitectureError("n2_hidden widths must be positive")
-            w_a = 1 + n + d
-            stack_a = _BlockStack(
-                _mlp_layers(w_a, lay.hidden, act, np.zeros(w_a, dtype=int), _T_ID, _T_ID, "txz"),
-                offset,
-            )
-            self._stacks["txz"] = stack_a
-            offset = stack_a.end
-            if k is ArchitectureKind.BOUNDED_INTERACTION:
-                if lay.interaction_bound <= 0:
-                    raise InvalidArchitectureError("interaction_bound must be positive")
-                stack_b = _BlockStack(
-                    _mlp_layers(w_a, lay.hidden, act, np.zeros(w_a, dtype=int), _T_ID, _T_ID, "txz"),
-                    offset,
-                )
-                self._stacks["interaction"] = stack_b
-                offset = stack_b.end
-            if lay.n2_monotone:
-                if k is ArchitectureKind.BOUNDED_INTERACTION:
-                    raise InvalidArchitectureError(
-                        "n2_monotone applies to the Separable architecture only"
-                    )
-                if act not in _SMOOTH_ACTIVATIONS:
-                    raise InvalidArchitectureError(
-                        "monotone N2 requires a C1 non-decreasing activation"
-                    )
-                first = np.array([_T_NONPOS])
-                h_code, o_code = _T_NONNEG, _T_NONNEG
-            else:
-                first = np.zeros(1, dtype=int)
-                h_code, o_code = _T_ID, _T_ID
-            stack_y = _BlockStack(
-                _mlp_layers(1, lay.n2_hidden, act, first, h_code, o_code, "y"),
-                offset,
-            )
-            self._stacks["y"] = stack_y
-            offset = stack_y.end
-        elif k is ArchitectureKind.ICNN_YZ:
-            if act not in _CONVEX_ACTIVATIONS:
-                raise InvalidArchitectureError(
-                    "IcnnYZ requires a convex non-decreasing activation (softplus or relu)"
-                )
-            n_u, n_c = 1 + d, 1 + n
-            layers = []
-            prev = None
-            for i, width in enumerate(lay.hidden):
-                blocks = []
-                if i > 0:
-                    blocks.append(_Block("prev", prev, np.full(prev, _T_NONNEG)))
-                blocks.append(_Block("u", n_u, np.zeros(n_u, dtype=int)))
-                blocks.append(_Block("c", n_c, np.zeros(n_c, dtype=int)))
-                layers.append(_Layer(n_out=width, activation=act, blocks=blocks))
-                prev = width
-            layers.append(_Layer(
-                n_out=1, activation=None,
-                blocks=[
-                    _Block("prev", prev, np.full(prev, _T_NONNEG)),
-                    _Block("u", n_u, np.zeros(n_u, dtype=int)),
-                    _Block("c", n_c, np.zeros(n_c, dtype=int)),
-                ],
-            ))
-            stack = _BlockStack(layers, offset)
-            self._stacks["icnn"] = stack
-            offset = stack.end
-        else:  # pragma: no cover
-            raise InvalidArchitectureError(f"unknown kind {k}")
-        self._n_params = offset
-
     # -- evaluation ---------------------------------------------------------
 
-    def _sources(self, t, x, y, z):
-        cols = [t[:, None], x, y[:, None], z]
-        k = self.kind
-        if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
-            return {"in": np.concatenate(cols, axis=1)}
-        if k in (ArchitectureKind.SEPARABLE, ArchitectureKind.BOUNDED_INTERACTION):
-            return {"txz": np.concatenate([t[:, None], x, z], axis=1), "y": y[:, None]}
-        return {"u": np.concatenate([y[:, None], z], axis=1),
-                "c": np.concatenate([t[:, None], x], axis=1)}
+    def _forward(self, t, x, y, z):
+        """(the input row, per stack its output, per stack its forward caches)."""
+        t, x, y, z = _normalize_inputs(t, x, y, z)
+        if x.shape[1] != self.layout.state_dim:
+            raise ValueError(f"x has {x.shape[1]} columns, layout expects {self.layout.state_dim}")
+        if z.shape[1] != self.layout.z_dim:
+            raise ValueError(f"z has {z.shape[1]} columns, layout expects {self.layout.z_dim}")
+        row = np.concatenate([t[:, None], x, y[:, None], z], axis=1)
+        # C-contiguous groups: BLAS sums a product over a strided copy in
+        # another order, which would move the bits of value and pullback.
+        inputs = {name: np.ascontiguousarray(row[:, cols]) for name, cols in self._columns.items()}
+        outs, caches = {}, {}
+        for name, stack in self._stacks.items():
+            outs[name], caches[name] = stack.forward(self.theta, inputs, len(row))
+        return row, outs, caches
 
-    def _forward(self, sources: dict, m: int):
-        k = self.kind
-        if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
-            out, cache = self._stacks["main"].forward(self.theta, sources, m)
-            return out, {"main": cache}
-        if k is ArchitectureKind.SEPARABLE:
-            a, ca = self._stacks["txz"].forward(self.theta, sources, m)
-            b, cb = self._stacks["y"].forward(self.theta, sources, m)
-            return a + b, {"txz": ca, "y": cb}
-        if k is ArchitectureKind.BOUNDED_INTERACTION:
-            a, ca = self._stacks["txz"].forward(self.theta, sources, m)
-            raw_b, cb = self._stacks["interaction"].forward(self.theta, sources, m)
-            c, cc = self._stacks["y"].forward(self.theta, sources, m)
+    def _output(self, outs: dict) -> np.ndarray:
+        if self.kind is ArchitectureKind.BOUNDED_INTERACTION:
             bound = self.layout.interaction_bound
-            squash = bound * np.tanh(raw_b)
-            out = a + squash * c
-            return out, {"txz": ca, "interaction": cb, "y": cc,
-                         "squash": squash, "squash_deriv": bound * (1.0 - np.tanh(raw_b) ** 2),
-                         "c_out": c}
-        out, cache = self._stacks["icnn"].forward(self.theta, sources, m)
-        return out, {"icnn": cache}
+            return outs["txz"] + bound * np.tanh(outs["interaction"]) * outs["y"]
+        first, *rest = outs.values()
+        return sum(rest, first)
 
     def value(self, t, x, y, z) -> np.ndarray:
-        t, x, y, z = _normalize_inputs(t, x, y, z)
-        self._check_dims(x, z)
-        sources = self._sources(t, x, y, z)
-        out, _ = self._forward(sources, x.shape[0])
-        return out
+        _, outs, _ = self._forward(t, x, y, z)
+        return self._output(outs)
 
     def interaction_factor(self, t, x, y, z) -> np.ndarray:
         """The bounded factor of the BoundedInteraction architecture."""
         if self.kind is not ArchitectureKind.BOUNDED_INTERACTION:
             raise InvalidArchitectureError("interaction_factor requires BoundedInteraction")
-        t, x, y, z = _normalize_inputs(t, x, y, z)
-        self._check_dims(x, z)
-        sources = self._sources(t, x, y, z)
-        raw_b, _ = self._stacks["interaction"].forward(self.theta, sources, x.shape[0])
-        return self.layout.interaction_bound * np.tanh(raw_b)
+        _, outs, _ = self._forward(t, x, y, z)
+        return self.layout.interaction_bound * np.tanh(outs["interaction"])
 
     def _reverse(self, t, x, y, z):
         """Forward pass and one reverse pass with unit output weight.
@@ -430,39 +385,19 @@ class DriverNet:
         Returns the value, dy, dz and, per stack, the tape that parameter
         gradients are built from.
         """
-        t, x, y, z = _normalize_inputs(t, x, y, z)
-        self._check_dims(x, z)
-        m = x.shape[0]
-        sources = self._sources(t, x, y, z)
-        out, caches = self._forward(sources, m)
-        dsources = {key: np.zeros_like(val) for key, val in sources.items()}
-        ones = np.ones(m)
-        k = self.kind
-        if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
-            seeds = {"main": ones}
-        elif k is ArchitectureKind.SEPARABLE:
-            seeds = {"txz": ones, "y": ones}
-        elif k is ArchitectureKind.BOUNDED_INTERACTION:
-            seeds = {"txz": ones,
-                     "interaction": caches["squash_deriv"] * caches["c_out"],
-                     "y": caches["squash"]}
-        else:
-            seeds = {"icnn": ones}
-        tapes = {name: self._stacks[name].backward(caches[name], seed, dsources)
-                 for name, seed in seeds.items()}
-
+        row, outs, caches = self._forward(t, x, y, z)
+        out = self._output(outs)
+        seeds = dict.fromkeys(self._stacks, np.ones(len(row)))
+        if self.kind is ArchitectureKind.BOUNDED_INTERACTION:
+            bound = self.layout.interaction_bound
+            squash = np.tanh(outs["interaction"])
+            seeds["interaction"] = bound * (1.0 - squash ** 2) * outs["y"]
+            seeds["y"] = bound * squash
+        dinp = np.zeros_like(row)
+        tapes = {name: stack.backward(caches[name], seeds[name], dinp, self._columns)
+                 for name, stack in self._stacks.items()}
         n = self.layout.state_dim
-        if k in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
-            din = dsources["in"]
-            dy = din[:, 1 + n]
-            dz = din[:, 2 + n:]
-        elif k in (ArchitectureKind.SEPARABLE, ArchitectureKind.BOUNDED_INTERACTION):
-            dy = dsources["y"][:, 0]
-            dz = dsources["txz"][:, 1 + n:]
-        else:
-            dy = dsources["u"][:, 0]
-            dz = dsources["u"][:, 1:]
-        return out, dy, dz.copy(), tapes
+        return out, dinp[:, 1 + n], dinp[:, 2 + n:].copy(), tapes
 
     def linearize(self, t, x, y, z) -> DriverLinearization:
         """Value and input derivatives, with a pullback that reuses this
@@ -479,22 +414,16 @@ class DriverNet:
         return DriverLinearization(value=out, dy=dy, dz=dz, pullback=pullback)
 
     def with_params(self, params) -> "DriverNet":
-        return DriverNet(self.kind, self.layout, params)
-
-    def _check_dims(self, x, z):
-        if x.shape[1] != self.layout.state_dim:
-            raise ValueError(f"x has {x.shape[1]} columns, layout expects {self.layout.state_dim}")
-        if z.shape[1] != self.layout.z_dim:
-            raise ValueError(f"z has {z.shape[1]} columns, layout expects {self.layout.z_dim}")
+        return DriverNet(self.kind, self.layout, params, self._stacks)
 
 
 def build_driver(kind, layout: NetLayout = NetLayout(), init_seed: int = 0) -> DriverNet:
     """Build a driver net with small symmetric random raw parameters."""
     kind = ArchitectureKind(kind)
-    probe = DriverNet(kind, layout, np.zeros(_param_count(kind, layout)))
+    stacks = _architecture(kind, layout)
     gen = np.random.Generator(np.random.Philox(key=split_seed(init_seed, "driver-init", kind.value)))
-    theta = np.zeros(probe.n_params)
-    for stack in probe._stacks.values():
+    theta = np.zeros(list(stacks.values())[-1].end)
+    for stack in stacks.values():
         for layer in stack.layers:
             fan_in = sum(block.n_in for block in layer.blocks)
             scale = 1.0 / np.sqrt(fan_in)
@@ -502,15 +431,7 @@ def build_driver(kind, layout: NetLayout = NetLayout(), init_seed: int = 0) -> D
                 size = layer.n_out * block.n_in
                 theta[block.w_slice] = gen.uniform(-scale, scale, size=size)
             theta[layer.b_slice] = gen.uniform(-scale, scale, size=layer.n_out)
-    return DriverNet(kind, layout, theta)
-
-
-def _param_count(kind, layout) -> int:
-    tmp = object.__new__(DriverNet)
-    tmp.kind = ArchitectureKind(kind)
-    tmp.layout = layout
-    tmp._build()
-    return tmp._n_params
+    return DriverNet(kind, layout, theta, stacks)
 
 
 def build_homogeneous_icnn(z_dim: int = 1, hidden: tuple = (8, 8),
@@ -721,7 +642,8 @@ def parse_driver_net(text: str) -> DriverNet:
     values = lines[idx:idx + n_params]
     if len(values) < n_params:
         raise ValueError(f"driver-net document is truncated: {len(values)} of {n_params} values")
-    return DriverNet(kind, layout, np.array([float(v) for v in values]))
+    return DriverNet(kind, layout, np.array([float(v) for v in values]),
+                     _architecture(kind, layout))
 
 
 def save_driver_net(net: DriverNet, path) -> None:

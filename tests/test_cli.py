@@ -125,6 +125,25 @@ class TestConfigValidation:
         assert f"config error at '{dotted}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, doc, dotted", [
+        ("solve", {"kind": "solve", "n_paths": "500"}, "n_paths"),
+        ("verify", {"kind": "oracle-suite", "n_paths": True}, "n_paths"),
+        ("train", {"kind": "train", "scales": 1.0}, "scales"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "n2_monotone": 1}},
+         "driver.n2_monotone"),
+        ("merton", {"kind": "merton", "params": {"gamma": 2.0}}, "params"),
+        ("solve", {"kind": "solve", "grid": {"T": -1}}, "grid"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [0]}}, "driver"),
+    ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
+            "market-rejected", "grid-rejected", "layout-rejected"])
+    def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
+                                                    dotted):
+        cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at '{dotted}'" in err
+        assert "Traceback" not in err
+
     def test_unknown_name_of_a_block(self):
         with pytest.raises(ConfigError) as info:
             ExperimentConfig.from_dict({"kind": "solve", "seed": 1, "driver": {"name": "nope"}})
@@ -185,7 +204,10 @@ class TestReports:
         good = json.loads(emit_report(self.sample_report(), "json"))
         extra_field = dict(good, checks=[dict(good["checks"][0], extra=1)])
         missing_key = {k: v for k, v in good.items() if k != "timings"}
-        for doc in ([1, 2], extra_field, missing_key):
+        mistyped = [dict(good, checks=[dict(good["checks"][0], **{key: value})])
+                    for key, value in (("value", "v"), ("tolerance", True), ("passed", 1),
+                                       ("name", 3), ("detail", None))]
+        for doc in ([1, 2], extra_field, missing_key, *mistyped):
             text = json.dumps(doc)
             with pytest.raises(ValueError):
                 parse_report(text)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bsdelab import nets
 from bsdelab.drivers import (
     Driver,
     TruncatedDriver,
@@ -81,6 +82,16 @@ class TestConstruction:
             build_driver("BoundedInteraction", NetLayout(interaction_bound=0.0))
         with pytest.raises(InvalidArchitectureError):
             build_driver("BoundedInteraction", NetLayout(n2_monotone=True))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_architecture_is_built_once_and_shared(self, kind, monkeypatch):
+        calls = []
+        architecture = nets._architecture
+        monkeypatch.setattr(nets, "_architecture",
+                            lambda *args: calls.append(args) or architecture(*args))
+        net = build_driver(kind, layout_for(kind), init_seed=2)
+        assert len(calls) == 1
+        assert net.with_params(net.theta + 0.5)._stacks is net._stacks
 
     def test_hand_set_monotone_affine_layer(self):
         # One hidden unit: f = w_out * tanh(w_y * y); with w_y = -0.01 and
