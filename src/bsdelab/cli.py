@@ -146,8 +146,8 @@ def _grid(opt: dict):
 def _paths(config, label: str, dim: int = 1):
     """The config's time grid and its Brownian draws, seeded under label."""
     grid = _grid(config.options)
-    return grid, sample_brownian(grid, config.options["n_paths"], dim,
-                                 split_seed(config.seed, label))
+    return grid, _from_config("n_paths", sample_brownian, grid, config.options["n_paths"], dim,
+                              split_seed(config.seed, label))
 
 
 def _ensemble(config, label: str, model: ForwardModel | None = None):
@@ -164,7 +164,8 @@ def _market(opt: dict):
     p = opt["params"]
     params = _from_config("params", merton.MarketParams, mu=p["mu"], r=p["r"],
                           sigma=p["sigma"], gamma=p["gamma"], horizon=p["T"])
-    return params, merton.HjbGridSpec.default(params, n_space=opt["n_space"])
+    return params, _from_config("n_space", merton.HjbGridSpec.default, params,
+                                n_space=opt["n_space"])
 
 
 def _run_solve(config, out_dir):
@@ -275,8 +276,7 @@ def _run_train(config, out_dir):
     theta_true = opt["theta_true"]
 
     if opt["dataset_csv"] is not None:
-        dataset = _from_config("dataset_csv", learning.read_dataset_csv, opt["dataset_csv"],
-                               grid, n_paths=opt["n_paths"])
+        dataset = _from_config("dataset_csv", learning.read_dataset_csv, opt["dataset_csv"], grid)
     else:
         oracle_draw = sample_brownian(grid, 200_000, 1,
                                       split_seed(config.seed, "train-oracle"))
@@ -285,7 +285,8 @@ def _run_train(config, out_dir):
             terminal=_scaled_state(c), label=f"scale-{c}",
             observed=engine.closed_form_oracle("entropic", c * w_t, theta=theta_true))
             for c in opt["scales"])
-        dataset = learning.Dataset(records=records, grid=grid, n_paths=opt["n_paths"])
+        dataset = learning.Dataset(records=records, grid=grid)
+    dataset = _from_config("n_paths", dataclasses.replace, dataset, n_paths=opt["n_paths"])
 
     schedule = learning.TrainSchedule(learning_rate=opt["learning_rate"],
                                       max_iters=opt["max_iters"], loss_tol=opt["loss_tol"],

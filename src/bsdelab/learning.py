@@ -261,6 +261,8 @@ class Dataset:
     def __post_init__(self):
         if len(self.records) == 0:
             raise ValueError("dataset must be non-empty")
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
         for rec in self.records:
             if not np.isfinite(rec.observed):
                 raise ValueError(f"observation '{rec.label}' is not finite")

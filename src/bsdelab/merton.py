@@ -96,13 +96,25 @@ def classical_merton(params: MarketParams) -> ClassicalSolution:
 @dataclass(frozen=True)
 class HjbGridSpec:
     """Log-wealth grid: n_space intervals on [ell_lo, ell_hi], n_time steps
-    (None picks the stability bound automatically)."""
+    (None picks the stability bound automatically).
+
+    The interior band, where policies are read and compared, skips
+    max(2, ceil(interior_margin * n_space)) nodes at each end, so n_space
+    must satisfy n_space + 1 > 2 * max(2, ceil(interior_margin * n_space)):
+    n_space >= 4 at the default margin 0.2. ValueError otherwise.
+    """
 
     ell_lo: float
     ell_hi: float
     n_space: int = 160
     n_time: int | None = None
     interior_margin: float = 0.2
+
+    def __post_init__(self):
+        band = _interior(self.n_space + 1, self.interior_margin)
+        if band.start >= band.stop:
+            raise ValueError(f"n_space = {self.n_space} leaves no interior nodes at "
+                             f"interior_margin = {self.interior_margin}")
 
     @staticmethod
     def default(params: MarketParams, x0: float = 1.0, n_space: int = 160,

@@ -14,11 +14,11 @@ constraints by construction:
 * BoundedInteraction: the interaction factor is squashed through
   M * tanh(.), hence bounded by M everywhere.
 
-`_architecture` declares each kind's block stacks, and every stack reads
-column groups of one input row [t, x, y, z]. A net's output is the sum of
-its stacks' outputs, except BoundedInteraction's (`DriverNet._output`).
-Reverse mode is hand-written; networks here are small by design (the theory
-constrains structure, not capacity).
+`_architecture` declares each kind's block stacks, whose blocks read input
+groups concatenated from t, x, y and z (`_GROUPS`). Every call runs one forward
+pass; the hand-written reverse pass takes the activation derivatives. A net's
+output is the sum of its stacks' outputs, except BoundedInteraction's. Networks
+here are small by design (the theory constrains structure, not capacity).
 """
 
 from __future__ import annotations
@@ -71,24 +71,19 @@ def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-# Activations return (post, derivative); they may overwrite pre, which the
-# forward pass allocates for them.
-def _act_tanh(pre):
-    post = np.tanh(pre, out=pre)
+def _tanh_derivative(pre, post):
     deriv = post * post
-    return post, np.subtract(1.0, deriv, out=deriv)
+    return np.subtract(1.0, deriv, out=deriv)
 
 
-def _act_softplus(pre):
-    return _softplus(pre), expit(pre, out=pre)
-
-
-def _act_relu(pre):
-    # Right-derivative convention at the kink.
-    return np.maximum(pre, 0.0), (pre >= 0.0).astype(np.float64)
-
-
-_ACTIVATIONS = {"tanh": _act_tanh, "softplus": _act_softplus, "relu": _act_relu}
+# Each activation is (value(pre), derivative(pre, post)); both may write over
+# pre, but not over post, the next layer's input. relu: right derivative at 0.
+_ACTIVATIONS = {
+    "tanh": (lambda pre: np.tanh(pre, out=pre), _tanh_derivative),
+    "softplus": (_softplus, lambda pre, post: expit(pre, out=pre)),
+    "relu": (lambda pre: np.maximum(pre, 0.0),
+             lambda pre, post: np.greater_equal(pre, 0.0, out=pre)),
+}
 
 _SMOOTH_ACTIVATIONS = {"tanh", "softplus"}
 _CONVEX_ACTIVATIONS = {"softplus", "relu"}
@@ -113,9 +108,14 @@ def _transform(raw: np.ndarray, codes: np.ndarray):
 # block stacks
 # ---------------------------------------------------------------------------
 
+# The input groups blocks read, each its pieces of t, x, y, z in that order,
+# so a group's z columns, if any, are its last and its y column precedes them.
+_GROUPS = {"in": "txyz", "txz": "txz", "y": "y", "u": "yz", "c": "tx"}
+
+
 @dataclass
 class _Block:
-    source: str          # "prev" or a column group of the input row
+    source: str          # "prev" or an input group
     n_in: int
     codes: np.ndarray    # per-column transform codes, shape (n_in,)
     w_slice: slice = field(default=None)
@@ -131,8 +131,7 @@ class _Layer:
 
 class _BlockStack:
     """A feed-forward stack whose layers read from the previous layer and
-    optionally from column groups of the input row, with per-column weight
-    transforms."""
+    optionally from input groups, with per-column weight transforms."""
 
     def __init__(self, layers: list, offset: int):
         self.layers = layers
@@ -146,49 +145,55 @@ class _BlockStack:
         self.end = offset
 
     def forward(self, theta: np.ndarray, inputs: dict, m: int):
+        """The stack's output (m,) and, per layer, what backward reads: inputs,
+        effective weights, their transform derivatives, pre-activation, value."""
         prev = None
         caches = []
         for layer in self.layers:
             pre = np.broadcast_to(theta[layer.b_slice], (m, layer.n_out)).copy()
-            layer_cache = {"inputs": [], "w_eff": [], "t_deriv": []}
+            cache = {"inputs": [], "w_eff": [], "t_deriv": []}
             for block in layer.blocks:
                 a_in = prev if block.source == "prev" else inputs[block.source]
                 raw = theta[block.w_slice].reshape(layer.n_out, block.n_in)
                 w_eff, t_deriv = _transform(raw, block.codes)
                 pre += a_in @ w_eff.T
-                layer_cache["inputs"].append(a_in)
-                layer_cache["w_eff"].append(w_eff)
-                layer_cache["t_deriv"].append(t_deriv)
-            if layer.activation is None:
-                post, act_deriv = pre, None
-            else:
-                post, act_deriv = _ACTIVATIONS[layer.activation](pre)
-            layer_cache["act_deriv"] = act_deriv
-            caches.append(layer_cache)
+                cache["inputs"].append(a_in)
+                cache["w_eff"].append(w_eff)
+                cache["t_deriv"].append(t_deriv)
+            post = pre if layer.activation is None else _ACTIVATIONS[layer.activation][0](pre)
+            cache["pre"], cache["post"] = pre, post
+            caches.append(cache)
             prev = post
         return prev[:, 0], caches
 
-    def backward(self, caches: list, delta_out: np.ndarray, dinp: np.ndarray,
-                 columns: dict) -> list:
-        """delta_out (m,): gradient of the scalar output. Accumulates
-        per-sample gradients of the input row into dinp (m, 2 + n + d), each
-        block's into the columns of its group, and returns the tape the
-        parameter gradients are built from: per layer, output layer first,
-        (delta, inputs, t_derivs) with delta (m, n_out) the per-sample
-        gradient of the layer's pre-activation. Each delta is written over
-        the layer's cached activation derivative, which is not read again."""
-        delta = delta_out[:, None]
+    def backward(self, caches: list, delta_out: np.ndarray, dy: np.ndarray,
+                 dz: np.ndarray) -> list:
+        """delta_out (m,): gradient of the scalar output. Adds each input
+        group's per-sample gradient, read at the group's y and z columns,
+        into dy (m,) and dz (m, d); t and x gradients are never formed.
+        Returns the tape the parameter gradients are built from: per layer,
+        output layer first, (delta, inputs, t_derivs) with delta (m, n_out)
+        the per-sample gradient of the layer's pre-activation. Each layer's
+        activation derivative is taken here, and delta is written over it."""
+        delta, d = delta_out[:, None], dz.shape[1]
         tape = []
         for layer, cache in zip(reversed(self.layers), reversed(caches)):
-            if cache["act_deriv"] is not None:
-                delta = np.multiply(delta, cache["act_deriv"], out=cache["act_deriv"])
+            if layer.activation is not None:
+                act_deriv = _ACTIVATIONS[layer.activation][1](cache["pre"], cache["post"])
+                delta = np.multiply(delta, act_deriv, out=act_deriv)
             tape.append((delta, cache["inputs"], cache["t_deriv"]))
             delta_prev = None
             for block, w_eff in zip(layer.blocks, cache["w_eff"]):
+                pieces = _GROUPS.get(block.source, "")
                 if block.source == "prev":
                     delta_prev = delta @ w_eff
-                else:
-                    dinp[:, columns[block.source]] += delta @ w_eff
+                elif "z" in pieces:
+                    grad = delta @ w_eff
+                    dz += grad[:, -d:]
+                    if "y" in pieces:
+                        dy += grad[:, -1 - d]
+                elif "y" in pieces:
+                    dy += (delta @ w_eff)[:, -1]
             delta = delta_prev
             if delta is None:
                 break
@@ -238,8 +243,11 @@ class NetLayout:
     interaction_bound: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        object.__setattr__(self, "n2_hidden", tuple(int(w) for w in self.n2_hidden))
+        for name in ("hidden", "n2_hidden"):
+            widths = tuple(getattr(self, name))
+            if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) for w in widths):
+                raise InvalidArchitectureError(f"{name} widths must be integers, got {widths}")
+            object.__setattr__(self, name, tuple(int(w) for w in widths))
 
 
 def _architecture(kind: ArchitectureKind, layout: NetLayout) -> dict:
@@ -317,17 +325,11 @@ class DriverNet:
 
     def __init__(self, kind: ArchitectureKind, layout: NetLayout, theta: np.ndarray,
                  stacks: dict):
-        """stacks is `_architecture(kind, layout)`."""
         self.kind = ArchitectureKind(kind)
         self.layout = layout
         self._stacks = stacks
-        # The column groups of the input row [t, x, y, z] that blocks read.
-        n, d = layout.state_dim, layout.z_dim
-        groups = {"in": slice(0, 2 + n + d), "txz": np.r_[0:1 + n, 2 + n:2 + n + d],
-                  "y": slice(1 + n, 2 + n), "u": slice(1 + n, 2 + n + d), "c": slice(0, 1 + n)}
-        self._columns = {block.source: groups[block.source]
-                         for stack in stacks.values() for layer in stack.layers
-                         for block in layer.blocks if block.source != "prev"}
+        self._groups = {block.source for stack in stacks.values() for layer in stack.layers
+                        for block in layer.blocks} - {"prev"}
         self.n_params = list(stacks.values())[-1].end
         theta = np.asarray(theta, dtype=np.float64).ravel()
         if theta.size != self.n_params:
@@ -346,20 +348,21 @@ class DriverNet:
     # -- evaluation ---------------------------------------------------------
 
     def _forward(self, t, x, y, z):
-        """(the input row, per stack its output, per stack its forward caches)."""
+        """(per stack its output, per stack its forward caches)."""
         t, x, y, z = _normalize_inputs(t, x, y, z)
         if x.shape[1] != self.layout.state_dim:
             raise ValueError(f"x has {x.shape[1]} columns, layout expects {self.layout.state_dim}")
         if z.shape[1] != self.layout.z_dim:
             raise ValueError(f"z has {z.shape[1]} columns, layout expects {self.layout.z_dim}")
-        row = np.concatenate([t[:, None], x, y[:, None], z], axis=1)
-        # C-contiguous groups: BLAS sums a product over a strided copy in
-        # another order, which would move the bits of value and pullback.
-        inputs = {name: np.ascontiguousarray(row[:, cols]) for name, cols in self._columns.items()}
+        # Concatenation gives C-contiguous groups: BLAS sums a product over a
+        # strided view in another order, which would move the output bits.
+        pieces = {"t": t[:, None], "x": x, "y": y[:, None], "z": z}
+        inputs = {name: np.concatenate([pieces[p] for p in _GROUPS[name]], axis=1)
+                  for name in self._groups}
         outs, caches = {}, {}
         for name, stack in self._stacks.items():
-            outs[name], caches[name] = stack.forward(self.theta, inputs, len(row))
-        return row, outs, caches
+            outs[name], caches[name] = stack.forward(self.theta, inputs, len(t))
+        return outs, caches
 
     def _output(self, outs: dict) -> np.ndarray:
         if self.kind is ArchitectureKind.BOUNDED_INTERACTION:
@@ -369,14 +372,14 @@ class DriverNet:
         return sum(rest, first)
 
     def value(self, t, x, y, z) -> np.ndarray:
-        _, outs, _ = self._forward(t, x, y, z)
+        outs, _ = self._forward(t, x, y, z)
         return self._output(outs)
 
     def interaction_factor(self, t, x, y, z) -> np.ndarray:
         """The bounded factor of the BoundedInteraction architecture."""
         if self.kind is not ArchitectureKind.BOUNDED_INTERACTION:
             raise InvalidArchitectureError("interaction_factor requires BoundedInteraction")
-        _, outs, _ = self._forward(t, x, y, z)
+        outs, _ = self._forward(t, x, y, z)
         return self.layout.interaction_bound * np.tanh(outs["interaction"])
 
     def _reverse(self, t, x, y, z):
@@ -385,19 +388,18 @@ class DriverNet:
         Returns the value, dy, dz and, per stack, the tape that parameter
         gradients are built from.
         """
-        row, outs, caches = self._forward(t, x, y, z)
+        outs, caches = self._forward(t, x, y, z)
         out = self._output(outs)
-        seeds = dict.fromkeys(self._stacks, np.ones(len(row)))
+        seeds = dict.fromkeys(self._stacks, np.ones_like(out))
         if self.kind is ArchitectureKind.BOUNDED_INTERACTION:
             bound = self.layout.interaction_bound
             squash = np.tanh(outs["interaction"])
             seeds["interaction"] = bound * (1.0 - squash ** 2) * outs["y"]
             seeds["y"] = bound * squash
-        dinp = np.zeros_like(row)
-        tapes = {name: stack.backward(caches[name], seeds[name], dinp, self._columns)
+        dy, dz = np.zeros_like(out), np.zeros((len(out), self.layout.z_dim))
+        tapes = {name: stack.backward(caches[name], seeds[name], dy, dz)
                  for name, stack in self._stacks.items()}
-        n = self.layout.state_dim
-        return out, dinp[:, 1 + n], dinp[:, 2 + n:].copy(), tapes
+        return out, dy, dz, tapes
 
     def linearize(self, t, x, y, z) -> DriverLinearization:
         """Value and input derivatives, with a pullback that reuses this
@@ -451,10 +453,8 @@ def build_homogeneous_icnn(z_dim: int = 1, hidden: tuple = (8, 8),
         for block in layer.blocks:
             if block.source == "c":
                 theta[block.w_slice] = 0.0
-            elif block.source == "u":
-                w = theta[block.w_slice].reshape(layer.n_out, block.n_in)
-                w[:, 0] = 0.0
-                theta[block.w_slice] = w.ravel()
+            elif block.source == "u":   # a view: zeroes the y column in theta
+                theta[block.w_slice].reshape(layer.n_out, block.n_in)[:, 0] = 0.0
     return net.with_params(theta)
 
 

@@ -134,8 +134,18 @@ class TestConfigValidation:
         ("merton", {"kind": "merton", "params": {"gamma": 2.0}}, "params"),
         ("solve", {"kind": "solve", "grid": {"T": -1}}, "grid"),
         ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [0]}}, "driver"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [[1]]}}, "driver"),
+        ("solve", {"kind": "solve", "n_paths": -5}, "n_paths"),
+        ("verify", {"kind": "verify-axioms", "n_paths": 0}, "n_paths"),
+        ("train", {"kind": "train", "n_paths": 0}, "n_paths"),
+        ("merton", {"kind": "merton", "n_space": -3}, "n_space"),
+        ("merton", {"kind": "merton", "n_space": 2}, "n_space"),
+        ("merton", {"kind": "merton", "n_space": 3}, "n_space"),
+        ("calibrate", {"kind": "calibrate", "n_space": 2}, "n_space"),
     ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
-            "market-rejected", "grid-rejected", "layout-rejected"])
+            "market-rejected", "grid-rejected", "layout-rejected", "nested-width",
+            "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
+            "space-without-interior", "calibrate-space-without-interior"])
     def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
                                                     dotted):
         cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))

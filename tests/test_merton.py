@@ -53,6 +53,15 @@ class TestClassical:
 
 
 class TestHjbSolver:
+    def test_space_grid_must_leave_interior_nodes(self):
+        for n_space in (-3, 0, 2, 3):
+            with pytest.raises(ValueError, match="no interior nodes"):
+                HjbGridSpec.default(PARAMS, n_space=n_space)
+        with pytest.raises(ValueError, match="no interior nodes"):
+            HjbGridSpec(ell_lo=-1.0, ell_hi=1.0, n_space=40, interior_margin=0.6)
+        grid = solve_hjb(PARAMS, 0.5, HjbGridSpec.default(PARAMS, n_space=4))
+        assert grid.value[:, grid.interior].shape == (grid.times.size, 1)
+
     def test_terminal_slice_exact(self):
         grid = solve_hjb(PARAMS, 0.5, HjbGridSpec.default(PARAMS, n_space=80))
         np.testing.assert_array_equal(

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -82,6 +83,13 @@ class TestConstruction:
             build_driver("BoundedInteraction", NetLayout(interaction_bound=0.0))
         with pytest.raises(InvalidArchitectureError):
             build_driver("BoundedInteraction", NetLayout(n2_monotone=True))
+        # Widths are integers: no float, bool or nested width is coerced.
+        for widths in ((8.7, 4), (8, True), ([1],), (np.float64(3.0),)):
+            with pytest.raises(InvalidArchitectureError, match="hidden widths must be integers"):
+                NetLayout(hidden=widths)
+            with pytest.raises(InvalidArchitectureError, match="n2_hidden widths must be integers"):
+                NetLayout(n2_hidden=widths)
+        assert NetLayout(hidden=(np.int64(5), 3)).hidden == (5, 3)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_architecture_is_built_once_and_shared(self, kind, monkeypatch):
@@ -368,7 +376,74 @@ class TestDriverProtocol:
             driver.linearize(0.0, x, y, z)
 
 
+# blake2b digests of value, linearize value/dy/dz, a pullback and (for
+# BoundedInteraction) interaction_factor, per kind and activation, recorded
+# with numpy 2.4 (AVX-512 loops), scipy 1.17 and OpenBLAS's SkylakeX kernel:
+# any change to the bits of a net output fails. Another BLAS kernel or SIMD
+# level picks other bits, so these hold within that environment only.
+NET_DIGESTS = {
+    ("Free", "tanh"): "f33486cc8175a74157cd3a95ad0097a0",
+    ("Free", "softplus"): "da52e8bf797568412b1fabbca0ac074a",
+    ("Free", "relu"): "877c0b8ab91098f61793449f5778f70e",
+    ("Separable", "tanh"): "6f6c73e206e8c3f8c93229f6e076aaaf",
+    ("Separable", "softplus"): "ac3677dc37bcbebf18ad7ffda76bc37a",
+    ("Separable", "relu"): "2ce1b8f83fe38e146273faf218c55b29",
+    ("BoundedInteraction", "tanh"): "7f295ded34825bde0cc50f4aa7f15a9d",
+    ("BoundedInteraction", "softplus"): "188a453129d151d0f3f78719f20418de",
+    ("BoundedInteraction", "relu"): "bf150df6b839316c710bc69521208d99",
+    ("MonotoneY", "tanh"): "17e0565979fb18a6a7268c63e0c22276",
+    ("MonotoneY", "softplus"): "3952bbff6c94d5db5f02e8d0b2d11e7d",
+    ("IcnnYZ", "softplus"): "dd61170ec5787564b53a4468727fb220",
+    ("IcnnYZ", "relu"): "5183bb6ce3c935536dff4af15374de28",
+    ("homogeneous", "relu"): "18b323c4107ceb0060844abe58bee7d1",
+}
+
+
+def net_digest(net):
+    rng = np.random.default_rng(17)
+    m, n, d = 301, net.layout.state_dim, net.layout.z_dim
+    t, x, y, z = (rng.uniform(0, 1, m), rng.normal(size=(m, n)), rng.normal(size=m),
+                  rng.normal(size=(m, d)))
+    lin = net.linearize(t, x, y, z)
+    parts = [net.value(t, x, y, z), lin.value, lin.dy, lin.dz, lin.pullback(rng.normal(size=m))]
+    if net.kind is ArchitectureKind.BOUNDED_INTERACTION:
+        parts.append(net.interaction_factor(t, x, y, z))
+    return hashlib.blake2b(b"".join(p.tobytes() for p in parts), digest_size=16).hexdigest()
+
+
+class NoDerivative(Exception):
+    pass
+
+
 class TestActivations:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_pass_takes_no_derivative(self, kind, monkeypatch):
+        def no_derivative(pre, post):
+            raise NoDerivative
+
+        for name, (value, _) in list(nets._ACTIVATIONS.items()):
+            monkeypatch.setitem(nets._ACTIVATIONS, name, (value, no_derivative))
+        net = build_driver(kind, layout_for(kind), init_seed=6)
+        rng = np.random.default_rng(1)
+        point = (rng.uniform(0, 1, 50), rng.normal(size=(50, 1)), rng.normal(size=50),
+                 rng.normal(size=(50, 1)))
+        assert np.all(np.isfinite(net.value(*point)))
+        if kind == "BoundedInteraction":
+            assert np.all(np.isfinite(net.interaction_factor(*point)))
+        with pytest.raises(NoDerivative):
+            net.linearize(*point)
+
+    @pytest.mark.parametrize("kind, activation", NET_DIGESTS)
+    def test_outputs_match_recorded_digests(self, kind, activation):
+        if kind == "homogeneous":
+            net = build_homogeneous_icnn(z_dim=2, hidden=(6, 5), init_seed=1)
+        else:
+            net = build_driver(kind, NetLayout(state_dim=2, z_dim=2, hidden=(6, 5),
+                                               n2_hidden=(4, 3), activation=activation),
+                               init_seed=1)
+        assert net_digest(net) == NET_DIGESTS[kind, activation]
+
+
     def test_softplus_extremes_raise_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
