@@ -11,6 +11,8 @@ them exactly like trained networks.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
@@ -205,8 +207,9 @@ class TruncatedDriver:
     k_level: float
 
     def __post_init__(self):
-        if self.k_level <= 0:
-            raise ValueError("k_level must be positive")
+        k = self.k_level
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not 0.0 < k < math.inf:
+            raise ValueError(f"k_level must be positive and finite, got {k!r}")
 
     @property
     def params(self) -> np.ndarray:

@@ -10,9 +10,11 @@ dynamic-consistency tail and the fluctuation system's V loop. It sweeps R
 terminals on one ensemble at once, as R records: per step one design, one
 (R, m) projection for the continuation values, one (R d, m) projection for
 the martingale increments, one clip call and one driver evaluation on the
-R m stacked rows. `solve_bsde_many` returns one solution per terminal, and
-the loss and the comparison and convexity checks solve their terminals in
-that one sweep; `solve_bsde_lsmc` is its one-column case.
+R m stacked rows. The clip's quartiles come from three single-kth
+partitions of each row and equal `np.percentile`'s linear rule.
+`solve_bsde_many` returns one solution per terminal, and the loss and the
+comparison and convexity checks solve their terminals in that one sweep;
+`solve_bsde_lsmc` is its one-column case.
 
 Per-path data is time-major, as in `stochastic`: the sweep keeps Y, Z and
 the continuation values in record-major (R, n + 1, m), (R, n, m, d) and
@@ -140,8 +142,9 @@ class RegressionBasis:
     degree: int = 3
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
+        degree = self.degree
+        if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
+            raise ValueError(f"degree must be an int >= 0, got {degree!r}")
 
     def fit_design(self, x: np.ndarray):
         x = np.atleast_2d(x)
@@ -290,10 +293,53 @@ class BsdeSolution:
     max_abs_y: float
 
 
+def _quartiles(z: np.ndarray):
+    """Each row's (q1, median, q3) as (r, 1) arrays, by np.percentile's
+    linear rule (Hyndman & Fan's method 7) and equal to its values.
+
+    np.percentile partitions each row once at all six order statistics it
+    reads, and numpy's multi-kth partition is slow. Here a copy of the rows
+    is partitioned at the median's lower index, then its left part at q1's
+    and its right part at q3's. Each quartile's upper neighbour is the
+    minimum of the values after its lower one, up to and including the next
+    partition point (the row's end for q3). The interpolation is numpy's
+    `_lerp`, and like it reads the upper neighbour even at weight 0, so an
+    infinite neighbour gives NaN. A zero quartile may differ from
+    np.percentile's in sign.
+
+    Rows of fewer than four values, where the parts are too short, and rows
+    whose q3 is NaN are taken from np.percentile. Every row holding a NaN
+    is among the latter: partition orders NaN last, so a NaN sits at q3's
+    lower index or in the part above it, whose minimum is then NaN.
+    """
+    m = z.shape[1]
+    if m < 4:
+        return tuple(np.percentile(z, [25.0, 50.0, 75.0], axis=1, keepdims=True))
+    at = [(m - 1) * q for q in (0.25, 0.5, 0.75)]
+    i1, i2, i3 = (int(v) for v in at)
+    p = z.copy()
+    p.partition(i2, axis=1)
+    p[:, :i2].partition(i1, axis=1)
+    p[:, i2 + 1:].partition(i3 - i2 - 1, axis=1)
+    quartiles = []
+    for v, i, above in zip(at, (i1, i2, i3), (i2 + 1, i3 + 1, m)):
+        a = p[:, i:i + 1]
+        b = p[:, i + 1:above].min(axis=1, keepdims=True)
+        t = v - i
+        diff = b - a
+        quartiles.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    fallback = np.isnan(quartiles[2][:, 0])
+    if fallback.any():
+        exact = np.percentile(z[fallback], [25.0, 50.0, 75.0], axis=1, keepdims=True)
+        for q, e in zip(quartiles, exact):
+            q[fallback] = e
+    return tuple(quartiles)
+
+
 def _clip_z(z: np.ndarray, mult: float):
     """Clip each row to median +- mult * IQR (none if the IQR is 0);
     returns (clipped, per-row clip counts)."""
-    q1, med, q3 = np.percentile(z, [25.0, 50.0, 75.0], axis=1, keepdims=True)
+    q1, med, q3 = _quartiles(z)
     iqr = q3 - q1
     lo = np.where(iqr > 0, med - mult * iqr, -np.inf)
     hi = np.where(iqr > 0, med + mult * iqr, np.inf)
@@ -477,13 +523,12 @@ def solve_truncated(
     opts: SolveOptions = SolveOptions(),
 ) -> BsdeSolution:
     """Solve with terminal data and the driver's y argument clamped to [-k, k]."""
-    if k_level <= 0:
-        raise ValueError("k_level must be positive")
+    driver = TruncatedDriver(problem.driver, k_level)
     base_terminal = problem.terminal
     clamped = replace(
         problem,
         terminal=lambda ens: np.clip(base_terminal(ens), -k_level, k_level),
-        driver=TruncatedDriver(problem.driver, k_level),
+        driver=driver,
     )
     return solve_bsde_lsmc(clamped, basis, opts)
 

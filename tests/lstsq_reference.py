@@ -14,7 +14,9 @@ of each solution, to check the forward-only experiment against bit for bit.
 The learning loss, the comparison check and the convexity check are kept
 as they were written with one solve per terminal and, for the loss, one
 single-column adjoint per record, to check the batched sweep against; the
-cloud's Euler update is kept with every coefficient broadcast to (N,).
+cloud's Euler update is kept with every coefficient broadcast to (N,). The
+engine's row-wise Z clip is kept with its quartiles from `np.percentile`,
+to check the partitioned quartiles against bit for bit.
 """
 
 import itertools
@@ -92,6 +94,16 @@ def apply_design(x, tr):
                 col = col * u[:, i] ** p
         cols.append(col)
     return np.column_stack(cols)
+
+
+def percentile_clip_z(z, mult):
+    """Clip each row to median +- mult * IQR (none if the IQR is 0);
+    returns (clipped, per-row clip counts)."""
+    q1, med, q3 = np.percentile(z, [25.0, 50.0, 75.0], axis=1, keepdims=True)
+    iqr = q3 - q1
+    lo = np.where(iqr > 0, med - mult * iqr, -np.inf)
+    hi = np.where(iqr > 0, med + mult * iqr, np.inf)
+    return np.clip(z, lo, hi), np.count_nonzero((z < lo) | (z > hi), axis=1)
 
 
 def _clip_z(z, mult):

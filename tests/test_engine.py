@@ -247,6 +247,100 @@ class TestSolveOptions:
         assert SolveOptions(z_clip=None).z_clip is None
 
 
+class TestRegressionBasis:
+    @pytest.mark.parametrize("degree", [-1, True, 1.5, np.nan, "3"])
+    def test_bad_degree_raises(self, degree):
+        with pytest.raises(ValueError, match="degree"):
+            RegressionBasis(degree=degree)
+
+    def test_numpy_integer_degree(self):
+        x = np.linspace(-1.0, 1.0, 50)[:, None]
+        design, _ = RegressionBasis(degree=np.int64(2)).fit_design(x)
+        assert design.shape == (50, 3)
+
+
+def z_clip_cases():
+    """Named (r, m) inputs for the clip: outliers, ties, infinities, NaNs
+    and signed zeros, each with some rows unlike the others."""
+    rng = np.random.default_rng(17)
+    random = rng.standard_normal((6, 41))
+    random[:, ::7] *= 50.0
+    ties = rng.integers(-3, 4, size=(6, 40)).astype(np.float64)
+    ties[0] = 1.0
+    infinite = rng.standard_normal((6, 23))
+    infinite[rng.random(infinite.shape) < 0.2] = np.inf
+    infinite[rng.random(infinite.shape) < 0.2] = -np.inf
+    infinite[4, :12] = np.inf
+    infinite[5, 11:] = -np.inf
+    nan = rng.standard_normal((6, 19))
+    nan[1, 3] = nan[3, :4] = nan[4] = np.nan
+    zeros = rng.integers(-1, 2, size=(8, 30)).astype(np.float64)
+    zeros[rng.random(zeros.shape) < 0.5] = 0.0
+    zeros[rng.random(zeros.shape) < 0.5] = -0.0
+    cases = {"random": random, "ties": ties, "inf": infinite, "nan": nan, "signed-zeros": zeros}
+    for m in range(1, 13):
+        cases[f"m={m}"] = np.round(2.0 * rng.standard_normal((5, m))) + rng.random((5, m)) * (m % 2)
+    for shape in ((1, 100_000), (10, 4_000)):
+        cases[f"{shape}"] = rng.standard_t(3, size=shape)
+    return cases
+
+
+Z_CLIP_CASES = z_clip_cases()
+
+
+class TestZClip:
+    """The partitioned quartiles against np.percentile, and the clip against
+    its vectorised np.percentile form in lstsq_reference.
+
+    Quartiles are compared by value, not by bits: on rows mixing -0.0 and
+    +0.0 a zero quartile may come out with the other sign. The clip is
+    compared by bits all the same. A zero median's sign cannot reach
+    med +- mult * IQR when the IQR is above 0, and with an IQR of 0 (or
+    NaN) no value is clipped.
+    """
+
+    @staticmethod
+    def _errstate(z):
+        # inf - inf in the interpolation warns in np.percentile as here.
+        return np.errstate(invalid="ignore" if not np.isfinite(z).all() else "raise")
+
+    @pytest.mark.parametrize("name", list(Z_CLIP_CASES))
+    def test_quartiles_equal_percentile(self, name):
+        z = Z_CLIP_CASES[name]
+        before = z.copy()
+        with self._errstate(z):
+            got = engine._quartiles(z)
+            want = np.percentile(z, [25.0, 50.0, 75.0], axis=1, keepdims=True)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (z.shape[0], 1)
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(z.view(np.int64), before.view(np.int64))
+
+    @pytest.mark.parametrize("mult", [0.5, 2.0, 10.0])
+    @pytest.mark.parametrize("name", list(Z_CLIP_CASES))
+    def test_clip_matches_percentile_oracle(self, name, mult):
+        z = Z_CLIP_CASES[name]
+        before = z.copy()
+        with self._errstate(z):
+            clipped, counts = engine._clip_z(z, mult)
+            ref, ref_counts = lstsq_reference.percentile_clip_z(z, mult)
+        np.testing.assert_array_equal(clipped.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(z.view(np.int64), before.view(np.int64))
+
+    def test_clip_cases_clip(self):
+        for name in ("random", "(1, 100000)", "(10, 4000)"):
+            assert engine._clip_z(Z_CLIP_CASES[name], 2.0)[1].sum() > 0
+
+    def test_finite_rows_skip_percentile(self, monkeypatch):
+        def no_percentile(*args, **kwargs):
+            raise AssertionError("np.percentile called on finite rows of m >= 4")
+        monkeypatch.setattr(np, "percentile", no_percentile)
+        for name, z in Z_CLIP_CASES.items():
+            if z.shape[1] >= 4 and np.isfinite(z).all():
+                engine._clip_z(z, 2.0)
+
+
 class TestProjectionLayer:
     """The R-factor projection against the lstsq solve it replaced."""
 
@@ -570,8 +664,15 @@ class TestTruncation:
 
     def test_invalid_level(self):
         problem = brownian_problem(zero_driver(), n_paths=512, n_steps=4)
-        with pytest.raises(ValueError):
-            solve_truncated(problem, 0.0)
+        for k_level in (np.nan, np.inf, 0.0, -1.0, True, "1"):
+            with pytest.raises(ValueError, match="k_level"):
+                solve_truncated(problem, k_level)
+            with pytest.raises(ValueError, match="k_level"):
+                TruncatedDriver(zero_driver(), k_level)
+
+    def test_integer_levels(self):
+        for k in (2, np.int64(2), np.float32(2.0)):
+            assert TruncatedDriver(zero_driver(), k).k_level == k
 
 
 class TestComparison:
