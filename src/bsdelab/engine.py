@@ -6,7 +6,8 @@ the control is read from the regression of Y_{k+1} dW / dt on state
 features and the value is the regressed continuation plus the driver
 increment, optionally refined by inner fixed-point passes for implicitness
 in y. `_backward_solve` is that loop for the primary solve, the
-dynamic-consistency tail and the fluctuation system's V loop. It sweeps R
+dynamic-consistency tail, the particle clouds' valuations and the
+fluctuation system's V loop. It sweeps R
 terminals on one ensemble at once, as R records: per step one design, one
 (R, m) projection for the continuation values, one (R d, m) projection for
 the martingale increments, one clip call and one driver evaluation on the

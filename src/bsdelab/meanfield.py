@@ -7,6 +7,13 @@ computed as a fixed point of the feature flow with a frozen cloud and
 common noise per iteration; the propagation-of-chaos experiment couples
 each particle to a limit copy driven by the same Brownian rows.
 
+Both backward solves here, the cloud's valuation with its frozen feature
+flow and the fluctuation system's V loop, call the engine's backward
+kernel `_backward_solve` directly, with their own step designs and a
+driver callback indexed by step. Every per-particle value (coefficient,
+claim, driver value, state derivative) obeys one shape rule
+(`_per_particle`): a scalar, (1,) or (N,).
+
 The fluctuation solver integrates the linear limit system with derivative
 callbacks supplied by the caller: the measure derivatives are partials
 with respect to the features, so every Lions-derivative term is an O(M F)
@@ -28,16 +35,13 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import BsdeProblem, BsdeSolution, RegressionBasis, SolveOptions, solve_bsde_lsmc
-from .engine import _backward_solve, fit_projection
+from .engine import RegressionBasis, RegressionPlan, SolveOptions, _backward_solve, fit_projection
+# Nothing here calls solve_bsde_lsmc. perfbench's tracer wraps the name
+# `meanfield.solve_bsde_lsmc` and fails without it; the import can go when
+# the library owns its timing spans (ROADMAP item 1).
+from .engine import solve_bsde_lsmc  # noqa: F401
 from .errors import IncompleteCoefficientsError, NoFixedPointError
-from .stochastic import (
-    BrownianBundle,
-    PathEnsemble,
-    TimeGrid,
-    sample_brownian,
-    split_seed,
-)
+from .stochastic import TimeGrid, sample_brownian, split_seed
 
 __all__ = [
     "EmpiricalFeatures",
@@ -126,16 +130,6 @@ class ParticleRun:
     y: np.ndarray                 # (N, n_steps + 1)
     z: np.ndarray                 # (N, n_steps)
     features: list                # per node, length n_steps + 1
-    grid: TimeGrid
-    seed: int
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
-
-
-def _broadcast(vals, n: int) -> np.ndarray:
-    return np.broadcast_to(np.asarray(vals, dtype=np.float64), (n,))
 
 
 def _per_particle(vals, n: int) -> np.ndarray:
@@ -145,6 +139,14 @@ def _per_particle(vals, n: int) -> np.ndarray:
     if vals.shape not in ((), (1,), (n,)):
         raise ValueError(f"expected a scalar or {n} per-particle values, got shape {vals.shape}")
     return vals
+
+
+def _terminal(model: MeanFieldModel, x: np.ndarray, feats) -> np.ndarray:
+    """The claim on each particle of the cloud x, broadcast to x's (N,)."""
+    y = np.broadcast_to(_per_particle(model.terminal(x, feats), x.size), x.shape)
+    if not np.all(np.isfinite(y)):
+        raise ValueError("terminal functional produced non-finite values")
+    return y
 
 
 def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarray,
@@ -171,43 +173,25 @@ def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarra
     return states.T, flow_out
 
 
-class _FlowDriver:
-    """Adapts a feature-dependent driver to the engine's (t, x, y, z) call."""
-
-    params = np.zeros(0)
-
-    def __init__(self, model: MeanFieldModel, flow: list, grid: TimeGrid):
-        self._model = model
-        self._flow = flow
-        self._grid = grid
-
-    def value(self, t, x, y, z):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        m = x.shape[0]
-        if self._model.driver is None:
-            return np.zeros(m)
-        t = float(np.min(t))
-        z = np.asarray(z, dtype=np.float64).reshape(m, -1)
-        y = _broadcast(y, m)
-        out = self._model.driver(t, x[:, 0], y, z[:, 0], self._flow[self._grid.node_index(t)])
-        return _broadcast(out, m).copy()
-
-
 def _solve_cloud_backward(model: MeanFieldModel, grid: TimeGrid, states: np.ndarray,
                           increments: np.ndarray, flow: list,
-                          basis: RegressionBasis, opts: SolveOptions) -> BsdeSolution:
-    ens = PathEnsemble(
-        states=states[:, :, None],
-        grid=grid,
-        bundle=BrownianBundle(increments=increments, dt=grid.dt, seed=0),
-    )
-    problem = BsdeProblem(
-        driver=_FlowDriver(model, flow, grid),
-        terminal=lambda e: _broadcast(model.terminal(e.states[:, -1, 0], flow[-1]),
-                                      e.n_paths).copy(),
-        ensemble=ens,
-    )
-    return solve_bsde_lsmc(problem, basis, opts)
+                          basis: RegressionBasis, opts: SolveOptions) -> ParticleRun:
+    """The cloud's backward valuation with the frozen feature flow, on the
+    engine's backward kernel: step k's driver reads states[:, k] and flow[k]."""
+    n_particles = states.shape[0]
+    plan = RegressionPlan(states[:, :, None], basis, opts.cond_limit, [None] * grid.n_steps)
+    nodes = grid.nodes
+
+    def step_value(k, y_k, z_k):
+        if model.driver is None:
+            return 0.0
+        return _per_particle(model.driver(nodes[k], states[:, k], y_k, z_k[:, 0], flow[k]),
+                             n_particles)
+
+    y, z, _, _ = _backward_solve(_terminal(model, states[:, -1], flow[-1])[None], increments,
+                                 grid.dt, plan.step, step_value, opts.inner_picard_iters,
+                                 opts.z_clip)
+    return ParticleRun(states=states, y=y[0].T, z=z[0, :, :, 0].T, features=flow)
 
 
 def simulate_particles(
@@ -234,9 +218,7 @@ def simulate_particles(
     if initial_states is None:
         initial_states = model.initial_sampler(n_particles, split_seed(seed, "initial"))
     states, flow = _simulate_cloud(model, grid, increments, np.asarray(initial_states), None)
-    sol = _solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
-    return ParticleRun(states=states, y=sol.y, z=sol.z[:, :, 0], features=flow,
-                       grid=grid, seed=int(seed))
+    return _solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +281,8 @@ def solve_mckean_vlasov(
     if not converged:
         raise NoFixedPointError(residuals)
 
-    run = None
-    if solve_backward:
-        sol = _solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
-        run = ParticleRun(states=states, y=sol.y, z=sol.z[:, :, 0], features=flow,
-                          grid=grid, seed=int(seed))
+    run = (_solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
+           if solve_backward else None)
     return McKeanVlasovResult(flow=flow, run=run, residuals=residuals,
                               iterations=iterations, model=model, grid=grid)
 
@@ -336,12 +315,12 @@ def _coupled_errors(model, grid, inc, x0, ref_flow, basis, opts):
     """Mean-square sup errors in X and Y and the L2 error in Z between the
     particle system and its limit copies, both started at x0."""
     states_p, flow_p, states_c = _coupled_clouds(model, grid, inc, x0, x0, ref_flow)
-    sol_p = _solve_cloud_backward(model, grid, states_p, inc, flow_p, basis, opts)
-    sol_c = _solve_cloud_backward(model, grid, states_c, inc, ref_flow, basis, opts)
+    run_p = _solve_cloud_backward(model, grid, states_p, inc, flow_p, basis, opts)
+    run_c = _solve_cloud_backward(model, grid, states_c, inc, ref_flow, basis, opts)
 
     dx = states_p - states_c
-    dy = sol_p.y - sol_c.y
-    dz = sol_p.z[:, :, 0] - sol_c.z[:, :, 0]
+    dy = run_p.y - run_c.y
+    dz = run_p.z - run_c.z
     err_x = float(np.mean(np.max(dx * dx, axis=1)))
     err_y = float(np.mean(np.max(dy * dy, axis=1)))
     err_z = float(np.mean(np.sum(dz * dz, axis=1) * grid.dt))
@@ -485,10 +464,8 @@ def clt_experiment(
             states_p, flow_p, states_c = _coupled_clouds(model, grid, inc, x0_p, x0_c,
                                                          ref.flow)
             x_p, x_c = states_p[:, -1], states_c[:, -1]
-            y_p = _broadcast(model.terminal(x_p, flow_p[-1]), n_particles)
-            y_c = _broadcast(model.terminal(x_c, ref.flow[-1]), n_particles)
-            if not (np.all(np.isfinite(y_p)) and np.all(np.isfinite(y_c))):
-                raise ValueError("terminal functional produced non-finite values")
+            y_p = _terminal(model, x_p, flow_p[-1])
+            y_c = _terminal(model, x_c, ref.flow[-1])
             root_n = np.sqrt(n_particles)
             samples_u[n_particles].append(root_n * (x_p - x_c))
             samples_v[n_particles].append(root_n * (y_p - y_c))
@@ -567,8 +544,6 @@ class FluctuationResult:
     u: np.ndarray                # (n_paths, n_steps + 1)
     v: np.ndarray                # (n_paths, n_steps + 1)
     z: np.ndarray                # (n_paths, n_steps)
-    grid: TimeGrid
-    n_worlds: int
 
     @property
     def v0_mean(self) -> float:
@@ -659,7 +634,7 @@ def solve_fluctuation_system(
         def linear_term(dx, dmu, k):
             """dx U + E'[dmu U'], plus the centered sampling forcing, at node k."""
             x_k, f_k, u_k = states[:, k], flow[k], u[k]
-            return (_broadcast(dx(nodes[k], x_k, f_k), per_world) * u_k
+            return (_per_particle(dx(nodes[k], x_k, f_k), per_world) * u_k
                     + _measure_term(dmu(nodes[k], x_k, f_k), names, x_k, u_k,
                                     None if ghost is None else ghost[0, k]))
 
@@ -674,8 +649,8 @@ def solve_fluctuation_system(
             drift = linear_term(coeffs.dx_b, coeffs.dmu_b, k)
             diff = linear_term(coeffs.dx_sigma, coeffs.dmu_sigma, k)
             forcing[k] = linear_term(coeffs.dx_f, coeffs.dmu_f, k)
-            dy_f[k] = _broadcast(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
-            dz_f[k] = _broadcast(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
+            dy_f[k] = _per_particle(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
+            dz_f[k] = _per_particle(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
             u[k + 1] = u[k] + drift * dt + diff * inc[:, k, 0]
         # Terminal derivatives take no time argument.
         timeless = lambda fn: lambda t, *args: fn(*args)
@@ -695,10 +670,8 @@ def solve_fluctuation_system(
         all_v.append(v[0].T)
         all_z.append(zv[0, :, :, 0].T)
 
-    return FluctuationResult(
-        u=np.concatenate(all_u), v=np.concatenate(all_v), z=np.concatenate(all_z),
-        grid=grid, n_worlds=n_worlds,
-    )
+    return FluctuationResult(u=np.concatenate(all_u), v=np.concatenate(all_v),
+                             z=np.concatenate(all_z))
 
 
 # ---------------------------------------------------------------------------

@@ -171,20 +171,19 @@ def _derivatives(u: np.ndarray, h: float):
 
 def _policy_from_derivatives(params: MarketParams, theta: float,
                              ul: np.ndarray, ull: np.ndarray,
-                             interior: slice, check: bool = True):
+                             interior: slice):
     bracket = ull - ul - theta * ul * ul
-    if check:
-        inner_l = ul[interior]
-        inner_b = bracket[interior]
-        if np.any(inner_l <= 0):
-            node = interior.start + int(np.argmax(inner_l <= 0))
-            raise SolverInconsistentError(node, "V_x lost positivity")
-        if np.any((ull - ul)[interior] >= 0):
-            node = interior.start + int(np.argmax((ull - ul)[interior] >= 0))
-            raise SolverInconsistentError(node, "V_xx lost concavity")
-        if np.any(inner_b >= 0):
-            node = interior.start + int(np.argmax(inner_b >= 0))
-            raise SolverInconsistentError(node, "second-order condition violated")
+    inner_l = ul[interior]
+    inner_b = bracket[interior]
+    if np.any(inner_l <= 0):
+        node = interior.start + int(np.argmax(inner_l <= 0))
+        raise SolverInconsistentError(node, "V_x lost positivity")
+    if np.any((ull - ul)[interior] >= 0):
+        node = interior.start + int(np.argmax((ull - ul)[interior] >= 0))
+        raise SolverInconsistentError(node, "V_xx lost concavity")
+    if np.any(inner_b >= 0):
+        node = interior.start + int(np.argmax(inner_b >= 0))
+        raise SolverInconsistentError(node, "second-order condition violated")
     return -(params.mu - params.r) * ul / (params.sigma ** 2 * bracket)
 
 

@@ -550,8 +550,8 @@ def verify_convexity(driver, n_segments: int = 1_000, seed: int = 0, tol: float 
 
 def estimate_growth_and_lipschitz(driver, radius: float = 2.0, n_samples: int = 4_000,
                                   seed: int = 0, state_dim: int | None = None,
-                                  z_dim: int | None = None, z_shift: float = 0.0,
-                                  z_scale: float = 1.0) -> GrowthReport:
+                                  z_dim: int | None = None,
+                                  z_shift: float = 0.0) -> GrowthReport:
     """Diagnostic fit |f| ~ K0 + K1 ||x||^p + K2 |y| + (alpha/2) ||z||^2 and an
     empirical local Lipschitz constant in y on [-radius, radius]."""
     if radius <= 0:
@@ -561,7 +561,7 @@ def estimate_growth_and_lipschitz(driver, radius: float = 2.0, n_samples: int = 
     t = gen.uniform(0.0, 1.0, size=n_samples)
     x = gen.normal(0.0, 2.0, size=(n_samples, n))
     y = gen.uniform(-radius, radius, size=n_samples)
-    z = z_shift + z_scale * gen.normal(0.0, 1.5, size=(n_samples, d))
+    z = z_shift + gen.normal(0.0, 1.5, size=(n_samples, d))
     f = np.abs(driver.value(t, x, y, z))
     xnorm = np.sqrt(np.sum(x * x, axis=1))
     znorm2 = 0.5 * np.sum(z * z, axis=1)

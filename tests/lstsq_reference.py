@@ -16,7 +16,11 @@ as they were written with one solve per terminal and, for the loss, one
 single-column adjoint per record, to check the batched sweep against; the
 cloud's Euler update is kept with every coefficient broadcast to (N,). The
 engine's row-wise Z clip is kept with its quartiles from `np.percentile`,
-to check the partitioned quartiles against bit for bit.
+to check the partitioned quartiles against bit for bit. The particle
+cloud's backward valuation is kept as it was written, through a `Driver`
+adapter that finds the step from the float time and `solve_bsde_lsmc` on a
+`PathEnsemble`, to check the direct call of the backward kernel against
+bit for bit.
 """
 
 import itertools
@@ -35,7 +39,6 @@ from bsdelab.engine import (
 from bsdelab.errors import NoContractionError, SingularRegressionError
 from bsdelab.meanfield import (
     CltResult,
-    _broadcast,
     _jackknife_var_se,
     _measure_term,
     _simulate_cloud,
@@ -43,7 +46,18 @@ from bsdelab.meanfield import (
     compute_features,
     solve_mckean_vlasov,
 )
-from bsdelab.stochastic import TimeGrid, sample_brownian, simulate_forward, split_seed
+from bsdelab.stochastic import (
+    BrownianBundle,
+    PathEnsemble,
+    TimeGrid,
+    sample_brownian,
+    simulate_forward,
+    split_seed,
+)
+
+
+def _broadcast(vals, n):
+    return np.broadcast_to(np.asarray(vals, dtype=np.float64), (n,))
 
 
 def cumprod_apply(self, x: np.ndarray) -> np.ndarray:
@@ -223,6 +237,45 @@ def broadcast_simulate_cloud(model, grid, increments, x0, flow=None):
     return states
 
 
+class _FlowDriver:
+    """Adapts a feature-dependent driver to the engine's (t, x, y, z) call."""
+
+    params = np.zeros(0)
+
+    def __init__(self, model, flow, grid):
+        self._model = model
+        self._flow = flow
+        self._grid = grid
+
+    def value(self, t, x, y, z):
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        m = x.shape[0]
+        if self._model.driver is None:
+            return np.zeros(m)
+        t = float(np.min(t))
+        z = np.asarray(z, dtype=np.float64).reshape(m, -1)
+        y = _broadcast(y, m)
+        out = self._model.driver(t, x[:, 0], y, z[:, 0], self._flow[self._grid.node_index(t)])
+        return _broadcast(out, m).copy()
+
+
+def flow_driver_cloud_solve(model, grid, states, increments, flow, basis, opts):
+    """The cloud's backward valuation through `solve_bsde_lsmc`: the flow
+    driver adapter on an ensemble around the cloud; returns the BsdeSolution."""
+    ens = PathEnsemble(
+        states=states[:, :, None],
+        grid=grid,
+        bundle=BrownianBundle(increments=increments, dt=grid.dt, seed=0),
+    )
+    problem = BsdeProblem(
+        driver=_FlowDriver(model, flow, grid),
+        terminal=lambda e: _broadcast(model.terminal(e.states[:, -1, 0], flow[-1]),
+                                      e.n_paths).copy(),
+        ensemble=ens,
+    )
+    return solve_bsde_lsmc(problem, basis, opts)
+
+
 def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_worlds=1,
                        include_sampling_noise=False, degree=3):
     """The fluctuation solve with its V loop regressing by lstsq; returns (u, v, z)."""
@@ -290,7 +343,7 @@ def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_wo
 def clt_reference(model, n_list, grid, n_trials, seed, basis=RegressionBasis(),
                   opts=SolveOptions(), n_reference=65536, u0_std=0.0):
     """The CLT experiment with a backward solve on the particle cloud and on
-    the limit copies, per trial and per N; V is read from sol.y[:, -1]."""
+    the limit copies, per trial and per N; V is read from run.y[:, -1]."""
     n_values = sorted(int(n) for n in n_list)
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "clt-reference"),
                               solve_backward=False)
@@ -308,12 +361,12 @@ def clt_reference(model, n_list, grid, n_trials, seed, basis=RegressionBasis(),
             x0_c = x0_full[:n_particles]
             x0_p = x0_c + u0_std * zeta_full[:n_particles] / np.sqrt(n_particles)
             states_p, flow_p = _simulate_cloud(model, grid, inc, x0_p, None)
-            sol_p = _solve_cloud_backward(model, grid, states_p, inc, flow_p, basis, opts)
+            run_p = _solve_cloud_backward(model, grid, states_p, inc, flow_p, basis, opts)
             states_c, _ = _simulate_cloud(model, grid, inc, x0_c, flow=ref.flow)
-            sol_c = _solve_cloud_backward(model, grid, states_c, inc, ref.flow, basis, opts)
+            run_c = _solve_cloud_backward(model, grid, states_c, inc, ref.flow, basis, opts)
             root_n = np.sqrt(n_particles)
             samples_u[n_particles].append(root_n * (states_p[:, -1] - states_c[:, -1]))
-            samples_v[n_particles].append(root_n * (sol_p.y[:, -1] - sol_c.y[:, -1]))
+            samples_v[n_particles].append(root_n * (run_p.y[:, -1] - run_c.y[:, -1]))
 
     pooled = lambda samples: [float(np.var(np.concatenate(samples[n]), ddof=1))
                               for n in n_values]

@@ -9,7 +9,6 @@ from scipy.integrate import solve_ivp
 from bsdelab import meanfield
 from bsdelab.errors import IncompleteCoefficientsError, NoFixedPointError
 from bsdelab.meanfield import (
-    _FlowDriver,
     _measure_term,
     CltResult,
     FluctuationCoefficients,
@@ -142,30 +141,67 @@ class TestParticles:
         np.testing.assert_array_equal(
             states, lstsq_reference.broadcast_simulate_cloud(model, grid, inc, x0))
 
-    @pytest.mark.parametrize("bad", [(64, 1), (63,), (1, 64)])
-    def test_cloud_rejects_coefficients_that_do_not_broadcast_to_the_cloud(self, bad):
+    @pytest.mark.parametrize("where, bad", [
+        ("drift", (64, 1)), ("drift", (63,)), ("drift", (1, 64)),
+        ("terminal", (64, 1)), ("driver", (64, 1)), ("dy_f", (64, 1)),
+    ])
+    def test_cloud_rejects_coefficients_that_do_not_broadcast_to_the_cloud(self, where, bad):
         # A (N, 1) drift would otherwise broadcast against the (N,) states
-        # into an (N, N) update.
+        # into an (N, N) update; claims, driver values and state derivatives
+        # obey the same rule.
         grid = make_time_grid(1.0, 4)
-        model = replace(mean_reversion_to_crowd_model(),
-                        drift=lambda t, x, feats: np.zeros(bad))
-        inc = sample_brownian(grid, 64, 1, seed=4).increments
+        bad_values = lambda *args: np.zeros(bad)
+        base = mean_reversion_to_crowd_model()
         with pytest.raises(ValueError, match=re.escape(f"got shape {bad}")):
-            meanfield._simulate_cloud(model, grid, inc, np.zeros(64))
+            if where == "drift":
+                inc = sample_brownian(grid, 64, 1, seed=4).increments
+                meanfield._simulate_cloud(replace(base, drift=bad_values), grid, inc,
+                                          np.zeros(64))
+            elif where in ("terminal", "driver"):
+                simulate_particles(replace(base, **{where: bad_values}), 64, grid, seed=4)
+            else:
+                mkv = solve_mckean_vlasov(base, 128, grid, seed=4, solve_backward=False)
+                coeffs = replace(linear_gaussian_fluctuation_coefficients(), dy_f=bad_values)
+                solve_fluctuation_system(coeffs, mkv, gaussian_u0(0.5), n_paths=64, seed=4)
 
-    def test_flow_driver_rejects_off_grid_times(self):
-        grid = make_time_grid(1.0, 4)
-        model = MeanFieldModel(
-            drift=lambda t, x, feats: 0.0, diffusion=lambda t, x, feats: 1.0,
-            terminal=lambda x, feats: x, initial_sampler=None,
-            driver=lambda t, x, y, z, feats: np.full_like(x, feats.mean),
-        )
-        flow = [compute_features(np.full(3, float(k)), ("mean",)) for k in range(5)]
-        driver = _FlowDriver(model, flow, grid)
-        x, y, z = np.zeros((3, 1)), np.zeros(3), np.zeros((3, 1))
-        np.testing.assert_array_equal(driver.value(grid.nodes[3], x, y, z), 3.0)
-        with pytest.raises(ValueError):
-            driver.value(0.6, x, y, z)
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("z_clip", [0.5, None], ids=["clip", "no-clip"])
+    def test_backward_solves_match_the_flow_driver_route(self, z_clip, passes, monkeypatch):
+        # The clouds solve on the backward kernel with a driver indexed by
+        # step. The route through a Driver adapter that finds the step from
+        # the float time, and solve_bsde_lsmc, gives the same arrays bit for
+        # bit: the driver reads flow[k] at step k. The crowd mean grows
+        # over time, so a driver reading another node's features differs.
+        model = replace(linear_gaussian_model(a=0.5, c=0.5, sigma=0.3, m0=1.0, s0=0.3),
+                        terminal=lambda x, feats: x * x - feats.mean,
+                        driver=lambda t, x, y, z, feats: feats.mean - 0.5 * y + 0.1 * z * z)
+        grid = make_time_grid(0.5, 8)
+        opts = SolveOptions(inner_picard_iters=passes, z_clip=z_clip)
+
+        def outputs():
+            run = simulate_particles(model, 64, grid, seed=3, opts=opts)
+            fixed_point = solve_mckean_vlasov(model, 128, grid, seed=4, opts=opts).run
+            lln = lln_experiment(model, [16, 32], grid, n_trials=2, seed=5, opts=opts,
+                                 n_reference=256)
+            return (run.states, run.y, run.z, fixed_point.states, fixed_point.y,
+                    fixed_point.z, lln.per_trial_x, lln.per_trial_y, lln.per_trial_z)
+
+        got = outputs()
+        clips = []
+
+        def flow_driver_route(model, grid, states, increments, flow, basis, opts):
+            sol = lstsq_reference.flow_driver_cloud_solve(model, grid, states, increments, flow,
+                                                          basis, opts)
+            clips.append(int(sol.z_clip_count.sum()))
+            return meanfield.ParticleRun(states=states, y=sol.y, z=sol.z[:, :, 0],
+                                         features=flow)
+
+        monkeypatch.setattr(meanfield, "_solve_cloud_backward", flow_driver_route)
+        want = outputs()
+        assert len(clips) == 1 + 1 + 2 * 2 * 2
+        assert (sum(clips) > 0) == (z_clip is not None)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
@@ -292,13 +328,13 @@ class TestClt:
 
     def test_runs_no_backward_solve(self, factorizations, monkeypatch):
         solves = []
-        original = meanfield.solve_bsde_lsmc
+        original = meanfield._backward_solve
 
         def counting(*args, **kwargs):
             solves.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(meanfield, "solve_bsde_lsmc", counting)
+        monkeypatch.setattr(meanfield, "_backward_solve", counting)
         grid = make_time_grid(0.5, 6)
         clt_experiment(linear_gaussian_model(), [8, 16], grid, n_trials=2, seed=5,
                        n_reference=256, u0_std=0.3)
