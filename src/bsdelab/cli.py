@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import drivers, engine, learning, meanfield, merton, nets, stochastic
+from ._csv import write_csv
 from .errors import BsdelabError, ConfigError
 from .stochastic import (ForwardModel, brownian_model, geometric_brownian_model,
                          make_time_grid, sample_brownian, split_seed)
@@ -401,10 +402,7 @@ def _run_calibrate(config, out_dir):
                for t in ts for x in xs]
     result = merton.calibrate_theta(params, obs, spec, **opt["search"])
     path = os.path.join(out_dir, "calibration_curve.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("theta,loss\n")
-        for th, ls in result.curve:
-            fh.write(f"{th!r},{ls!r}\n")
+    write_csv(path, ["theta", "loss"], result.curve)
     if theta_true is not None:
         rel = abs(result.theta_star - theta_true) / max(abs(theta_true), 1e-12)
         checks = [CheckResult("calibration_recovery", rel <= 0.03, result.theta_star,

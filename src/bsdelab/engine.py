@@ -31,21 +31,21 @@ paths.
 Conditional expectations use global polynomial least squares on
 standardized monomials, with one factorization per step: the R factor of
 the design's QR, whose singular values give the rank (count above
-eps * max(m, p) * sigma_max) and the condition number checked against
-cond_limit; a response row b projects as b A R^-1 R^-T A^T. The projections
-depend on the forward states alone, so each ensemble keeps one
-`RegressionPlan` per basis and cond_limit: the first solve on the ensemble
-factors each step, and every later solve on it projects with the stored
-fits. A `BsdeProblem` holds the ensemble its caller simulated, so no solve
-or check here simulates forward paths; only the Picard iteration of the
+eps * max(m, p) * sigma_max) and the condition number, which may not
+exceed 1e12; a response row b projects as b A R^-1 R^-T A^T. The
+projections depend on the forward states alone, so each ensemble keeps one
+`RegressionPlan` per basis: the first solve on the ensemble factors each
+step, and every later solve on it projects with the stored fits. A
+`BsdeProblem` holds the ensemble its caller simulated, so no solve or
+check here simulates forward paths; only the Picard iteration of the
 coupled system does, once per iterate. The solution carries its problem
 and its plan, so the adjoint, the drift decomposition, the Picard fields
 and the dynamic-consistency smoothing neither simulate nor factor again.
+A terminal functional gives exactly one value per path, shape (m,).
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -56,6 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import logsumexp, softmax
 
+from ._csv import write_csv
 from .drivers import Driver, TruncatedDriver
 from .errors import (
     InvalidComparisonPairError,
@@ -182,6 +183,10 @@ class Projection:
         return self.coef(design, response) @ design.T
 
 
+# The largest condition number a solve's step design may have.
+_COND_LIMIT = 1e12
+
+
 def fit_projection(design: np.ndarray, step: int, cond_limit: float,
                    transform: DesignTransform | None = None) -> Projection:
     """Factor a design; raises SingularRegressionError when the singular
@@ -201,26 +206,22 @@ class RegressionPlan:
 
     The projections depend on the forward states alone, not on the driver
     or the terminal, so every solve on an ensemble shares the plan that
-    `of` keeps on it per (basis, cond_limit). Steps are factored on first
-    use, in the order the backward solve walks them. Designs are not stored
-    (m * p * n floats); a factored step's design is rebuilt from its
-    transform. The plan holds the ensemble's states, not the ensemble, so
-    dropping the ensemble frees both.
+    `of` keeps on it per basis. Steps are factored on first use, in the
+    order the backward solve walks them. Designs are not stored (m * p * n
+    floats); a factored step's design is rebuilt from its transform. The
+    plan holds the ensemble's states, not the ensemble, so dropping the
+    ensemble frees both.
     """
 
     states: np.ndarray
     basis: RegressionBasis
-    cond_limit: float
     fits: list     # per step, the Projection once factored
 
     @classmethod
-    def of(cls, ensemble: PathEnsemble, basis: RegressionBasis,
-           cond_limit: float) -> "RegressionPlan":
-        key = (basis, cond_limit)
-        if key not in ensemble._plans:
-            ensemble._plans[key] = cls(ensemble.states, basis, cond_limit,
-                                       [None] * ensemble.grid.n_steps)
-        return ensemble._plans[key]
+    def of(cls, ensemble: PathEnsemble, basis: RegressionBasis) -> "RegressionPlan":
+        if basis not in ensemble._plans:
+            ensemble._plans[basis] = cls(ensemble.states, basis, [None] * ensemble.grid.n_steps)
+        return ensemble._plans[basis]
 
     def step(self, k: int):
         """Step k's (design, Projection), factoring the step on first use."""
@@ -228,7 +229,7 @@ class RegressionPlan:
         fit = self.fits[k]
         if fit is None:
             design, tr = self.basis.fit_design(x)
-            fit = self.fits[k] = fit_projection(design, k, self.cond_limit, tr)
+            fit = self.fits[k] = fit_projection(design, k, _COND_LIMIT, tr)
             return design, fit
         return fit.transform.apply(x), fit
 
@@ -260,13 +261,11 @@ class SolveOptions:
     inner_picard_iters: fixed-point passes of the driver increment per step,
     an int >= 1. z_clip: None for no clip, or a positive finite multiple of
     the per-step interquartile range that Z is clipped to around its median.
-    Other values of these two raise ValueError. cond_limit: the largest
-    condition number a step's design may have.
+    Other values of these two raise ValueError.
     """
 
     inner_picard_iters: int = 2
     z_clip: float | None = 10.0
-    cond_limit: float = 1e12
 
     def __post_init__(self):
         passes = self.inner_picard_iters
@@ -440,10 +439,20 @@ def solve_bsde_lsmc(
     Y0 is read from the step-0 regression, which collapses to the plain
     cross-path mean for a deterministic initial state; the reported standard
     error is the Monte Carlo error of that root-step mean. The steps are
-    projected with the ensemble's plan for basis and opts.cond_limit, so
-    each is factored by the first solve on the ensemble only.
+    projected with the ensemble's plan for basis, so each is factored by
+    the first solve on the ensemble only.
     """
     return solve_bsde_many(problem, [problem.terminal], basis, opts)[0]
+
+
+def _terminal_values(terminal: Callable, ens: PathEnsemble) -> np.ndarray:
+    """The terminal functional's values on the ensemble; ValueError unless
+    it gives exactly one value per path."""
+    values = np.asarray(terminal(ens), dtype=np.float64)
+    if values.shape != (ens.n_paths,):
+        raise ValueError(f"a terminal functional gives one value per path, shape "
+                         f"({ens.n_paths},), not {values.shape}")
+    return values
 
 
 def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
@@ -458,12 +467,11 @@ def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
     if len(terminals) == 0:
         raise ValueError("terminals must be non-empty")
     ens = problem.ensemble
-    plan = RegressionPlan.of(ens, basis, opts.cond_limit)
-    m = ens.n_paths
-    xi = np.empty((len(terminals), m))
+    plan = RegressionPlan.of(ens, basis)
+    xi = np.empty((len(terminals), ens.n_paths))
     for r, terminal in enumerate(terminals):
         try:
-            xi[r] = np.asarray(terminal(ens), dtype=np.float64).reshape(m)
+            xi[r] = _terminal_values(terminal, ens)
             if not np.all(np.isfinite(xi[r])):
                 raise ValueError("terminal functional produced non-finite values")
         except Exception as exc:
@@ -640,8 +648,8 @@ def check_comparison(
     driver is non-increasing in y (checked by sampling its y derivative).
     """
     ens = problem.ensemble
-    xi_hi = np.asarray(terminal_high(ens), dtype=np.float64).reshape(ens.n_paths)
-    xi_lo = np.asarray(terminal_low(ens), dtype=np.float64).reshape(ens.n_paths)
+    xi_hi = _terminal_values(terminal_high, ens)
+    xi_lo = _terminal_values(terminal_low, ens)
     if np.any(xi_hi < xi_lo):
         bad = int(np.argmax(xi_hi < xi_lo))
         raise InvalidComparisonPairError(
@@ -705,7 +713,7 @@ def check_convexity_and_jensen(
         raise InvalidDriverError(
             f"driver failed the convexity check (max violation {cvx.max_violation:.3e})"
         )
-    xi1 = np.asarray(terminal_1(ens), dtype=np.float64).reshape(ens.n_paths)
+    xi1 = _terminal_values(terminal_1, ens)
     probe = np.linspace(xi1.min(), xi1.max(), 33)
     mid_gap = phi.f(0.5 * (probe[:-1] + probe[1:])) - 0.5 * (phi.f(probe[:-1]) + phi.f(probe[1:]))
     if np.max(mid_gap) > 1e-9:
@@ -875,7 +883,7 @@ def dual_lower_bound(
     if not cvx.passed:
         raise InvalidDriverError("dual bound requires a driver convex in z")
 
-    xi = np.asarray(problem.terminal(ens), dtype=np.float64).reshape(ens.n_paths)
+    xi = _terminal_values(problem.terminal, ens)
     w_t = ens.bundle.terminal_motion()
     horizon = ens.grid.horizon
 
@@ -1002,20 +1010,12 @@ def solve_fbsde_picard(
 
 def export_solution_csv(solution: BsdeSolution, path) -> None:
     """Per-step summary: (step, t, mean_Y, sd_Y, mean_normZ, clip_count, regression_cond)."""
-    nodes = solution.problem.ensemble.grid.nodes
-    n = solution.problem.ensemble.grid.n_steps
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "t", "mean_Y", "sd_Y", "mean_normZ",
-                         "clip_count", "regression_cond"])
-        for k in range(n + 1):
-            row = [k, repr(float(nodes[k])),
-                   repr(float(solution.y[:, k].mean())),
-                   repr(float(solution.y[:, k].std(ddof=1)))]
-            if k < n:
-                norm_z = np.sqrt(np.sum(solution.z[:, k, :] ** 2, axis=1)).mean()
-                row += [repr(float(norm_z)), int(solution.z_clip_count[k]),
-                        repr(solution.plan.fits[k].cond)]
-            else:
-                row += ["", "", ""]
-            writer.writerow(row)
+    grid = solution.problem.ensemble.grid
+    rows = [[k, grid.nodes[k], solution.y[:, k].mean(), solution.y[:, k].std(ddof=1)]
+            for k in range(grid.n_steps + 1)]
+    for k, row in enumerate(rows[:-1]):
+        row += [np.sqrt(np.sum(solution.z[:, k, :] ** 2, axis=1)).mean(),
+                solution.z_clip_count[k], solution.plan.fits[k].cond]
+    rows[-1] += ["", "", ""]
+    write_csv(path, ["step", "t", "mean_Y", "sd_Y", "mean_normZ", "clip_count",
+                     "regression_cond"], rows)

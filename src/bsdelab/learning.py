@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .drivers import Driver
 from .engine import (
     BsdeProblem,
@@ -358,7 +359,7 @@ def loss_and_gradient(
             wrapped = type(exc)(f"record {i} ('{dataset.records[i].label}'): {exc}")
         except TypeError:
             exc.record_index = i
-            raise
+            raise exc from None
         raise wrapped from exc
     y0s = y[:, 0, 0].copy()
     # The rest reads Z and the continuation values only: dropping Y frees
@@ -492,17 +493,8 @@ def train(
 
 
 def write_training_log(state: TrainState, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "loss", "grad_norm", "theta_norm",
-                         "data_term", "reg_term", "norm_term"])
-        for k in range(state.iterations):
-            writer.writerow([
-                k,
-                repr(float(state.loss_history[k])),
-                repr(float(state.grad_norm_history[k])),
-                repr(float(state.theta_norm_history[k])),
-                repr(float(state.data_terms[k])),
-                repr(float(state.reg_terms[k])),
-                repr(float(state.norm_terms[k])),
-            ])
+    columns = (state.loss_history, state.grad_norm_history, state.theta_norm_history,
+               state.data_terms, state.reg_terms, state.norm_terms)
+    write_csv(path, ["iter", "loss", "grad_norm", "theta_norm", "data_term", "reg_term",
+                     "norm_term"],
+              ([k] + [column[k] for column in columns] for k in range(state.iterations)))

@@ -29,13 +29,14 @@ term keeps its conditional meaning.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .engine import RegressionBasis, RegressionPlan, SolveOptions, _backward_solve, fit_projection
+from ._csv import write_csv
+from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
+                     _backward_solve, fit_projection)
 # Nothing here calls solve_bsde_lsmc. perfbench's tracer wraps the name
 # `meanfield.solve_bsde_lsmc` and fails without it; the import can go when
 # the library owns its timing spans (ROADMAP item 1).
@@ -179,7 +180,7 @@ def _solve_cloud_backward(model: MeanFieldModel, grid: TimeGrid, states: np.ndar
     """The cloud's backward valuation with the frozen feature flow, on the
     engine's backward kernel: step k's driver reads states[:, k] and flow[k]."""
     n_particles = states.shape[0]
-    plan = RegressionPlan(states[:, :, None], basis, opts.cond_limit, [None] * grid.n_steps)
+    plan = RegressionPlan(states[:, :, None], basis, [None] * grid.n_steps)
     nodes = grid.nodes
 
     def step_value(k, y_k, z_k):
@@ -376,16 +377,11 @@ def lln_experiment(
 
 
 def export_lln_csv(result: LlnResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "trial", "error_X", "error_Y", "error_Z", "slope"])
-        for trial in range(result.per_trial_x.shape[0]):
-            for j, n in enumerate(result.n_values):
-                writer.writerow([int(n), trial,
-                                 repr(float(result.per_trial_x[trial, j])),
-                                 repr(float(result.per_trial_y[trial, j])),
-                                 repr(float(result.per_trial_z[trial, j])),
-                                 repr(result.slope)])
+    write_csv(path, ["N", "trial", "error_X", "error_Y", "error_Z", "slope"],
+              ([n, trial, result.per_trial_x[trial, j], result.per_trial_y[trial, j],
+                result.per_trial_z[trial, j], result.slope]
+               for trial in range(result.per_trial_x.shape[0])
+               for j, n in enumerate(result.n_values)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +405,14 @@ class CltResult:
     u0_std: float
     n_trials: int
 
-    def stabilized(self, sigmas: float = 3.0) -> bool:
+    def stabilized(self) -> bool:
         """Cauchy check with a Monte Carlo floor: successive variance gaps
-        shrink, or the last gap is within the estimator resolution."""
+        shrink, or the last gap is within three jackknife standard errors
+        of the two variances it separates."""
         if self.n_values.size < 3:
             return True
         gaps = np.abs(np.diff(self.var_u))
-        floor = sigmas * np.sqrt(self.var_u_se[1:] ** 2 + self.var_u_se[:-1] ** 2)
+        floor = 3.0 * np.sqrt(self.var_u_se[1:] ** 2 + self.var_u_se[:-1] ** 2)
         return bool(np.all((np.diff(gaps) <= 0) | (gaps[1:] <= floor[1:])))
 
 
@@ -497,13 +494,9 @@ def _jackknife_var_se(per_trial: list) -> float:
 
 
 def export_clt_csv(result: CltResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "var_U_T", "var_V_T", "u0_std", "n_trials"])
-        for j, n in enumerate(result.n_values):
-            writer.writerow([int(n), repr(float(result.var_u[j])),
-                             repr(float(result.var_v[j])),
-                             repr(result.u0_std), result.n_trials])
+    write_csv(path, ["N", "var_U_T", "var_V_T", "u0_std", "n_trials"],
+              ([n, result.var_u[j], result.var_v[j], result.u0_std, result.n_trials]
+               for j, n in enumerate(result.n_values)))
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +651,7 @@ def solve_fluctuation_system(
 
         def step_design(k):
             design = _augmented_design(basis, states[:, k], u[k])
-            return design, fit_projection(design, k, opts.cond_limit)
+            return design, fit_projection(design, k, _COND_LIMIT)
 
         def step_value(k, v_k, z_k):
             return forcing[k] + dz_f[k] * z_k[:, 0] + dy_f[k] * v_k

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .errors import ExtrapolationWarning, SolverInconsistentError, UnstableGridError
 
 __all__ = [
@@ -480,15 +481,9 @@ def calibrate_theta(
 
 def export_policy_csv(grid: HjbGrid, path) -> None:
     """Rows (t, x, V, pi) over the whole space-time grid."""
-    wealth = grid.wealth
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "V", "pi"])
-        for i, t in enumerate(grid.times):
-            for j, x in enumerate(wealth):
-                writer.writerow([repr(float(t)), repr(float(x)),
-                                 repr(float(grid.value[i, j])),
-                                 repr(float(grid.policy[i, j]))])
+    write_csv(path, ["t", "x", "V", "pi"],
+              ([t, x, grid.value[i, j], grid.policy[i, j]]
+               for i, t in enumerate(grid.times) for j, x in enumerate(grid.wealth)))
 
 
 def read_observations_csv(path) -> list:
@@ -502,11 +497,8 @@ def read_observations_csv(path) -> list:
 
 
 def write_observations_csv(observations: Sequence[AllocationObservation], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "allocation"])
-        for o in observations:
-            writer.writerow([repr(float(o.t)), repr(float(o.x)), repr(float(o.amount))])
+    write_csv(path, ["t", "x", "allocation"],
+              ([float(o.t), float(o.x), float(o.amount)] for o in observations))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from bsdelab.engine import (
+    _COND_LIMIT,
     BsdeProblem,
     ComparisonReport,
     ConvexityJensenReport,
@@ -139,10 +140,10 @@ def backward_solve(ens, terminal_values, driver, opts, degree=3):
     for k in range(n - 1, -1, -1):
         x_k = ens.states[:, k, :]
         design, _ = fit_design(x_k, degree)
-        coef_y, _ = regress(design, y[:, k + 1], k, opts.cond_limit)
+        coef_y, _ = regress(design, y[:, k + 1], k, _COND_LIMIT)
         c_k = design @ coef_y
         coef_z, _ = regress(design, (y[:, k + 1] - c_k)[:, None] * inc[:, k, :], k,
-                            opts.cond_limit)
+                            _COND_LIMIT)
         z_k = design @ coef_z / dt
         if opts.z_clip is not None:
             z_k = _clip_z(z_k, opts.z_clip)
@@ -162,8 +163,8 @@ def picard_y0(model, grid, bundle, terminal, driver, opts, max_iters=25, tol=1e-
         fields = []
         for k in range(grid.n_steps):
             design, tr = fit_design(ens.states[:, k, :])
-            cy, _ = regress(design, y[:, k], k, opts.cond_limit)
-            cz, _ = regress(design, z[:, k, :], k, opts.cond_limit)
+            cy, _ = regress(design, y[:, k], k, _COND_LIMIT)
+            cz, _ = regress(design, z[:, k, :], k, _COND_LIMIT)
             fields.append((tr, cy, cz))
         y_at = lambda k, x: apply_design(x, fields[k][0]) @ fields[k][1]
         z_at = lambda k, x: apply_design(x, fields[k][0]) @ fields[k][2]
@@ -320,9 +321,9 @@ def fluctuation_system(coeffs, mean_field, u0_sampler, n_paths, seed, opts, n_wo
             if u_k.std() > 0:
                 us = (u_k - u_k.mean()) / u_k.std()
                 design = np.concatenate([design, design * us[:, None]], axis=1)
-            coef_c, _ = regress(design, v[:, k + 1], k, opts.cond_limit)
+            coef_c, _ = regress(design, v[:, k + 1], k, _COND_LIMIT)
             cont = design @ coef_c
-            coef_z, _ = regress(design, (v[:, k + 1] - cont) * inc[:, k, 0], k, opts.cond_limit)
+            coef_z, _ = regress(design, (v[:, k + 1] - cont) * inc[:, k, 0], k, _COND_LIMIT)
             z_k = design @ coef_z / dt
             source = (_broadcast(coeffs.dx_f(nodes[k], x_k, f_k), per_world) * u_k
                       + _broadcast(coeffs.dz_f(nodes[k], x_k, f_k), per_world) * z_k

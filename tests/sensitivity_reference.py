@@ -20,7 +20,7 @@ from bsdelab.drivers import (
     TruncatedDriver,
     _normalize_inputs,
 )
-from bsdelab.engine import SolveOptions
+from bsdelab.engine import _COND_LIMIT, SolveOptions
 from bsdelab.nets import DriverNet
 from lstsq_reference import fit_design, regress
 
@@ -80,14 +80,14 @@ def forward_sensitivity(primary, driver=None, opts=SolveOptions(), store_paths=F
         x_k = ens.states[:, k, :]
         design, _ = fit_design(x_k)
 
-        coef_c, _ = regress(design, v_next, k, opts.cond_limit)
+        coef_c, _ = regress(design, v_next, k, _COND_LIMIT)
         cont = design @ coef_c
 
         resid = v_next - cont
         d = inc.shape[2]
         z_theta = np.empty((m, n_params, d))
         for j in range(d):
-            coef_z, _ = regress(design, resid * inc[:, k, j:j + 1], k, opts.cond_limit)
+            coef_z, _ = regress(design, resid * inc[:, k, j:j + 1], k, _COND_LIMIT)
             z_theta[:, :, j] = design @ coef_z / dt
 
         z_k = primary.z[:, k, :]

@@ -1,3 +1,4 @@
+import csv
 import ctypes
 import json
 
@@ -280,7 +281,44 @@ class TestRunExperiment:
         assert (tmp_path / "run" / "solution.csv").exists()
 
 
+def round_trips(cell):
+    """Whether cell is an int literal or the shortest repr of a float."""
+    for parse in (int, float):
+        try:
+            if repr(parse(cell)) == cell:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+SMALL_GRID = {"T": 1.0, "n_steps": 5}
+SMALL_MEANFIELD = {"grid": SMALL_GRID, "N_list": [16, 32], "n_trials": 2, "n_reference": 256}
+SMALL_SEARCH = {"theta_lo": 0.0, "theta_hi": 1.0, "tol": 0.05}
+
+
 class TestMainEntry:
+    @pytest.mark.parametrize("command, doc", [
+        ("solve", {"kind": "solve", "grid": SMALL_GRID, "n_paths": 500,
+                   "driver": {"name": "entropic"}}),
+        ("train", {"kind": "train", "grid": SMALL_GRID, "n_paths": 300, "scales": [0.5, 1.0],
+                   "max_iters": 2}),
+        ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-lln")),
+        ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-clt")),
+        ("merton", {"kind": "merton", "n_space": 20, "theta_list": [0.5]}),
+        ("calibrate", {"kind": "calibrate", "n_space": 20, "search": SMALL_SEARCH}),
+    ], ids=["solve", "train", "meanfield-lln", "meanfield-clt", "merton", "calibrate"])
+    def test_csv_artifacts_read_back_bit_for_bit(self, tmp_path, capsys, command, doc):
+        cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))
+        assert main([command, "--config", cfg]) in (0, 1)   # 1: a check fails at this size
+        paths = sorted((tmp_path / "out").glob("*.csv"))
+        assert paths
+        for path in paths:
+            with open(path, newline="") as fh:
+                _, *rows = csv.reader(fh)
+            assert rows
+            assert [cell for row in rows for cell in row if cell and not round_trips(cell)] == []
+
     def test_full_run_writes_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SMALL_ORACLE, out=str(tmp_path / "out")))
         code = main(["verify", "--config", cfg, "--format", "text"])

@@ -488,21 +488,20 @@ class TestRegressionPlan:
         with pytest.raises(ValueError, match="bundle or an ensemble"):
             loss_and_gradient(dataset, zero_driver())
 
-    def test_plan_is_keyed_by_ensemble_basis_and_cond_limit(self, factorizations):
+    def test_plan_is_keyed_by_ensemble_and_basis(self, factorizations):
         problem = reference_problem("entropic", 1)
         ens = problem.ensemble
         n = ens.grid.n_steps
         basis, opts = RegressionBasis(), SolveOptions()
         plan = solve_bsde_lsmc(problem, basis, opts).plan
-        assert RegressionPlan.of(ens, RegressionBasis(), opts.cond_limit) is plan
+        assert RegressionPlan.of(ens, RegressionBasis()) is plan
         equal_copy = PathEnsemble(states=ens.states, grid=ens.grid, bundle=ens.bundle)
         others = [
             solve_bsde_lsmc(replace(problem, ensemble=equal_copy), basis, opts).plan,
             solve_bsde_lsmc(problem, RegressionBasis(degree=2), opts).plan,
-            solve_bsde_lsmc(problem, basis, SolveOptions(cond_limit=1e10)).plan,
         ]
-        assert len({id(p) for p in [plan] + others}) == 4
-        assert len(factorizations) == 4 * n
+        assert len({id(p) for p in [plan] + others}) == 3
+        assert len(factorizations) == 3 * n
 
     def test_dropped_ensemble_is_freed_without_the_cycle_collector(self):
         problem = reference_problem("entropic", 1)
@@ -639,6 +638,18 @@ class TestBatchedSweep:
     def test_no_terminals_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             solve_bsde_many(reference_problem("zero", 1), [])
+
+    def test_a_column_terminal_is_rejected_with_its_shape(self):
+        problem = brownian_problem(zero_driver(), n_paths=500, n_steps=4)
+        column = lambda e: e.states[:, -1]
+        shapes = r"shape \(500,\), not \(500, 1\)"
+        with pytest.raises(ValueError, match=shapes) as info:
+            solve_bsde_lsmc(replace(problem, terminal=column))
+        assert info.value.terminal_index == 0
+        with pytest.raises(ValueError, match=shapes):
+            check_comparison(problem, column, lambda e: np.zeros(e.n_paths))
+        with pytest.raises(ValueError, match=shapes):
+            check_comparison(problem, W_T, lambda e: np.zeros((e.n_paths, 1)))
 
 
 class TestTruncation:

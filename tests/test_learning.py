@@ -19,7 +19,7 @@ from bsdelab.engine import (
     solve_bsde_lsmc,
     solve_bsde_many,
 )
-from bsdelab.errors import SolverDivergedError, TrainingDivergedError
+from bsdelab.errors import SimulationDivergedError, SolverDivergedError, TrainingDivergedError
 from bsdelab.learning import (
     Dataset,
     DatasetRecord,
@@ -446,6 +446,29 @@ class TestBatchedLoss:
         with pytest.raises(SolverDivergedError, match=r"record 1 \('rec-1'\).*at step 4") as info:
             loss_and_gradient(dataset, driver, ensemble=ens)
         assert str(info.value) == str(ref.value)
+
+    def test_an_error_without_a_message_constructor_keeps_its_type(self):
+        # SimulationDivergedError takes (path, step), so the loss cannot
+        # rebuild it around a message: it raises the record's own error,
+        # tagged with record_index.
+        def diverged(ens):
+            raise SimulationDivergedError(path=3, step=2)
+
+        records = scaled_records([0.5]) + (DatasetRecord(terminal=diverged, observed=0.0),)
+        dataset = Dataset(records=records, grid=make_time_grid(1.0, 5), n_paths=256)
+        with pytest.raises(SimulationDivergedError, match="path=3, step=2") as info:
+            loss_and_gradient(dataset, entropic_driver(1.0),
+                              ensemble=dataset_ensemble(dataset, seed=0))
+        assert info.value.record_index == 1
+
+    def test_a_column_terminal_is_rejected_with_its_shape(self):
+        column = DatasetRecord(terminal=lambda ens: ens.states[:, -1], observed=0.0,
+                               label="col")
+        dataset = Dataset(records=(column,), grid=make_time_grid(1.0, 5), n_paths=64)
+        with pytest.raises(ValueError, match=r"record 0 \('col'\): .*shape \(64,\), "
+                                             r"not \(64, 1\)"):
+            loss_and_gradient(dataset, entropic_driver(1.0),
+                              ensemble=dataset_ensemble(dataset, seed=0))
 
 
 class TestTraining:
