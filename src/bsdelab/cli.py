@@ -23,6 +23,7 @@ import glob
 import hashlib
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,11 @@ class CheckResult:
     value: float
     tolerance: float
     detail: str = ""
+
+    def __post_init__(self):
+        # A value that is not finite measured nothing, so its check cannot pass.
+        if self.passed and not math.isfinite(self.value):
+            object.__setattr__(self, "passed", False)
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,7 @@ def parse_report(text: str) -> RunReport:
     try:
         report = RunReport(**dict(doc, checks=tuple(CheckResult(**c) for c in doc["checks"]),
                                   artifacts=tuple(doc["artifacts"])))
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed report: {exc}") from exc
     for c in report.checks:
         numbers = (c.value, c.tolerance)
@@ -254,7 +260,7 @@ def _run_verify_axioms(config, out_dir):
 
     ent = engine.BsdeProblem(driver=drivers.entropic_driver(1.0), terminal=_final_state,
                              ensemble=ens)
-    rep = engine.check_dynamic_consistency(ent, ens.grid.horizon / 2.0, basis)
+    rep = engine.check_dynamic_consistency(ent, ens.grid.nodes[ens.grid.n_steps // 2], basis)
     tol = 0.02 * abs(rep.y0_direct)
     checks.append(CheckResult("dynamic_consistency", rep.gap <= tol, rep.gap, tol))
 
@@ -400,7 +406,7 @@ def _run_calibrate(config, out_dir):
         ts = [0.0, 0.25, 0.5]
         obs = [merton.AllocationObservation(t, x, surface(t, x) * x)
                for t in ts for x in xs]
-    result = merton.calibrate_theta(params, obs, spec, **opt["search"])
+    result = _from_config("search", merton.calibrate_theta, params, obs, spec, **opt["search"])
     path = os.path.join(out_dir, "calibration_curve.csv")
     write_csv(path, ["theta", "loss"], result.curve)
     if theta_true is not None:
@@ -530,6 +536,27 @@ def _fits(value, default) -> bool:
     return isinstance(value, type(default))
 
 
+def _check_fits(value, default, path: str) -> None:
+    """ConfigError at path, or at path.i for the i-th element of a list,
+    unless value fits default and each element fits the default's first."""
+    if not _fits(value, default):
+        raise ConfigError(path, f"expected a value like the default {default!r}, got {value!r}")
+    if isinstance(default, (list, tuple)) and default:
+        for i, element in enumerate(value):
+            _check_fits(element, default[0], f"{path}.{i}")
+
+
+def _check_finite(doc, path: str = "") -> None:
+    """ConfigError at the dotted path of the first NaN or infinity in doc,
+    which json reads from NaN, Infinity and out-of-range literals."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}{key}", f"must be finite, got {value!r}")
+        _check_finite(value, f"{path}{key}.")
+
+
 def _resolve(doc: dict, table: dict, path: str = "") -> dict:
     """doc with every key of table, defaults filled in and nested blocks
     resolved in turn. A key the table does not list, one given together
@@ -545,9 +572,8 @@ def _resolve(doc: dict, table: dict, path: str = "") -> dict:
     resolved = {}
     for key, default in table.items():
         if not (isinstance(default, dict) or callable(default)):
-            if key in doc and not _fits(doc[key], default):
-                raise ConfigError(path + key, f"expected a value like the default "
-                                              f"{default!r}, got {doc[key]!r}")
+            if key in doc:
+                _check_fits(doc[key], default, path + key)
             resolved[key] = doc[key] if key in doc else default
             continue
         block = doc[key] if key in doc else {}
@@ -581,6 +607,7 @@ class ExperimentConfig:
             raise ConfigError("seed", "missing (runs must be seeded)")
         if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
             raise ConfigError("seed", "must be an integer")
+        _check_finite(raw)
         options = _resolve(raw, {"kind": None, "seed": None, "out": "runs",
                                  **_KINDS[raw["kind"]].options})
         return ExperimentConfig(kind=raw["kind"], seed=raw["seed"], out_dir=options["out"],

@@ -11,12 +11,12 @@ them exactly like trained networks.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
+
+from ._check import real
 
 __all__ = [
     "DriverGradients",
@@ -207,9 +207,7 @@ class TruncatedDriver:
     k_level: float
 
     def __post_init__(self):
-        k = self.k_level
-        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not 0.0 < k < math.inf:
-            raise ValueError(f"k_level must be positive and finite, got {k!r}")
+        real("k_level", self.k_level, above=0)
 
     @property
     def params(self) -> np.ndarray:

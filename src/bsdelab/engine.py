@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import logsumexp, softmax
 
+from ._check import count, real
 from ._csv import write_csv
 from .drivers import Driver, TruncatedDriver
 from .errors import (
@@ -144,9 +143,7 @@ class RegressionBasis:
     degree: int = 3
 
     def __post_init__(self):
-        degree = self.degree
-        if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
-            raise ValueError(f"degree must be an int >= 0, got {degree!r}")
+        count("degree", self.degree, 0)
 
     def fit_design(self, x: np.ndarray):
         x = np.atleast_2d(x)
@@ -268,13 +265,9 @@ class SolveOptions:
     z_clip: float | None = 10.0
 
     def __post_init__(self):
-        passes = self.inner_picard_iters
-        if isinstance(passes, bool) or not isinstance(passes, numbers.Integral) or passes < 1:
-            raise ValueError(f"inner_picard_iters must be an int >= 1, got {passes!r}")
-        clip = self.z_clip
-        if clip is not None and (isinstance(clip, bool) or not isinstance(clip, numbers.Real)
-                                 or not 0.0 < clip < math.inf):
-            raise ValueError(f"z_clip must be None or positive and finite, got {clip!r}")
+        count("inner_picard_iters", self.inner_picard_iters, 1)
+        if self.z_clip is not None:
+            real("z_clip", self.z_clip, above=0)
 
 
 @dataclass(frozen=True)
@@ -446,8 +439,10 @@ def solve_bsde_lsmc(
 
 
 def _terminal_values(terminal: Callable, ens: PathEnsemble) -> np.ndarray:
-    """The terminal functional's values on the ensemble; ValueError unless
-    it gives exactly one value per path."""
+    """The terminal functional's values on the ensemble; ValueError if there
+    is none or unless it gives exactly one value per path."""
+    if terminal is None:
+        raise ValueError("the problem has no terminal functional to solve for")
     values = np.asarray(terminal(ens), dtype=np.float64)
     if values.shape != (ens.n_paths,):
         raise ValueError(f"a terminal functional gives one value per path, shape "
@@ -536,7 +531,7 @@ def solve_truncated(
     base_terminal = problem.terminal
     clamped = replace(
         problem,
-        terminal=lambda ens: np.clip(base_terminal(ens), -k_level, k_level),
+        terminal=lambda ens: np.clip(_terminal_values(base_terminal, ens), -k_level, k_level),
         driver=driver,
     )
     return solve_bsde_lsmc(clamped, basis, opts)
@@ -570,8 +565,8 @@ def closed_form_oracle(
     if kind == "zero":
         return float(np.mean(xi))
     if kind == "entropic":
-        if theta is None or theta == 0.0:
-            raise ValueError("entropic oracle requires theta != 0")
+        if real("theta", theta) == 0.0:
+            raise ValueError("theta must be nonzero for the entropic oracle")
         with np.errstate(over="ignore"):
             val = -(logsumexp(-theta * xi) - np.log(xi.size)) / theta
         if not np.isfinite(val):
@@ -702,8 +697,7 @@ def check_convexity_and_jensen(
     delta_convexity = lam Y0(xi1) + (1-lam) Y0(xi2) - Y0(mix) and
     delta_jensen = Y0(phi(xi1)) - phi(Y0(xi1)); both must be >= -tol.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    real("lam", lam, at_least=0, at_most=1)
     ens = problem.ensemble
     cvx = verify_convexity(
         problem.driver, n_segments=_CONVEXITY_SEGMENTS, seed=0, tol=1e-9,

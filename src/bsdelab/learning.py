@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._check import count, real
 from ._csv import write_csv
 from .drivers import Driver
 from .engine import (
@@ -209,8 +210,7 @@ def fd_gradient_check(
     Re-solves share the problem's ensemble (common random numbers), so the
     comparison isolates the frozen-path approximation.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    real("h", h, above=0)
     primary = solve_bsde_lsmc(problem, basis, opts)
     sens = solve_sensitivity_bsde(primary)
 
@@ -262,11 +262,9 @@ class Dataset:
     def __post_init__(self):
         if len(self.records) == 0:
             raise ValueError("dataset must be non-empty")
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be >= 1, got {self.n_paths}")
+        count("n_paths", self.n_paths, 1)
         for rec in self.records:
-            if not np.isfinite(rec.observed):
-                raise ValueError(f"observation '{rec.label}' is not finite")
+            real(f"observation '{rec.label}'", rec.observed)
         if self.model is None:
             object.__setattr__(self, "model", brownian_model(1))
 

@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._check import count
 from ._csv import write_csv
 from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
                      _backward_solve, fit_projection)
@@ -211,8 +212,7 @@ def simulate_particles(
     increments and initial_states override the seeded draws; couplings and
     exchangeability experiments rely on passing permuted or shared rows.
     """
-    if n_particles < 2:
-        raise ValueError("n_particles must be >= 2")
+    count("n_particles", n_particles, 2)
     if increments is None:
         increments = sample_brownian(grid, n_particles, 1,
                                      split_seed(seed, "particles")).increments
@@ -254,8 +254,7 @@ def solve_mckean_vlasov(
     previous flow and recomputes features until the sup-over-time change
     drops below tol.
     """
-    if n_cloud < 100:
-        raise ValueError("n_cloud must be >= 100 for a usable feature flow")
+    count("n_cloud", n_cloud, 100)   # the least cloud with a usable feature flow
     increments = sample_brownian(grid, n_cloud, 1, split_seed(seed, "mkv-cloud")).increments
     x0 = np.asarray(model.initial_sampler(n_cloud, split_seed(seed, "mkv-initial")))
 
@@ -344,7 +343,7 @@ def lln_experiment(
     The reference feature flow comes from a large-cloud fixed point computed
     once; prefixes of a common bundle give common random numbers across N.
     """
-    n_values = sorted(int(n) for n in n_list)
+    n_values = sorted(count("n_list", n, 1) for n in n_list)
     if len(n_values) < 2:
         raise ValueError("n_list needs at least two entries")
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "lln-reference"),
@@ -439,7 +438,7 @@ def clt_experiment(
     solve runs. basis is unused; it is kept only until the benchmark's
     meanfield_clt workload stops passing it, and goes then.
     """
-    n_values = sorted(int(n) for n in n_list)
+    n_values = sorted(count("n_list", n, 1) for n in n_list)
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "clt-reference"),
                               solve_backward=False)
     n_max = n_values[-1]
@@ -595,9 +594,8 @@ def solve_fluctuation_system(
     backward kernel, without Z clipping, by regression on state features
     augmented with standardized-U columns.
     """
+    count("n_worlds", n_worlds, 2 if include_sampling_noise else 1)  # noise variances need 2
     coeffs.validate()
-    if include_sampling_noise and n_worlds < 2:
-        raise ValueError("sampling noise needs n_worlds >= 2 to estimate variances")
     model = mean_field.model
     names = model.feature_names
     grid = mean_field.grid

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._check import real
 from ._csv import write_csv
 from .errors import ExtrapolationWarning, SolverInconsistentError, UnstableGridError
 
@@ -60,14 +61,11 @@ class MarketParams:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if not self.mu > self.r:
-            raise ValueError(f"mu must exceed r (got mu={self.mu}, r={self.r})")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.gamma >= 1 or self.gamma == 0:
+        real("mu", self.mu, above=real("r", self.r))
+        real("sigma", self.sigma, above=0)
+        if real("gamma", self.gamma, below=1) == 0:
             raise ValueError("gamma must satisfy gamma < 1 and gamma != 0")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        real("horizon", self.horizon, above=0)
 
 
 @dataclass(frozen=True)
@@ -202,8 +200,7 @@ def solve_hjb(
     stability bound, and SolverInconsistentError when a sign condition
     fails at an interior node.
     """
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
+    real("theta", theta, at_least=0)
     spec = HjbGridSpec.default(params) if spec is None else spec
     g = params.gamma
     excess = params.mu - params.r
@@ -334,11 +331,9 @@ def verify_ambiguity_properties(
     """Caution (pi* < classical for theta > 0) and monotone decrease in theta,
     asserted on interior nodes at all times; the wealth-direction of the
     policy is reported as a diagnostic only."""
-    thetas = tuple(float(t) for t in theta_list)
+    thetas = tuple(real("theta_list", t, at_least=0) for t in theta_list)
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("theta_list must be strictly increasing")
-    if thetas[0] < 0:
-        raise ValueError("theta values must be >= 0")
     spec = HjbGridSpec.default(params) if spec is None else spec
     pi_cl = classical_merton(params).pi
 
@@ -393,8 +388,7 @@ class AllocationObservation:
     amount: float
 
     def __post_init__(self):
-        if self.x <= 0:
-            raise ValueError("wealth must be positive")
+        real("wealth x", self.x, above=0)
 
 
 @dataclass(frozen=True)
@@ -421,8 +415,8 @@ def calibrate_theta(
     the bracket, the loss is not unimodal and a dense 64-point scan with a
     warning replaces the search.
     """
-    if theta_lo >= theta_hi:
-        raise ValueError("theta_lo must be below theta_hi")
+    real("theta_hi", theta_hi, above=real("theta_lo", theta_lo))
+    real("tol", tol, above=0)
     obs = list(observations)
     if not obs:
         raise ValueError("observations must be non-empty")
@@ -493,6 +487,8 @@ def read_observations_csv(path) -> list:
             out.append(AllocationObservation(
                 t=float(row["t"]), x=float(row["x"]), amount=float(row["allocation"])
             ))
+    if not out:
+        raise ValueError(f"{path} holds no observations")
     return out
 
 

@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from ._check import count, real
 from .drivers import Driver, DriverGradients, DriverLinearization, _normalize_inputs
 from .errors import InvalidArchitectureError
 from .stochastic import split_seed
@@ -243,19 +244,21 @@ class NetLayout:
     interaction_bound: float = 1.0
 
     def __post_init__(self):
+        count("state_dim", self.state_dim, 1, InvalidArchitectureError)
+        count("z_dim", self.z_dim, 1, InvalidArchitectureError)
+        real("interaction_bound", self.interaction_bound, InvalidArchitectureError, above=0)
         for name in ("hidden", "n2_hidden"):
-            widths = tuple(getattr(self, name))
-            if any(isinstance(w, bool) or not isinstance(w, (int, np.integer)) for w in widths):
-                raise InvalidArchitectureError(f"{name} widths must be integers, got {widths}")
-            object.__setattr__(self, name, tuple(int(w) for w in widths))
+            widths = (count(f"{name} widths", w, 1, InvalidArchitectureError)
+                      for w in getattr(self, name))
+            object.__setattr__(self, name, tuple(widths))
 
 
 def _architecture(kind: ArchitectureKind, layout: NetLayout) -> dict:
     """The kind's named block stacks in parameter order; InvalidArchitectureError
     if the layout does not fit the kind."""
     n, d, act = layout.state_dim, layout.z_dim, layout.activation
-    if not layout.hidden or any(w < 1 for w in layout.hidden):
-        raise InvalidArchitectureError("hidden widths must be positive")
+    if not layout.hidden:
+        raise InvalidArchitectureError("hidden widths must be non-empty")
     if act not in _ACTIVATIONS:
         raise InvalidArchitectureError(f"unknown activation '{act}'")
 
@@ -269,11 +272,9 @@ def _architecture(kind: ArchitectureKind, layout: NetLayout) -> dict:
             first[1 + n], code = _T_NONPOS, _T_NONNEG  # column of the y input
         layers = {"main": _mlp_layers("in", 2 + n + d, layout.hidden, act, first, code)}
     elif kind in (ArchitectureKind.SEPARABLE, ArchitectureKind.BOUNDED_INTERACTION):
-        if not layout.n2_hidden or any(w < 1 for w in layout.n2_hidden):
-            raise InvalidArchitectureError("n2_hidden widths must be positive")
+        if not layout.n2_hidden:
+            raise InvalidArchitectureError("n2_hidden widths must be non-empty")
         bounded = kind is ArchitectureKind.BOUNDED_INTERACTION
-        if bounded and layout.interaction_bound <= 0:
-            raise InvalidArchitectureError("interaction_bound must be positive")
         first, code = np.zeros(1, dtype=int), _T_ID
         if layout.n2_monotone:
             if bounded:
@@ -554,8 +555,7 @@ def estimate_growth_and_lipschitz(driver, radius: float = 2.0, n_samples: int = 
                                   z_shift: float = 0.0) -> GrowthReport:
     """Diagnostic fit |f| ~ K0 + K1 ||x||^p + K2 |y| + (alpha/2) ||z||^2 and an
     empirical local Lipschitz constant in y on [-radius, radius]."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    real("radius", radius, above=0)
     n, d = _sample_dims(driver, state_dim, z_dim)
     gen = np.random.Generator(np.random.Philox(key=split_seed(seed, "growth-fit")))
     t = gen.uniform(0.0, 1.0, size=n_samples)

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
+from ._check import count, real
 from .errors import SimulationDivergedError
 
 __all__ = [
@@ -81,10 +82,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        real("horizon", self.horizon, above=0)
+        count("n_steps", self.n_steps, 1)
 
     @property
     def dt(self) -> float:
@@ -103,8 +102,8 @@ class TimeGrid:
 
 
 def make_time_grid(horizon: float, n_steps: int) -> TimeGrid:
-    """Build a uniform time grid with t_n = horizon exactly."""
-    return TimeGrid(float(horizon), int(n_steps))
+    """A uniform time grid with t_n = horizon exactly, horizon a float and n_steps an int."""
+    return TimeGrid(real("horizon", horizon, above=0), count("n_steps", n_steps, 1))
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -167,10 +166,8 @@ def sample_brownian(grid: TimeGrid, n_paths: int, dim: int, seed: int) -> Browni
     The stream is drawn in path-major order, one block of paths at a time,
     so the values are those of one (n_paths, n_steps, dim) draw, bit for bit.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
+    count("n_paths", n_paths, 1)
+    count("dim", dim, 1)
     gen = _generator(split_seed(seed, "brownian-bundle", n_paths, grid.n_steps, dim))
     scale = np.sqrt(grid.dt)
     steps = np.empty((grid.n_steps, n_paths, dim))

@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -135,7 +136,8 @@ class TestConfigValidation:
         ("merton", {"kind": "merton", "params": {"gamma": 2.0}}, "params"),
         ("solve", {"kind": "solve", "grid": {"T": -1}}, "grid"),
         ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [0]}}, "driver"),
-        ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [[1]]}}, "driver"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [[1]]}},
+         "driver.hidden.0"),
         ("solve", {"kind": "solve", "n_paths": -5}, "n_paths"),
         ("verify", {"kind": "verify-axioms", "n_paths": 0}, "n_paths"),
         ("train", {"kind": "train", "n_paths": 0}, "n_paths"),
@@ -143,10 +145,21 @@ class TestConfigValidation:
         ("merton", {"kind": "merton", "n_space": 2}, "n_space"),
         ("merton", {"kind": "merton", "n_space": 3}, "n_space"),
         ("calibrate", {"kind": "calibrate", "n_space": 2}, "n_space"),
+        ("meanfield", {"kind": "meanfield-lln", "N_list": [True, 32]}, "N_list.0"),
+        ("train", {"kind": "train", "scales": [0.5, float("nan")]}, "scales.1"),
+        ("calibrate", {"kind": "calibrate", "search": {"theta_hi": float("nan")}},
+         "search.theta_hi"),
+        ("merton", {"kind": "merton", "params": {"sigma": float("nan")}}, "params.sigma"),
+        ("merton", {"kind": "merton", "theta_list": [float("nan")]}, "theta_list.0"),
+        ("merton", {"kind": "merton", "params": {"sigma": 10 ** 400}}, "params"),
+        ("calibrate", {"kind": "calibrate", "search": {"theta_lo": 0.5, "theta_hi": 0.5}},
+         "search"),
     ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
             "market-rejected", "grid-rejected", "layout-rejected", "nested-width",
             "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
-            "space-without-interior", "calibrate-space-without-interior"])
+            "space-without-interior", "calibrate-space-without-interior", "bool-element",
+            "nan-element", "nan-bound", "nan-market", "nan-theta", "huge-market",
+            "empty-bracket"])
     def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
                                                     dotted):
         cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))
@@ -154,6 +167,25 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert f"config error at '{dotted}'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3])
+    def test_a_search_tolerance_that_cannot_end_exits_2(self, tmp_path, capsys, tol):
+        # The golden-section loop never ends for tol <= 0; the alarm turns a
+        # hang into a failure.
+        def hang(signum, frame):
+            raise TimeoutError("calibrate did not return within 10 s")
+
+        cfg = write_config(tmp_path, {"kind": "calibrate", "seed": 1, "n_space": 20,
+                                      "search": {"tol": tol}, "out": str(tmp_path / "out")})
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        try:
+            code = main(["calibrate", "--config", cfg])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2
+        assert "config error at 'search': tol must be" in capsys.readouterr().err
 
     def test_unknown_name_of_a_block(self):
         with pytest.raises(ConfigError) as info:
@@ -206,6 +238,11 @@ class TestReports:
         assert "checks: 0" in text
         assert "[" not in text.replace("[PASS]", "").replace("[FAIL]", "")
         assert parse_report(emit_report(report, "json")) == report
+
+    def test_a_check_on_a_value_that_is_not_finite_cannot_pass(self):
+        for value in (float("nan"), float("inf"), -np.inf):
+            assert not CheckResult("c", True, value, 0.0).passed
+        assert CheckResult("c", True, 1.0, float("inf")).passed
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -268,6 +305,15 @@ class TestRunExperiment:
         assert len(report.checks) == 5
         assert len(simulations) == 1
         assert sorted(factorizations) == list(range(8))
+
+    @pytest.mark.parametrize("n_steps", [5, 7])
+    def test_verify_axioms_splits_an_odd_grid_at_a_node(self, tmp_path, n_steps):
+        config = ExperimentConfig.from_dict({
+            "kind": "verify-axioms", "seed": 3, "out": str(tmp_path / "run"),
+            "n_paths": 2_000, "grid": {"T": 1.0, "n_steps": n_steps},
+        })
+        checks = {c.name: c for c in run_experiment(config).checks}
+        assert np.isfinite(checks["dynamic_consistency"].value)
 
     def test_solve_kind_writes_artifacts(self, tmp_path):
         config = ExperimentConfig.from_dict({

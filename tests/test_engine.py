@@ -651,6 +651,14 @@ class TestBatchedSweep:
         with pytest.raises(ValueError, match=shapes):
             check_comparison(problem, W_T, lambda e: np.zeros((e.n_paths, 1)))
 
+    def test_a_missing_terminal_is_named(self):
+        problem = replace(brownian_problem(zero_driver(), n_paths=200, n_steps=4), terminal=None)
+        for solve in (solve_bsde_lsmc, lambda p: solve_bsde_many(p, [p.terminal]),
+                      lambda p: solve_truncated(p, 1.0),
+                      lambda p: dual_lower_bound(p, [[0.0]], fenchel=lambda u: 0.0)):
+            with pytest.raises(ValueError, match="no terminal functional"):
+                solve(problem)
+
 
 class TestTruncation:
     def test_inactive_truncation_is_bitwise_identical(self):
