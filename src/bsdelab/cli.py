@@ -33,6 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import drivers, engine, learning, meanfield, merton, nets, stochastic
+from ._check import count, real
 from ._csv import write_csv
 from .errors import BsdelabError, ConfigError
 from .stochastic import (ForwardModel, brownian_model, geometric_brownian_model,
@@ -308,15 +309,35 @@ def _run_train(config, out_dir):
     return checks, [log_path]
 
 
+def _particle_counts(values: list, least: int) -> list:
+    """values as counts >= 1, at least `least` of them."""
+    if len(values) < least:
+        raise ValueError(f"N_list needs at least {least} entries, got {values!r}")
+    return [count("N_list", n, 1) for n in values]
+
+
+def _increasing_thetas(values: list) -> list:
+    """values as positive finite reals, strictly increasing, at least one."""
+    thetas = [real("theta_list", t, above=0) for t in values]
+    if not thetas or any(b <= a for a, b in zip(thetas, thetas[1:])):
+        raise ValueError(f"theta_list must be a non-empty, strictly increasing list, "
+                         f"got {values!r}")
+    return thetas
+
+
 def _run_meanfield(config, out_dir):
     opt = config.options
     grid = _grid(opt)
     model = meanfield.MODEL_REGISTRY[opt["model"]](**opt["model_params"])
+    lln = config.kind == "meanfield-lln"
+    n_list = _from_config("N_list", _particle_counts, opt["N_list"], 2 if lln else 1)
+    n_reference = _from_config("n_reference", count, "n_reference", opt["n_reference"],
+                               meanfield.MIN_CLOUD)
 
-    if config.kind == "meanfield-lln":
-        res = meanfield.lln_experiment(model, opt["N_list"], grid, opt["n_trials"],
+    if lln:
+        res = meanfield.lln_experiment(model, n_list, grid, opt["n_trials"],
                                        split_seed(config.seed, "lln"), _basis(opt),
-                                       n_reference=opt["n_reference"])
+                                       n_reference=n_reference)
         path = os.path.join(out_dir, "lln.csv")
         meanfield.export_lln_csv(res, path)
         total = res.err_x + res.err_y + res.err_z
@@ -329,9 +350,9 @@ def _run_meanfield(config, out_dir):
         ]
         return checks, [path]
 
-    res = meanfield.clt_experiment(model, opt["N_list"], grid, opt["n_trials"],
+    res = meanfield.clt_experiment(model, n_list, grid, opt["n_trials"],
                                    split_seed(config.seed, "clt"),
-                                   n_reference=opt["n_reference"], u0_std=opt["u0_std"])
+                                   n_reference=n_reference, u0_std=opt["u0_std"])
     path = os.path.join(out_dir, "clt.csv")
     meanfield.export_clt_csv(res, path)
     checks = [CheckResult("clt_variance_stabilizes", res.stabilized(),
@@ -366,6 +387,7 @@ def _run_fbsde(config, out_dir):
 
 def _run_merton(config, out_dir):
     params, spec = _market(config.options)
+    thetas = _from_config("theta_list", _increasing_thetas, config.options["theta_list"])
     cls = merton.classical_merton(params)
 
     grid0 = merton.solve_hjb(params, 0.0, spec)
@@ -380,7 +402,7 @@ def _run_merton(config, out_dir):
                     f"pi_classical {cls.pi}"),
     ]
 
-    rep = merton.verify_ambiguity_properties(params, [0.0, *config.options["theta_list"]], spec)
+    rep = merton.verify_ambiguity_properties(params, [0.0, *thetas], spec)
     checks.append(CheckResult("ambiguity_caution", rep.caution_passed,
                               rep.max_interior_pi[-1], cls.pi))
     checks.append(CheckResult("ambiguity_monotone", rep.monotone_passed, 0.0, 0.0,

@@ -32,15 +32,21 @@ Conditional expectations use global polynomial least squares on
 standardized monomials, with one factorization per step: the R factor of
 the design's QR, whose singular values give the rank (count above
 eps * max(m, p) * sigma_max) and the condition number, which may not
-exceed 1e12; a response row b projects as b A R^-1 R^-T A^T. The
-projections depend on the forward states alone, so each ensemble keeps one
-`RegressionPlan` per basis: the first solve on the ensemble factors each
-step, and every later solve on it projects with the stored fits. A
-`BsdeProblem` holds the ensemble its caller simulated, so no solve or
-check here simulates forward paths; only the Picard iteration of the
-coupled system does, once per iterate. The solution carries its problem
-and its plan, so the adjoint, the drift decomposition, the Picard fields
-and the dynamic-consistency smoothing neither simulate nor factor again.
+exceed 1e12; a response row b projects as b A R^-1 R^-T A^T. LAPACK's
+dgeqrf factors the design in place, in a (p, m) workspace that holds the
+design's transpose, which LAPACK reads as the column-major m x p design:
+no copy of the design is made beyond that one. A plan allocates its
+workspace at its first factorization and drops it once every step is
+factored; the fluctuation system's V loop keeps one for its whole solve.
+The projections depend on the forward states alone, so each ensemble
+keeps one `RegressionPlan` per basis: the first solve on the ensemble
+factors each step, and every later solve on it projects with the stored
+fits. A `BsdeProblem` holds the ensemble its caller simulated, so no
+solve or check here simulates forward paths; only the Picard iteration of
+the coupled system does, once per iterate. The solution carries its
+problem and its plan, so the adjoint, the drift decomposition, the Picard
+fields and the dynamic-consistency smoothing neither simulate nor factor
+again.
 A terminal functional gives exactly one value per path, shape (m,).
 """
 
@@ -48,10 +54,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import lapack_lite
 from scipy.special import logsumexp, softmax
 
 from ._check import count, real
@@ -184,20 +191,46 @@ class Projection:
 _COND_LIMIT = 1e12
 
 
+def _workspace(work: np.ndarray | None, design: np.ndarray) -> np.ndarray:
+    """work if it can hold the transpose of design, else a new buffer that can."""
+    m, p = design.shape
+    if work is None or work.shape[1] != m or len(work) < p:
+        work = np.empty((p, m))
+    return work
+
+
 def fit_projection(design: np.ndarray, step: int, cond_limit: float,
-                   transform: DesignTransform | None = None) -> Projection:
+                   transform: DesignTransform | None = None,
+                   work: np.ndarray | None = None) -> Projection:
     """Factor a design; raises SingularRegressionError when the singular
-    values of R give a rank below p or a condition number above cond_limit."""
-    r = np.linalg.qr(design, mode="r")
+    values of R give a rank below p or a condition number above cond_limit.
+
+    work is a C-contiguous float64 buffer of m columns and at least p rows;
+    its first p rows hold the design's transpose, which LAPACK's dgeqrf reads
+    as the column-major m x p design and overwrites with its QR. Without
+    such a buffer, one is allocated. R equals numpy's QR in mode "r" bit for bit:
+    lapack_lite is numpy's own binding of the same LAPACK routine.
+    """
+    m, p = design.shape
+    a = _workspace(work, design)[:p]
+    np.copyto(a, design.T)
+    tau = np.empty(min(m, p))
+    size = np.empty(1)
+    lapack_lite.dgeqrf(m, p, a, max(1, m), tau, size, -1, 0)
+    lwork = max(1, p, int(size[0]))
+    info = lapack_lite.dgeqrf(m, p, a, max(1, m), tau, np.empty(lwork), lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeqrf returned info {info} at step {step}")
+    r = np.triu(a[:, :min(m, p)].T)
     sv = np.linalg.svd(r, compute_uv=False)
     rank = int(np.count_nonzero(sv > np.finfo(np.float64).eps * max(design.shape) * sv[0]))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if rank < design.shape[1] or cond > cond_limit:
+    if rank < p or cond > cond_limit:
         raise SingularRegressionError(step=step, cond=cond)
     return Projection(np.linalg.inv(r), cond, transform)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class RegressionPlan:
     """One ensemble's step projections, each factored at most once.
 
@@ -208,11 +241,16 @@ class RegressionPlan:
     floats); a factored step's design is rebuilt from its transform. The
     plan holds the ensemble's states, not the ensemble, so dropping the
     ensemble frees both.
+
+    Every step is factored in place in one (p, m) workspace, allocated at
+    the plan's first factorization (and again only for a wider design) and
+    dropped once every step is factored.
     """
 
     states: np.ndarray
     basis: RegressionBasis
     fits: list     # per step, the Projection once factored
+    _work: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(cls, ensemble: PathEnsemble, basis: RegressionBasis) -> "RegressionPlan":
@@ -226,7 +264,10 @@ class RegressionPlan:
         fit = self.fits[k]
         if fit is None:
             design, tr = self.basis.fit_design(x)
-            fit = self.fits[k] = fit_projection(design, k, _COND_LIMIT, tr)
+            self._work = _workspace(self._work, design)
+            fit = self.fits[k] = fit_projection(design, k, _COND_LIMIT, tr, self._work)
+            if None not in self.fits:
+                self._work = None
             return design, fit
         return fit.transform.apply(x), fit
 

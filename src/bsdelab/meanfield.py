@@ -37,7 +37,7 @@ import numpy as np
 from ._check import count
 from ._csv import write_csv
 from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
-                     _backward_solve, fit_projection)
+                     _backward_solve, _workspace, fit_projection)
 # Nothing here calls solve_bsde_lsmc. perfbench's tracer wraps the name
 # `meanfield.solve_bsde_lsmc` and fails without it; the import can go when
 # the library owns its timing spans (ROADMAP item 1).
@@ -236,6 +236,10 @@ class McKeanVlasovResult:
     grid: TimeGrid
 
 
+# The least cloud with a usable feature flow.
+MIN_CLOUD = 100
+
+
 def solve_mckean_vlasov(
     model: MeanFieldModel,
     n_cloud: int,
@@ -254,7 +258,7 @@ def solve_mckean_vlasov(
     previous flow and recomputes features until the sup-over-time change
     drops below tol.
     """
-    count("n_cloud", n_cloud, 100)   # the least cloud with a usable feature flow
+    count("n_cloud", n_cloud, MIN_CLOUD)
     increments = sample_brownian(grid, n_cloud, 1, split_seed(seed, "mkv-cloud")).increments
     x0 = np.asarray(model.initial_sampler(n_cloud, split_seed(seed, "mkv-initial")))
 
@@ -610,6 +614,7 @@ def solve_fluctuation_system(
     all_u = []
     all_v = []
     all_z = []
+    work = None   # one factorization workspace for every step of every world
     for w in range(n_worlds):
         inc = sample_brownian(grid, per_world, 1,
                               split_seed(seed, "fluct-noise", w)).increments
@@ -648,8 +653,10 @@ def solve_fluctuation_system(
         v_t = linear_term(timeless(coeffs.dx_g), timeless(coeffs.dmu_g), n)
 
         def step_design(k):
+            nonlocal work
             design = _augmented_design(basis, states[:, k], u[k])
-            return design, fit_projection(design, k, _COND_LIMIT)
+            work = _workspace(work, design)
+            return design, fit_projection(design, k, _COND_LIMIT, work=work)
 
         def step_value(k, v_k, z_k):
             return forcing[k] + dz_f[k] * z_k[:, 0] + dy_f[k] * v_k

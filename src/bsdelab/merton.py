@@ -332,6 +332,8 @@ def verify_ambiguity_properties(
     asserted on interior nodes at all times; the wealth-direction of the
     policy is reported as a diagnostic only."""
     thetas = tuple(real("theta_list", t, at_least=0) for t in theta_list)
+    if not thetas:
+        raise ValueError("theta_list must not be empty")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
         raise ValueError("theta_list must be strictly increasing")
     spec = HjbGridSpec.default(params) if spec is None else spec

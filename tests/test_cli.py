@@ -154,12 +154,21 @@ class TestConfigValidation:
         ("merton", {"kind": "merton", "params": {"sigma": 10 ** 400}}, "params"),
         ("calibrate", {"kind": "calibrate", "search": {"theta_lo": 0.5, "theta_hi": 0.5}},
          "search"),
+        ("merton", {"kind": "merton", "theta_list": [0.0]}, "theta_list"),
+        ("merton", {"kind": "merton", "theta_list": [0.5, 0.25]}, "theta_list"),
+        ("merton", {"kind": "merton", "theta_list": []}, "theta_list"),
+        ("meanfield", {"kind": "meanfield-lln", "N_list": [0, 32]}, "N_list"),
+        ("meanfield", {"kind": "meanfield-lln", "N_list": [32]}, "N_list"),
+        ("meanfield", {"kind": "meanfield-clt", "N_list": []}, "N_list"),
+        ("meanfield", {"kind": "meanfield-lln", "n_reference": 50}, "n_reference"),
+        ("meanfield", {"kind": "meanfield-clt", "n_reference": 99}, "n_reference"),
     ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
             "market-rejected", "grid-rejected", "layout-rejected", "nested-width",
             "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
             "space-without-interior", "calibrate-space-without-interior", "bool-element",
             "nan-element", "nan-bound", "nan-market", "nan-theta", "huge-market",
-            "empty-bracket"])
+            "empty-bracket", "zero-theta", "decreasing-thetas", "no-thetas", "no-particles",
+            "one-lln-size", "no-clt-sizes", "small-lln-reference", "small-clt-reference"])
     def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
                                                     dotted):
         cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))

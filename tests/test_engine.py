@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -377,7 +378,7 @@ class TestProjectionLayer:
         def no_factorization(*args, **kwargs):
             raise AssertionError("a design was factored again")
 
-        monkeypatch.setattr(np.linalg, "qr", no_factorization)
+        monkeypatch.setattr(engine.lapack_lite, "dgeqrf", no_factorization)
         monkeypatch.setattr(np.linalg, "svd", no_factorization)
         solve_sensitivity_bsde(sol)
         engine._fit_fields(sol)
@@ -410,6 +411,65 @@ class TestProjectionLayer:
         assert fit.cond == pytest.approx(s[0] / s[-1], rel=1e-12)
         with pytest.raises(SingularRegressionError):
             engine.fit_projection(design, step=0, cond_limit=0.5 * fit.cond)
+
+    @staticmethod
+    def factored_r(monkeypatch, design, **kwargs):
+        """The R that fit_projection hands to its singular value decomposition."""
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(r, *args, **kw):
+            seen.append(r.copy())
+            return svd(r, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        try:
+            engine.fit_projection(design, step=0, cond_limit=np.inf, **kwargs)
+        except SingularRegressionError:
+            pass
+        return seen[0]
+
+    @pytest.mark.parametrize("shape, dead", [((2_000, 4), None), ((6, 6), None), ((3, 5), None),
+                                             ((300, 1), None), ((500, 4), 2)],
+                             ids=["tall", "square", "wide", "one-column", "dead-column"])
+    def test_r_has_the_bits_of_numpy_qr(self, monkeypatch, shape, dead):
+        # Factored in place, in a fresh buffer or in a reused wider workspace,
+        # R is the bits of numpy's QR of the same design.
+        design = np.random.default_rng(sum(shape)).standard_normal(shape)
+        if dead is not None:
+            design[:, dead] = 0.0
+        expected = np.linalg.qr(design, mode="r")
+        workspace = np.full((shape[1] + 2, shape[0]), np.nan)
+        for kwargs in ({}, {"work": workspace}, {"work": workspace}):
+            np.testing.assert_array_equal(self.factored_r(monkeypatch, design, **kwargs),
+                                          expected)
+
+    def test_wide_design_is_singular_with_the_qr_condition_number(self):
+        design = np.random.default_rng(5).standard_normal((3, 5))
+        sv = np.linalg.svd(np.linalg.qr(design, mode="r"), compute_uv=False)
+        with pytest.raises(SingularRegressionError) as info:
+            engine.fit_projection(design, step=6, cond_limit=1e12)
+        assert info.value.step == 6
+        assert info.value.cond == float(sv[0] / sv[-1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_design_raises_linalg_error(self, bad):
+        design = np.random.default_rng(6).standard_normal((40, 3))
+        design[7, 1] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            engine.fit_projection(design, step=0, cond_limit=1e12)
+
+    def test_factoring_in_a_workspace_copies_no_column(self):
+        m = 20_000
+        design = np.random.default_rng(7).standard_normal((m, 4))
+        work = np.empty((4, m))
+        tracemalloc.start()
+        try:
+            engine.fit_projection(design, step=0, cond_limit=1e12, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * m   # less than one column of the design
 
 
 class TestRegressionPlan:
@@ -487,6 +547,21 @@ class TestRegressionPlan:
                           grid=make_time_grid(1.0, 4), n_paths=100)
         with pytest.raises(ValueError, match="bundle or an ensemble"):
             loss_and_gradient(dataset, zero_driver())
+
+    def test_workspace_lives_until_every_step_is_factored(self):
+        problem = reference_problem("entropic", 1)
+        plan = RegressionPlan.of(problem.ensemble, RegressionBasis())
+        n = len(plan.fits)
+        plan.step(n - 1)
+        work = plan._work
+        assert work.shape == (4, 3_000)
+        for k in reversed(range(n - 1)):
+            assert plan._work is work
+            plan.step(k)
+        assert plan._work is None
+        plan.step(n - 1)
+        assert plan._work is None
+        assert solve_bsde_lsmc(problem).plan is plan
 
     def test_plan_is_keyed_by_ensemble_and_basis(self, factorizations):
         problem = reference_problem("entropic", 1)

@@ -183,6 +183,8 @@ class TestAmbiguityProperties:
             verify_ambiguity_properties(PARAMS, [0.5, 0.25])
         with pytest.raises(ValueError):
             verify_ambiguity_properties(PARAMS, [-0.5, 0.25])
+        with pytest.raises(ValueError, match="theta_list must not be empty"):
+            verify_ambiguity_properties(PARAMS, [])
 
 
 class TestCalibration:
