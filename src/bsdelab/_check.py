@@ -1,8 +1,10 @@
-"""Counts are integers, reals are finite, a bool is neither, and nothing is
-truncated. A check returns a Python int or float, or raises `error` naming the value."""
+"""Counts are integers, reals are finite, a bool is neither, per-path values
+broadcast, and nothing is truncated or reshaped. A check returns the value or raises."""
 
 import math
 import numbers
+
+import numpy as np
 
 
 def count(name: str, value, minimum: int, error=ValueError) -> int:
@@ -23,3 +25,15 @@ def real(name: str, value, error=ValueError, above=-math.inf, at_least=-math.inf
         hi = f"{at_most}]" if at_most < below else f"{below})"
         raise error(f"{name} must be finite reals in {lo}, {hi}, got {value!r}")
     return x
+
+
+def per_path(name: str, value, shape: tuple) -> np.ndarray:
+    """value as float64 if its shape broadcasts to shape without adding or
+    growing an axis; it is not reshaped, flattened or broadcast."""
+    value = np.asarray(value, dtype=np.float64)
+    got = value.shape
+    if got != shape and got and (len(got) > len(shape) or any(
+            g not in (1, s) for g, s in zip(got[::-1], shape[::-1]))):
+        raise ValueError(f"{name} got shape {got}: per-path values broadcast to shape "
+                         f"{shape}, not {got}")
+    return value

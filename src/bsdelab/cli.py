@@ -178,9 +178,15 @@ def _market(opt: dict):
 
 def _run_solve(config, out_dir):
     opt = config.options
-    problem = engine.BsdeProblem(
-        driver=_DRIVER.build(opt["driver"]), terminal=_TERMINAL.build(opt["terminal"]),
-        ensemble=_ensemble(config, "cli-paths", _FORWARD.build(opt["forward"])))
+    driver, model = _DRIVER.build(opt["driver"]), _FORWARD.build(opt["forward"])
+    # A net's layout must fit the state and the noise, one dimension each (_ensemble).
+    for key in ("state_dim", "z_dim"):
+        if isinstance(driver, nets.DriverNet) and getattr(driver.layout, key) != model.state_dim:
+            raise ConfigError("driver.path" if opt["driver"]["path"] else f"driver.{key}",
+                              f"the net has {key} {getattr(driver.layout, key)}, the forward "
+                              f"model's state and noise have dimension {model.state_dim}")
+    problem = engine.BsdeProblem(driver=driver, terminal=_TERMINAL.build(opt["terminal"]),
+                                 ensemble=_ensemble(config, "cli-paths", model))
     sol = engine.solve_bsde_lsmc(problem, _basis(opt))
     path = os.path.join(out_dir, "solution.csv")
     engine.export_solution_csv(sol, path)
@@ -330,12 +336,13 @@ def _run_meanfield(config, out_dir):
     grid = _grid(opt)
     model = meanfield.MODEL_REGISTRY[opt["model"]](**opt["model_params"])
     lln = config.kind == "meanfield-lln"
-    n_list = _from_config("N_list", _particle_counts, opt["N_list"], 2 if lln else 1)
+    n_list = _from_config("N_list", _particle_counts, opt["N_list"], 2 if lln else 3)
+    n_trials = _from_config("n_trials", count, "n_trials", opt["n_trials"], 1)
     n_reference = _from_config("n_reference", count, "n_reference", opt["n_reference"],
                                meanfield.MIN_CLOUD)
 
     if lln:
-        res = meanfield.lln_experiment(model, n_list, grid, opt["n_trials"],
+        res = meanfield.lln_experiment(model, n_list, grid, n_trials,
                                        split_seed(config.seed, "lln"), _basis(opt),
                                        n_reference=n_reference)
         path = os.path.join(out_dir, "lln.csv")
@@ -350,7 +357,7 @@ def _run_meanfield(config, out_dir):
         ]
         return checks, [path]
 
-    res = meanfield.clt_experiment(model, n_list, grid, opt["n_trials"],
+    res = meanfield.clt_experiment(model, n_list, grid, n_trials,
                                    split_seed(config.seed, "clt"),
                                    n_reference=n_reference, u0_std=opt["u0_std"])
     path = os.path.join(out_dir, "clt.csv")

@@ -16,7 +16,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ._check import real
+from ._check import per_path, real
 
 __all__ = [
     "DriverGradients",
@@ -63,6 +63,10 @@ class DriverLinearization:
 
 @runtime_checkable
 class Driver(Protocol):
+    """f(t, x, y, z) at the m points of x (m, state_dim): t, y and z broadcast
+    to (m,), (m,) and (m, d) by the per-path rule (`_check.per_path`), but a
+    1-d z, one z per point or one shared d-vector, is refused."""
+
     params: np.ndarray
 
     def value(self, t, x, y, z) -> np.ndarray: ...
@@ -73,21 +77,21 @@ class Driver(Protocol):
 
 
 def _normalize_inputs(t, x, y, z):
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Float64 t (m,), x (m, n), y (m,) and z (m, d); one value of x is a point."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        x = np.broadcast_to(per_path("driver x", x, (x.size, 1)), (x.size, 1))
     m = x.shape[0]
-    y = np.broadcast_to(np.asarray(y, dtype=np.float64), (m,)).astype(np.float64, copy=False)
+    y = np.broadcast_to(per_path("driver y", y, (m,)), (m,))
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 0:
-        z = np.broadcast_to(z, (m, 1))
-    elif z.ndim == 1:
+    if z.ndim == 1:
         raise ValueError(f"z must be (m, d) or a scalar, got a 1-d array of length {z.shape[0]}")
-    t = np.broadcast_to(np.asarray(t, dtype=np.float64), (m,)).astype(np.float64, copy=False)
-    if not (
-        np.all(np.isfinite(t))
-        and np.all(np.isfinite(x))
-        and np.all(np.isfinite(y))
-        and np.all(np.isfinite(z))
-    ):
+    z_shape = (m, z.shape[-1] if z.ndim else 1)
+    z = per_path("driver z", z, z_shape)
+    z = z if z.shape == z_shape else np.broadcast_to(z, z_shape)
+    t = np.broadcast_to(per_path("driver t", t, (m,)), (m,))
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+            and np.all(np.isfinite(z))):
         raise ValueError("driver inputs must be finite")
     return t, x, y, z
 
@@ -98,6 +102,7 @@ class AnalyticDriver:
 
     value_fn(params, t, x, y, z) -> (m,)
     grad_fn(params, t, x, y, z) -> (dy (m,), dz (m, d), dtheta (m, P))
+    Each output broadcasts to its shape by the per-path rule: a scalar will do.
     """
 
     value_fn: Callable
@@ -114,21 +119,21 @@ class AnalyticDriver:
 
     def value(self, t, x, y, z) -> np.ndarray:
         t, x, y, z = _normalize_inputs(t, x, y, z)
-        out = np.asarray(self.value_fn(self.params, t, x, y, z), dtype=np.float64)
-        return np.broadcast_to(out, (x.shape[0],)).astype(np.float64, copy=False)
+        out = per_path("value_fn", self.value_fn(self.params, t, x, y, z), (x.shape[0],))
+        return np.broadcast_to(out, (x.shape[0],))
 
     def linearize(self, t, x, y, z) -> DriverLinearization:
         """grad_fn's per-sample dtheta is kept for the pullback: analytic
         drivers have only a few parameters."""
         t, x, y, z = _normalize_inputs(t, x, y, z)
         m, d = z.shape
-        val = np.broadcast_to(
-            np.asarray(self.value_fn(self.params, t, x, y, z), dtype=np.float64), (m,)
-        )
+        val = np.broadcast_to(per_path("value_fn", self.value_fn(self.params, t, x, y, z), (m,)),
+                              (m,))
         dy, dz, dtheta = self.grad_fn(self.params, t, x, y, z)
-        dy = np.broadcast_to(np.asarray(dy, dtype=np.float64), (m,))
-        dz = np.broadcast_to(np.asarray(dz, dtype=np.float64), (m, d))
-        dtheta = np.broadcast_to(np.asarray(dtheta, dtype=np.float64), (m, self.n_params)).copy()
+        dy = np.broadcast_to(per_path("grad_fn dy", dy, (m,)), (m,))
+        dz = np.broadcast_to(per_path("grad_fn dz", dz, (m, d)), (m, d))
+        dtheta = np.broadcast_to(per_path("grad_fn dtheta", dtheta, (m, self.n_params)),
+                                 (m, self.n_params)).copy()
         return DriverLinearization(value=val.copy(), dy=dy.copy(), dz=dz.copy(),
                                    pullback=lambda w: np.asarray(w, dtype=np.float64) @ dtheta)
 
@@ -217,13 +222,10 @@ class TruncatedDriver:
         y_clamped = np.clip(y, -self.k_level, self.k_level)
         return self.base.value(t, x, y_clamped, z)
 
-    def _inside(self, y, shape) -> np.ndarray:
-        return (np.abs(np.broadcast_to(y, shape)) <= self.k_level).astype(np.float64)
-
     def linearize(self, t, x, y, z) -> DriverLinearization:
         y = np.asarray(y, dtype=np.float64)
         lin = self.base.linearize(t, x, np.clip(y, -self.k_level, self.k_level), z)
-        return replace(lin, dy=lin.dy * self._inside(y, lin.dy.shape))
+        return replace(lin, dy=lin.dy * (np.abs(y) <= self.k_level))
 
     def with_params(self, params) -> "TruncatedDriver":
         return TruncatedDriver(base=self.base.with_params(params), k_level=self.k_level)

@@ -61,7 +61,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 from scipy.special import logsumexp, softmax
 
-from ._check import count, real
+from ._check import count, per_path, real
 from ._csv import write_csv
 from .drivers import Driver, TruncatedDriver
 from .errors import (
@@ -116,12 +116,12 @@ class DesignTransform:
     exponents: tuple
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """The design at states x: a constant column, then one per exponent.
+        """The design at states x (m, d): a constant column, then one per exponent.
 
         u_i ** p is formed as ((u_i * u_i) * u_i) ..., and each monomial
         multiplies its factors left to right in coordinate order.
         """
-        u = (np.atleast_2d(x) - self.mean) / self.scale
+        u = (x - self.mean) / self.scale
         powers = []   # powers[i][p - 1] = u_i ** p
         for i in range(u.shape[1]):
             col = u[:, i]
@@ -153,7 +153,7 @@ class RegressionBasis:
         count("degree", self.degree, 0)
 
     def fit_design(self, x: np.ndarray):
-        x = np.atleast_2d(x)
+        """The design at states x (m, state_dim), with its transform."""
         mean = x.mean(axis=0)
         scale = x.std(axis=0)
         live = [i for i in range(x.shape[1]) if scale[i] > 0]
@@ -480,15 +480,11 @@ def solve_bsde_lsmc(
 
 
 def _terminal_values(terminal: Callable, ens: PathEnsemble) -> np.ndarray:
-    """The terminal functional's values on the ensemble; ValueError if there
-    is none or unless it gives exactly one value per path."""
+    """The terminal functional's values on the ensemble, broadcast to one per
+    path by the per-path rule; ValueError if there is none or an (m, 1) column."""
     if terminal is None:
         raise ValueError("the problem has no terminal functional to solve for")
-    values = np.asarray(terminal(ens), dtype=np.float64)
-    if values.shape != (ens.n_paths,):
-        raise ValueError(f"a terminal functional gives one value per path, shape "
-                         f"({ens.n_paths},), not {values.shape}")
-    return values
+    return np.broadcast_to(per_path("terminal", terminal(ens), (ens.n_paths,)), (ens.n_paths,))
 
 
 def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
@@ -597,7 +593,8 @@ def closed_form_oracle(
     the terminal Brownian motion (self-normalized), one row per sample:
     shape (m,) for d = 1, or (m, d).
     """
-    xi = np.asarray(xi_samples, dtype=np.float64).ravel()
+    xi = np.asarray(xi_samples, dtype=np.float64)
+    xi = np.atleast_1d(per_path("xi_samples", xi, (xi.size,)))
     if xi.size == 0:
         raise ValueError("xi_samples must be non-empty")
     if not np.all(np.isfinite(xi)):

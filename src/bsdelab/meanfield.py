@@ -11,8 +11,8 @@ Both backward solves here, the cloud's valuation with its frozen feature
 flow and the fluctuation system's V loop, call the engine's backward
 kernel `_backward_solve` directly, with their own step designs and a
 driver callback indexed by step. Every per-particle value (coefficient,
-claim, driver value, state derivative) obeys one shape rule
-(`_per_particle`): a scalar, (1,) or (N,).
+claim, driver value, state derivative) obeys the library's per-path rule
+(`_check.per_path`): it broadcasts to (N,), so a scalar, (1,) or (N,).
 
 The fluctuation solver integrates the linear limit system with derivative
 callbacks supplied by the caller: the measure derivatives are partials
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._check import count
+from ._check import count, per_path
 from ._csv import write_csv
 from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
                      _backward_solve, _workspace, fit_projection)
@@ -92,7 +92,8 @@ def compute_features(x: np.ndarray, names: tuple) -> EmpiricalFeatures:
     # under particle permutations (the exchangeability contract).
     if not set(names) <= _FEATURES.keys():
         raise ValueError(f"unknown features {sorted(set(names) - _FEATURES.keys())}")
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = np.asarray(x, dtype=np.float64)
+    x = np.atleast_1d(per_path("cloud", x, (x.size,)))
     return EmpiricalFeatures(**{name: float(np.mean(np.sort(_FEATURES[name][0](x))))
                                 for name in names})
 
@@ -115,7 +116,8 @@ class MeanFieldModel:
     drift(t, x, feats) and diffusion(t, x, feats) map a cross-section
     x (N,) to per-particle values; terminal(x, feats) gives the claim;
     driver(t, x, y, z, feats) is the backward non-linearity (None = 0);
-    initial_sampler(n, seed) draws from the initial law.
+    initial_sampler(n, seed) draws from the initial law. Each value
+    broadcasts to (N,) by the per-path rule: a scalar, (1,) or (N,).
     """
 
     drift: Callable
@@ -134,18 +136,9 @@ class ParticleRun:
     features: list                # per node, length n_steps + 1
 
 
-def _per_particle(vals, n: int) -> np.ndarray:
-    """A per-particle coefficient as float64: a scalar, (1,) or (n,), the
-    shapes that broadcast to (n,). The Euler update broadcasts it itself."""
-    vals = np.asarray(vals, dtype=np.float64)
-    if vals.shape not in ((), (1,), (n,)):
-        raise ValueError(f"expected a scalar or {n} per-particle values, got shape {vals.shape}")
-    return vals
-
-
 def _terminal(model: MeanFieldModel, x: np.ndarray, feats) -> np.ndarray:
     """The claim on each particle of the cloud x, broadcast to x's (N,)."""
-    y = np.broadcast_to(_per_particle(model.terminal(x, feats), x.size), x.shape)
+    y = np.broadcast_to(per_path("terminal", model.terminal(x, feats), x.shape), x.shape)
     if not np.all(np.isfinite(y)):
         raise ValueError("terminal functional produced non-finite values")
     return y
@@ -167,8 +160,8 @@ def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarra
     for k in range(n):
         feats = compute_features(states[k], model.feature_names) if flow is None else flow[k]
         flow_out.append(feats)
-        b = _per_particle(model.drift(nodes[k], states[k], feats), n_particles)
-        s = _per_particle(model.diffusion(nodes[k], states[k], feats), n_particles)
+        b = per_path("drift", model.drift(nodes[k], states[k], feats), (n_particles,))
+        s = per_path("diffusion", model.diffusion(nodes[k], states[k], feats), (n_particles,))
         states[k + 1] = states[k] + b * dt + s * increments[:, k, 0]
     feats_T = compute_features(states[n], model.feature_names) if flow is None else flow[n]
     flow_out.append(feats_T)
@@ -187,8 +180,8 @@ def _solve_cloud_backward(model: MeanFieldModel, grid: TimeGrid, states: np.ndar
     def step_value(k, y_k, z_k):
         if model.driver is None:
             return 0.0
-        return _per_particle(model.driver(nodes[k], states[:, k], y_k, z_k[:, 0], flow[k]),
-                             n_particles)
+        return per_path("driver", model.driver(nodes[k], states[:, k], y_k, z_k[:, 0], flow[k]),
+                        (n_particles,))
 
     y, z, _, _ = _backward_solve(_terminal(model, states[:, -1], flow[-1])[None], increments,
                                  grid.dt, plan.step, step_value, opts.inner_picard_iters,
@@ -350,6 +343,7 @@ def lln_experiment(
     n_values = sorted(count("n_list", n, 1) for n in n_list)
     if len(n_values) < 2:
         raise ValueError("n_list needs at least two entries")
+    count("n_trials", n_trials, 1)
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "lln-reference"),
                               solve_backward=False)
     n_max = n_values[-1]
@@ -411,9 +405,11 @@ class CltResult:
     def stabilized(self) -> bool:
         """Cauchy check with a Monte Carlo floor: successive variance gaps
         shrink, or the last gap is within three jackknife standard errors
-        of the two variances it separates."""
+        of the two variances it separates. ValueError below the three counts
+        that two gaps need."""
         if self.n_values.size < 3:
-            return True
+            raise ValueError(f"stabilized() needs at least three particle counts, "
+                             f"got {self.n_values.size}")
         gaps = np.abs(np.diff(self.var_u))
         floor = 3.0 * np.sqrt(self.var_u_se[1:] ** 2 + self.var_u_se[:-1] ** 2)
         return bool(np.all((np.diff(gaps) <= 0) | (gaps[1:] <= floor[1:])))
@@ -443,6 +439,7 @@ def clt_experiment(
     meanfield_clt workload stops passing it, and goes then.
     """
     n_values = sorted(count("n_list", n, 1) for n in n_list)
+    count("n_trials", n_trials, 1)
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "clt-reference"),
                               solve_backward=False)
     n_max = n_values[-1]
@@ -552,17 +549,18 @@ class FluctuationResult:
 
 
 def _measure_term(partials, names: tuple, x_tilde: np.ndarray, u_tilde: np.ndarray,
-                  ghost: float | None = None) -> np.ndarray:
+                  ghost: float | None = None, source: str = "partials") -> np.ndarray:
     """Lions term on the cloud x~, plus the centered sampling forcing given a ghost:
-    sum_f partials[:, f] (mean(psi_f'(x~) u~) + [ghost] (psi_f(ghost) - mean psi_f(x~)))."""
+    sum_f partials[:, f] (mean(psi_f'(x~) u~) + [ghost] (psi_f(ghost) - mean psi_f(x~))).
+    source names the callback that gave the partials."""
     weights = np.empty(len(names))
     for f, name in enumerate(names):
         psi, dpsi = _FEATURES[name]
         weights[f] = np.mean(dpsi(x_tilde) * u_tilde)
         if ghost is not None:
             weights[f] += psi(ghost) - np.mean(psi(x_tilde))
-    partials = np.asarray(partials, dtype=np.float64)
-    return np.broadcast_to(partials, (x_tilde.size, len(names))) @ weights
+    shape = (x_tilde.size, len(names))
+    return np.broadcast_to(per_path(source, partials, shape), shape) @ weights
 
 
 def _augmented_design(basis: RegressionBasis, x: np.ndarray, u: np.ndarray):
@@ -627,12 +625,14 @@ def solve_fluctuation_system(
             g_x0 = np.asarray(model.initial_sampler(1, split_seed(seed, "fluct-ghost-x0", w)))
             ghost, _ = _simulate_cloud(model, grid, g_inc, g_x0, flow=flow)
 
-        def linear_term(dx, dmu, k):
-            """dx U + E'[dmu U'], plus the centered sampling forcing, at node k."""
+        def linear_term(c, k, *time):
+            """dx_c U + E'[dmu_c U'], plus the centered sampling forcing, at
+            node k; time is (t_k,), or () for the terminal derivatives."""
             x_k, f_k, u_k = states[:, k], flow[k], u[k]
-            return (_per_particle(dx(nodes[k], x_k, f_k), per_world) * u_k
-                    + _measure_term(dmu(nodes[k], x_k, f_k), names, x_k, u_k,
-                                    None if ghost is None else ghost[0, k]))
+            dx, dmu = f"dx_{c}", f"dmu_{c}"
+            return (per_path(dx, getattr(coeffs, dx)(*time, x_k, f_k), (per_world,)) * u_k
+                    + _measure_term(getattr(coeffs, dmu)(*time, x_k, f_k), names, x_k, u_k,
+                                    None if ghost is None else ghost[0, k], dmu))
 
         # The backward forcing from U depends on forward data only, so it is
         # collected in the forward pass, time-major like the states.
@@ -642,15 +642,13 @@ def solve_fluctuation_system(
         dz_f = np.empty((n, per_world))
         u[0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
         for k in range(n):
-            drift = linear_term(coeffs.dx_b, coeffs.dmu_b, k)
-            diff = linear_term(coeffs.dx_sigma, coeffs.dmu_sigma, k)
-            forcing[k] = linear_term(coeffs.dx_f, coeffs.dmu_f, k)
-            dy_f[k] = _per_particle(coeffs.dy_f(nodes[k], states[:, k], flow[k]), per_world)
-            dz_f[k] = _per_particle(coeffs.dz_f(nodes[k], states[:, k], flow[k]), per_world)
+            drift = linear_term("b", k, nodes[k])
+            diff = linear_term("sigma", k, nodes[k])
+            forcing[k] = linear_term("f", k, nodes[k])
+            dy_f[k] = per_path("dy_f", coeffs.dy_f(nodes[k], states[:, k], flow[k]), (per_world,))
+            dz_f[k] = per_path("dz_f", coeffs.dz_f(nodes[k], states[:, k], flow[k]), (per_world,))
             u[k + 1] = u[k] + drift * dt + diff * inc[:, k, 0]
-        # Terminal derivatives take no time argument.
-        timeless = lambda fn: lambda t, *args: fn(*args)
-        v_t = linear_term(timeless(coeffs.dx_g), timeless(coeffs.dmu_g), n)
+        v_t = linear_term("g", n)
 
         def step_design(k):
             nonlocal work

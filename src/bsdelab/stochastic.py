@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ._check import count, real
+from ._check import count, per_path, real
 from .errors import SimulationDivergedError
 
 __all__ = [
@@ -206,9 +206,9 @@ class ForwardModel:
     """Forward SDE dX = b dt + sigma dW.
 
     Decoupled models take callbacks (t, x); models coupled to the backward
-    pair take (t, x, y, z) and must set coupled_in_yz. Callback outputs are
-    broadcast to (n_paths, state_dim) for the drift and
-    (n_paths, state_dim, noise_dim) for the diffusion.
+    pair take (t, x, y, z) and must set coupled_in_yz. Outputs broadcast by
+    the per-path rule (`_check.per_path`) to (n_paths, state_dim) for the
+    drift and (n_paths, state_dim, noise_dim) for the diffusion.
     """
 
     drift: Callable
@@ -251,22 +251,6 @@ class PathEnsemble:
         return self.states.shape[2]
 
 
-def _broadcast_drift(out, m: int, n: int) -> np.ndarray:
-    out = np.asarray(out, dtype=np.float64)
-    if out.ndim == 1 and out.shape[0] == m and n == 1:
-        out = out[:, None]
-    return np.broadcast_to(out, (m, n))
-
-
-def _broadcast_diffusion(out, m: int, n: int, d: int) -> np.ndarray:
-    out = np.asarray(out, dtype=np.float64)
-    if out.ndim == 1 and out.shape[0] == m and n == 1 and d == 1:
-        out = out[:, None, None]
-    elif out.ndim == 2 and out.shape == (m, d) and n == 1:
-        out = out[:, None, :]
-    return np.broadcast_to(out, (m, n, d))
-
-
 def simulate_forward(
     model: ForwardModel,
     grid: TimeGrid,
@@ -297,14 +281,9 @@ def simulate_forward(
     x = states[0]
     for k in range(grid.n_steps):
         t = nodes[k]
-        if model.coupled_in_yz:
-            y = np.asarray(y_field(k, x), dtype=np.float64)
-            z = np.asarray(z_field(k, x), dtype=np.float64)
-            b = _broadcast_drift(model.drift(t, x, y, z), m, n)
-            sig = _broadcast_diffusion(model.diffusion(t, x, y, z), m, n, d)
-        else:
-            b = _broadcast_drift(model.drift(t, x), m, n)
-            sig = _broadcast_diffusion(model.diffusion(t, x), m, n, d)
+        args = (t, x, y_field(k, x), z_field(k, x)) if model.coupled_in_yz else (t, x)
+        b = per_path("drift", model.drift(*args), (m, n))
+        sig = np.broadcast_to(per_path("diffusion", model.diffusion(*args), (m, n, d)), (m, n, d))
         x = x + b * dt + np.einsum("pnd,pd->pn", sig, inc[:, k, :])
         if not np.all(np.isfinite(x)):
             bad = np.argwhere(~np.isfinite(x))
@@ -322,8 +301,10 @@ def wasserstein2_1d(samples_a: Sequence[float], samples_b: Sequence[float]) -> f
     W2^2 = mean of squared differences of order statistics. Returns the
     metric W2 (the square root).
     """
-    a = np.asarray(samples_a, dtype=np.float64).ravel()
-    b = np.asarray(samples_b, dtype=np.float64).ravel()
+    a = np.asarray(samples_a, dtype=np.float64)
+    b = np.asarray(samples_b, dtype=np.float64)
+    a = np.atleast_1d(per_path("samples_a", a, (a.size,)))
+    b = np.atleast_1d(per_path("samples_b", b, (b.size,)))
     if a.size == 0 or b.size == 0:
         raise ValueError("samples must be non-empty")
     if a.size != b.size:

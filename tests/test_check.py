@@ -1,25 +1,29 @@
 """The numeric parameter rule, once per parameter that goes through it:
-a count is an integer, a real is finite, and a bool is neither."""
+a count is an integer, a real is finite, and a bool is neither. And the
+per-path shape rule, once per site that applies it: a per-path value
+broadcasts to its shape, and is never reshaped."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bsdelab import _check
-from bsdelab.drivers import TruncatedDriver, zero_driver
+from bsdelab.drivers import AnalyticDriver, TruncatedDriver, zero_driver
 from bsdelab.engine import (BsdeProblem, RegressionBasis, SmoothFunction, SolveOptions,
-                            check_convexity_and_jensen, closed_form_oracle)
+                            check_convexity_and_jensen, closed_form_oracle, solve_bsde_lsmc)
 from bsdelab.errors import InvalidArchitectureError
 from bsdelab.learning import Dataset, DatasetRecord, fd_gradient_check
-from bsdelab.meanfield import (clt_experiment, linear_gaussian_fluctuation_coefficients,
+from bsdelab.meanfield import (clt_experiment, compute_features,
+                               linear_gaussian_fluctuation_coefficients,
                                linear_gaussian_model, lln_experiment, simulate_particles,
                                solve_fluctuation_system, solve_mckean_vlasov)
 from bsdelab.merton import (AllocationObservation, MarketParams, calibrate_theta, solve_hjb,
                             verify_ambiguity_properties)
 from bsdelab.nets import NetLayout, estimate_growth_and_lipschitz
-from bsdelab.stochastic import (TimeGrid, brownian_model, make_time_grid, sample_brownian,
-                                simulate_forward)
+from bsdelab.stochastic import (ForwardModel, TimeGrid, brownian_model, make_time_grid,
+                                sample_brownian, simulate_forward, wasserstein2_1d)
 
 GRID = make_time_grid(1.0, 2)
 MARKET = dict(mu=0.08, r=0.02, sigma=0.2, gamma=0.5, horizon=1.0)
@@ -56,6 +60,8 @@ COUNTS = [
     ("n_cloud", lambda v: solve_mckean_vlasov(MODEL, v, GRID, 0), 99),
     ("n_list", lambda v: lln_experiment(MODEL, [16, v], GRID, 1, 0), 0),
     ("n_list", lambda v: clt_experiment(MODEL, [v, 16], GRID, 1, 0), 0),
+    ("n_trials", lambda v: lln_experiment(MODEL, [16, 32], GRID, v, 0), 0),
+    ("n_trials", lambda v: clt_experiment(MODEL, [16, 32], GRID, v, 0), 0),
     ("n_worlds", lambda v: solve_fluctuation_system(
         linear_gaussian_fluctuation_coefficients(), solve_mckean_vlasov(MODEL, 100, GRID, 0),
         lambda n, seed: np.zeros(n), 64, 0, n_worlds=v), 0),
@@ -118,3 +124,124 @@ def test_the_error_names_the_rule_and_the_value():
         _check.real("h", 0, above=0)
     with pytest.raises(ValueError, match="x must be finite reals"):
         _check.real("x", 10 ** 400)   # an int too large for a float
+
+
+# ---------------------------------------------------------------------------
+# the per-path shape rule
+# ---------------------------------------------------------------------------
+
+M = 16   # paths, particles or fluctuation paths at every site below
+
+
+def _forward(which, noise_dim=1):
+    """Simulate a one-dimensional state whose drift or diffusion is `which`."""
+    def run(values):
+        parts = {"drift": lambda t, x: 0.0, "diffusion": lambda t, x: 1.0}
+        parts[which] = lambda t, x: values
+        model = ForwardModel(**parts, x0=np.zeros(1), state_dim=1)
+        simulate_forward(model, GRID, sample_brownian(GRID, M, noise_dim, 0))
+    return run
+
+
+def _particles(which):
+    def run(values):
+        simulate_particles(replace(MODEL, **{which: lambda *args: values}), M, GRID, 0)
+    return run
+
+
+def _fluctuation(which):
+    def run(values):
+        coeffs = replace(linear_gaussian_fluctuation_coefficients(), **{which: lambda *a: values})
+        solve_fluctuation_system(coeffs, solve_mckean_vlasov(MODEL, 100, GRID, 0),
+                                 lambda n, seed: np.zeros(n), M, 0)
+    return run
+
+
+def _analytic(which):
+    """value and linearize of an analytic driver with one parameter, at M points."""
+    def run(values):
+        outputs = {"value": 0.0, "dy": 0.0, "dz": 0.0, "dtheta": 0.0, which: values}
+        driver = AnalyticDriver(
+            value_fn=lambda p, t, x, y, z: outputs["value"],
+            grad_fn=lambda p, t, x, y, z: (outputs["dy"], outputs["dz"], outputs["dtheta"]),
+            params=[0.0])
+        driver.value(0.0, np.zeros((M, 1)), np.zeros(M), np.zeros((M, 1)))
+        driver.linearize(0.0, np.zeros((M, 1)), np.zeros(M), np.zeros((M, 1)))
+    return run
+
+
+def _driver_input(which):
+    def run(values):
+        inputs = {"t": 0.0, "x": np.zeros((M, 1)), "y": 0.0, "z": 0.0, which: values}
+        zero_driver().value(**inputs)
+        zero_driver().linearize(**inputs)
+    return run
+
+
+def _terminal(values):
+    ens = simulate_forward(brownian_model(1), GRID, sample_brownian(GRID, M, 1, 0))
+    solve_bsde_lsmc(BsdeProblem(driver=zero_driver(), terminal=lambda e: values, ensemble=ens))
+
+
+# (site, run(values), the name in the error, the shape the values broadcast
+# to, an accepted shape, a rejected shape)
+PER_PATH = [
+    ("forward drift", _forward("drift"), "drift", (M, 1), (M, 1), (M,)),
+    ("forward diffusion", _forward("diffusion"), "diffusion", (M, 1, 1), (1, 1), (M,)),
+    ("forward diffusion over 2-d noise", _forward("diffusion", 2), "diffusion", (M, 1, 2),
+     (1, 2), (M, 2)),
+    ("particle drift", _particles("drift"), "drift", (M,), (1,), (M, 1)),
+    ("particle diffusion", _particles("diffusion"), "diffusion", (M,), (), (M, 1)),
+    ("particle terminal", _particles("terminal"), "terminal", (M,), (), (M, 1)),
+    ("particle driver", _particles("driver"), "driver", (M,), (1,), (M, 1)),
+    *[(f"fluctuation {name}", _fluctuation(name), name, (M,), (1,), (M, 1))
+      for name in ("dx_b", "dx_sigma", "dx_f", "dx_g", "dy_f", "dz_f")],
+    *[(f"fluctuation {name}", _fluctuation(name), name, (M, 1), (M, 1), (M,))
+      for name in ("dmu_b", "dmu_sigma", "dmu_f", "dmu_g")],
+    ("analytic value", _analytic("value"), "value_fn", (M,), (1,), (M, 1)),
+    ("analytic dy", _analytic("dy"), "grad_fn dy", (M,), (), (M, 1)),
+    ("analytic dz", _analytic("dz"), "grad_fn dz", (M, 1), (1,), (M,)),
+    ("analytic dtheta", _analytic("dtheta"), "grad_fn dtheta", (M, 1), (M, 1), (M,)),
+    ("driver t", _driver_input("t"), "driver t", (M,), (1,), (M, 1)),
+    ("driver y", _driver_input("y"), "driver y", (M,), (M,), (M, 1)),
+    ("driver z", _driver_input("z"), "driver z", (M, 1), (1, 1), (M + 1, 1)),
+    ("driver x", _driver_input("x"), "driver x", (M, 1), (1,), (M,)),
+    ("engine terminal", _terminal, "terminal", (M,), (), (M, 1)),
+    ("cloud features", lambda v: compute_features(v, ("mean",)), "cloud", (M,), (), (M, 1)),
+    ("oracle samples", lambda v: closed_form_oracle("zero", v), "xi_samples", (M,), (M,),
+     (M, 1)),
+    ("wasserstein samples", lambda v: wasserstein2_1d(v, np.zeros(M)), "samples_a", (M,),
+     (M,), (M, 1)),
+]
+
+
+@pytest.mark.parametrize("run, name, shape, accepted, rejected",
+                         [pytest.param(*row[1:], id=row[0]) for row in PER_PATH])
+def test_a_per_path_value_broadcasts_or_is_rejected_with_both_shapes(run, name, shape,
+                                                                       accepted, rejected):
+    run(np.full(accepted, 0.5))
+    message = f"{name} got shape {rejected}: per-path values broadcast to shape {shape}, not"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        run(np.full(rejected, 0.5))
+
+
+def test_the_shape_rule_never_reshapes():
+    column = np.arange(3.0)[:, None]
+    assert _check.per_path("v", column, (3, 2)) is column
+    assert _check.per_path("v", 2, (3,)).shape == ()
+    assert _check.per_path("v", [1, 2], (2,)).dtype == np.float64
+    for bad in [(3,), (1, 3, 1), (2, 1)]:
+        with pytest.raises(ValueError, match=re.escape(f"v got shape {bad}")):
+            _check.per_path("v", np.zeros(bad), (3, 1))
+
+
+def test_a_constant_terminal_solves_as_that_constant_on_every_path():
+    ens = simulate_forward(brownian_model(1), GRID, sample_brownian(GRID, 64, 1, 0))
+    solve = lambda terminal: solve_bsde_lsmc(
+        BsdeProblem(driver=zero_driver(), terminal=terminal, ensemble=ens))
+    const, per_path = solve(lambda e: 0.7), solve(lambda e: np.full(e.n_paths, 0.7))
+    assert np.all(const.y[:, -1] == 0.7)
+    assert const.y0 == per_path.y0
+    np.testing.assert_array_equal(const.y, per_path.y)
+    # The regression projects the constant with roundoff only.
+    assert const.y0 == pytest.approx(0.7, abs=1e-14)

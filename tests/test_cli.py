@@ -25,6 +25,13 @@ def write_config(tmp_path, doc, name="config.json"):
     return str(path)
 
 
+def saved_net(tmp_path, **layout):
+    """The path of a Free net with the given layout, saved under tmp_path."""
+    path = tmp_path / "net.txt"
+    nets.save_driver_net(nets.build_driver("Free", nets.NetLayout(**layout)), path)
+    return str(path)
+
+
 SMALL_ORACLE = {
     "kind": "oracle-suite",
     "seed": 7,
@@ -162,15 +169,28 @@ class TestConfigValidation:
         ("meanfield", {"kind": "meanfield-clt", "N_list": []}, "N_list"),
         ("meanfield", {"kind": "meanfield-lln", "n_reference": 50}, "n_reference"),
         ("meanfield", {"kind": "meanfield-clt", "n_reference": 99}, "n_reference"),
+        ("meanfield", {"kind": "meanfield-lln", "n_trials": 0}, "n_trials"),
+        ("meanfield", {"kind": "meanfield-clt", "n_trials": 0}, "n_trials"),
+        ("meanfield", {"kind": "meanfield-clt", "N_list": [16, 32]}, "N_list"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "state_dim": 2}},
+         "driver.state_dim"),
+        ("solve", {"kind": "solve", "driver": {"name": "net", "z_dim": 2}}, "driver.z_dim"),
+        ("solve", lambda tmp: {"kind": "solve", "driver": {
+            "name": "net", "path": saved_net(tmp, state_dim=2)}}, "driver.path"),
+        ("solve", {"kind": "solve", "forward": {"name": "brownian", "dim": 2},
+                   "driver": {"name": "net", "state_dim": 2}}, "driver.z_dim"),
     ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
             "market-rejected", "grid-rejected", "layout-rejected", "nested-width",
             "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
             "space-without-interior", "calibrate-space-without-interior", "bool-element",
             "nan-element", "nan-bound", "nan-market", "nan-theta", "huge-market",
             "empty-bracket", "zero-theta", "decreasing-thetas", "no-thetas", "no-particles",
-            "one-lln-size", "no-clt-sizes", "small-lln-reference", "small-clt-reference"])
+            "one-lln-size", "no-clt-sizes", "small-lln-reference", "small-clt-reference",
+            "no-lln-trials", "no-clt-trials", "two-clt-sizes", "net-state-dim", "net-z-dim",
+            "loaded-net-state-dim", "net-z-dim-of-2d-noise"])
     def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
                                                     dotted):
+        doc = doc(tmp_path) if callable(doc) else doc
         cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
@@ -359,7 +379,7 @@ class TestMainEntry:
         ("train", {"kind": "train", "grid": SMALL_GRID, "n_paths": 300, "scales": [0.5, 1.0],
                    "max_iters": 2}),
         ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-lln")),
-        ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-clt")),
+        ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-clt", N_list=[16, 32, 64])),
         ("merton", {"kind": "merton", "n_space": 20, "theta_list": [0.5]}),
         ("calibrate", {"kind": "calibrate", "n_space": 20, "search": SMALL_SEARCH}),
     ], ids=["solve", "train", "meanfield-lln", "meanfield-clt", "merton", "calibrate"])

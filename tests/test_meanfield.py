@@ -304,7 +304,17 @@ class TestClt:
                              n_reference=32768, u0_std=u0_std)
         v_star = limit_variance_oracle(a, c, sigma, s0, u0_std, 1.0)
         assert res.var_u[-1] == pytest.approx(v_star, rel=0.10)
+        # Two counts give one variance gap, nothing to compare it with.
+        with pytest.raises(ValueError, match="at least three particle counts, got 2"):
+            res.stabilized()
+
+    def test_stabilized_compares_successive_gaps(self):
+        res = clt_experiment(linear_gaussian_model(), [16, 64, 256], make_time_grid(1.0, 10),
+                             n_trials=8, seed=21, n_reference=1024, u0_std=0.5)
         assert res.stabilized()
+        # Gaps that grow by more than their Monte Carlo floor fail the check.
+        growing = replace(res, var_u=np.array([0.1, 0.2, 0.4]), var_u_se=np.full(3, 1e-3))
+        assert not growing.stabilized()
 
     def test_matches_the_backward_solving_reference(self):
         # With a driver and a feature-dependent terminal, V at T is still the
