@@ -1,4 +1,4 @@
-"""Counts are integers, reals are finite, a bool is neither, per-path values
+"""Counts are integers, reals and arrays are finite, a bool is neither, per-path values
 broadcast, and nothing is truncated or reshaped. A check returns the value or raises."""
 
 import math
@@ -36,4 +36,14 @@ def per_path(name: str, value, shape: tuple) -> np.ndarray:
             g not in (1, s) for g, s in zip(got[::-1], shape[::-1]))):
         raise ValueError(f"{name} got shape {got}: per-path values broadcast to shape "
                          f"{shape}, not {got}")
+    return value
+
+
+def finite(name: str, value) -> np.ndarray:
+    """value as float64; the ValueError names its first non-finite entry in C order."""
+    value = np.asarray(value, dtype=np.float64)
+    ok = np.isfinite(value)
+    if not ok.all():
+        i = tuple(int(j) for j in np.argwhere(~ok)[0])
+        raise ValueError(f"{name} holds non-finite values: {float(value[i])!r} at index {i}")
     return value

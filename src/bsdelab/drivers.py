@@ -16,7 +16,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from ._check import per_path, real
+from ._check import finite, per_path, real
 
 __all__ = [
     "DriverGradients",
@@ -63,9 +63,9 @@ class DriverLinearization:
 
 @runtime_checkable
 class Driver(Protocol):
-    """f(t, x, y, z) at the m points of x (m, state_dim): t, y and z broadcast
-    to (m,), (m,) and (m, d) by the per-path rule (`_check.per_path`), but a
-    1-d z, one z per point or one shared d-vector, is refused."""
+    """f(t, x, y, z) at the m points of x (m, state_dim): t, y and z broadcast to (m,), (m,)
+    and (m, d) by the per-path rule (`_check.per_path`), but a 1-d z, one z per point or one
+    shared d-vector, is refused. Inputs must be finite; the ValueError names the input."""
 
     params: np.ndarray
 
@@ -78,21 +78,18 @@ class Driver(Protocol):
 
 def _normalize_inputs(t, x, y, z):
     """Float64 t (m,), x (m, n), y (m,) and z (m, d); one value of x is a point."""
-    x = np.asarray(x, dtype=np.float64)
+    x = finite("driver x", x)
     if x.ndim != 2:
         x = np.broadcast_to(per_path("driver x", x, (x.size, 1)), (x.size, 1))
     m = x.shape[0]
-    y = np.broadcast_to(per_path("driver y", y, (m,)), (m,))
-    z = np.asarray(z, dtype=np.float64)
+    y = np.broadcast_to(finite("driver y", per_path("driver y", y, (m,))), (m,))
+    z = finite("driver z", z)
     if z.ndim == 1:
         raise ValueError(f"z must be (m, d) or a scalar, got a 1-d array of length {z.shape[0]}")
     z_shape = (m, z.shape[-1] if z.ndim else 1)
     z = per_path("driver z", z, z_shape)
     z = z if z.shape == z_shape else np.broadcast_to(z, z_shape)
-    t = np.broadcast_to(per_path("driver t", t, (m,)), (m,))
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))
-            and np.all(np.isfinite(z))):
-        raise ValueError("driver inputs must be finite")
+    t = np.broadcast_to(finite("driver t", per_path("driver t", t, (m,))), (m,))
     return t, x, y, z
 
 
@@ -111,7 +108,7 @@ class AnalyticDriver:
     name: str = "analytic"
 
     def __post_init__(self):
-        object.__setattr__(self, "params", np.asarray(self.params, dtype=np.float64).ravel())
+        object.__setattr__(self, "params", finite("params", self.params).ravel())
 
     @property
     def n_params(self) -> int:
@@ -138,7 +135,7 @@ class AnalyticDriver:
                                    pullback=lambda w: np.asarray(w, dtype=np.float64) @ dtheta)
 
     def with_params(self, params) -> "AnalyticDriver":
-        return replace(self, params=np.asarray(params, dtype=np.float64).ravel())
+        return replace(self, params=params)
 
 
 def zero_driver() -> AnalyticDriver:
@@ -153,7 +150,7 @@ def zero_driver() -> AnalyticDriver:
 
 def linear_z_driver(b) -> AnalyticDriver:
     """f = <b, z>. Parameters are the components of b."""
-    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    b = np.atleast_1d(finite("b", b))
     return AnalyticDriver(
         value_fn=lambda p, t, x, y, z: z @ p,
         grad_fn=lambda p, t, x, y, z: (0.0, p, z),

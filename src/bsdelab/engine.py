@@ -61,7 +61,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 from scipy.special import logsumexp, softmax
 
-from ._check import count, per_path, real
+from ._check import count, finite, per_path, real
 from ._csv import write_csv
 from .drivers import Driver, TruncatedDriver
 from .errors import (
@@ -372,12 +372,16 @@ def _quartiles(z: np.ndarray):
 
 def _clip_z(z: np.ndarray, mult: float):
     """Clip each row to median +- mult * IQR (none if the IQR is 0);
-    returns (clipped, per-row clip counts)."""
+    returns (clipped, per-row clip counts). A NaN entry counts as clipped
+    (NaN != NaN). No caller sees that count: the driver refuses a NaN z
+    before a solution is returned, and the kernel's other callers drop
+    their counts."""
     q1, med, q3 = _quartiles(z)
     iqr = q3 - q1
     lo = np.where(iqr > 0, med - mult * iqr, -np.inf)
     hi = np.where(iqr > 0, med + mult * iqr, np.inf)
-    return np.clip(z, lo, hi), np.count_nonzero((z < lo) | (z > hi), axis=1)
+    clipped = np.clip(z, lo, hi)
+    return clipped, np.count_nonzero(clipped != z, axis=1)
 
 
 def _state_rows(ens: PathEnsemble, n_cols: int) -> Callable:
@@ -398,6 +402,8 @@ def _check_finite(rows: np.ndarray, n_cols: int, message: str) -> None:
         raise exc
 
 
+# A blow-up is reported by SolverDivergedError alone, not by a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _backward_solve(
     terminal_values: np.ndarray,
     increments: np.ndarray,
@@ -480,11 +486,12 @@ def solve_bsde_lsmc(
 
 
 def _terminal_values(terminal: Callable, ens: PathEnsemble) -> np.ndarray:
-    """The terminal functional's values on the ensemble, broadcast to one per
-    path by the per-path rule; ValueError if there is none or an (m, 1) column."""
+    """The terminal functional's values on the ensemble, broadcast to one per path by the
+    per-path rule; ValueError if there is none, an (m, 1) column or a non-finite value."""
     if terminal is None:
         raise ValueError("the problem has no terminal functional to solve for")
-    return np.broadcast_to(per_path("terminal", terminal(ens), (ens.n_paths,)), (ens.n_paths,))
+    xi = per_path("terminal", terminal(ens), (ens.n_paths,))
+    return np.broadcast_to(finite("terminal", xi), (ens.n_paths,))
 
 
 def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
@@ -504,8 +511,6 @@ def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
     for r, terminal in enumerate(terminals):
         try:
             xi[r] = _terminal_values(terminal, ens)
-            if not np.all(np.isfinite(xi[r])):
-                raise ValueError("terminal functional produced non-finite values")
         except Exception as exc:
             exc.terminal_index = r
             raise
@@ -593,12 +598,10 @@ def closed_form_oracle(
     the terminal Brownian motion (self-normalized), one row per sample:
     shape (m,) for d = 1, or (m, d).
     """
-    xi = np.asarray(xi_samples, dtype=np.float64)
+    xi = finite("xi_samples", xi_samples)
     xi = np.atleast_1d(per_path("xi_samples", xi, (xi.size,)))
     if xi.size == 0:
         raise ValueError("xi_samples must be non-empty")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi_samples must be finite")
 
     if kind == "zero":
         return float(np.mean(xi))
@@ -613,8 +616,8 @@ def closed_form_oracle(
     if kind == "linear":
         if b is None or horizon is None or terminal_motion is None:
             raise ValueError("linear oracle requires b, horizon and terminal_motion")
-        bvec = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        w = np.asarray(terminal_motion, dtype=np.float64)
+        bvec = np.atleast_1d(finite("b", b))
+        w = finite("terminal_motion", terminal_motion)
         if w.ndim == 1:
             w = w[:, None]
         if w.ndim != 2 or w.shape[0] != xi.size:
@@ -898,7 +901,7 @@ def dual_lower_bound(
     """
     ens = problem.ensemble
     d = ens.bundle.dim
-    controls = np.atleast_2d(np.asarray(control_grid, dtype=np.float64))
+    controls = np.atleast_2d(finite("control_grid", control_grid))
     if controls.ndim != 2 or controls.shape[1] != d:
         raise ValueError(f"control_grid must be (k, {d}), got shape {controls.shape}")
 

@@ -285,11 +285,12 @@ def read_dataset_csv(path, grid: TimeGrid, model: ForwardModel | None = None,
             kind = row["terminal_kind"]
             if kind not in _TERMINAL_KINDS:
                 raise ValueError(f"unknown terminal_kind '{kind}'")
-            param = float(row["param"]) if row.get("param") else 0.0
+            label = row.get("record_id", "")
+            param = real(f"param of record {label!r}", float(row.get("param") or 0.0))
             records.append(DatasetRecord(
                 terminal=_TERMINAL_KINDS[kind](param),
                 observed=float(row["observed_value"]),
-                label=row.get("record_id", ""),
+                label=label,
             ))
     return Dataset(records=tuple(records), grid=grid, model=model, n_paths=n_paths)
 

@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._check import count, per_path
+from ._check import count, finite, per_path
 from ._csv import write_csv
 from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
                      _backward_solve, _workspace, fit_projection)
@@ -43,7 +43,7 @@ from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
 # the library owns its timing spans (ROADMAP item 1).
 from .engine import solve_bsde_lsmc  # noqa: F401
 from .errors import IncompleteCoefficientsError, NoFixedPointError
-from .stochastic import TimeGrid, sample_brownian, split_seed
+from .stochastic import TimeGrid, _check_state, sample_brownian, split_seed
 
 __all__ = [
     "EmpiricalFeatures",
@@ -138,18 +138,19 @@ class ParticleRun:
 
 def _terminal(model: MeanFieldModel, x: np.ndarray, feats) -> np.ndarray:
     """The claim on each particle of the cloud x, broadcast to x's (N,)."""
-    y = np.broadcast_to(per_path("terminal", model.terminal(x, feats), x.shape), x.shape)
-    if not np.all(np.isfinite(y)):
-        raise ValueError("terminal functional produced non-finite values")
-    return y
+    y = per_path("terminal", model.terminal(x, feats), x.shape)
+    return np.broadcast_to(finite("terminal", y), x.shape)
 
 
+# A blow-up is reported by SimulationDivergedError alone, not by a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarray,
                     x0: np.ndarray, flow: list | None = None):
     """Euler stepping of the cloud; live features when flow is None.
 
     Returns the (N, n_steps + 1) states, a view of a time-major buffer, and
-    the feature flow."""
+    the feature flow. Raises SimulationDivergedError at the first
+    non-finite state."""
     n_particles = x0.size
     n = grid.n_steps
     dt = grid.dt
@@ -163,6 +164,11 @@ def _simulate_cloud(model: MeanFieldModel, grid: TimeGrid, increments: np.ndarra
         b = per_path("drift", model.drift(nodes[k], states[k], feats), (n_particles,))
         s = per_path("diffusion", model.diffusion(nodes[k], states[k], feats), (n_particles,))
         states[k + 1] = states[k] + b * dt + s * increments[:, k, 0]
+    # The Euler update keeps a non-finite state non-finite, so the last
+    # slice shows a blow-up at any step; only then are the steps searched.
+    if not np.isfinite(states[n]).all():
+        for k in range(n + 1):
+            _check_state(states[k], k)
     feats_T = compute_features(states[n], model.feature_names) if flow is None else flow[n]
     flow_out.append(feats_T)
     return states.T, flow_out
@@ -211,7 +217,8 @@ def simulate_particles(
                                      split_seed(seed, "particles")).increments
     if initial_states is None:
         initial_states = model.initial_sampler(n_particles, split_seed(seed, "initial"))
-    states, flow = _simulate_cloud(model, grid, increments, np.asarray(initial_states), None)
+    states, flow = _simulate_cloud(model, grid, increments,
+                                   finite("initial_states", initial_states), None)
     return _solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
 
 

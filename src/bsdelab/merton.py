@@ -390,7 +390,9 @@ class AllocationObservation:
     amount: float
 
     def __post_init__(self):
+        real("time t", self.t)
         real("wealth x", self.x, above=0)
+        real("allocation", self.amount)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from ._check import count, real
+from ._check import count, finite, real
 from .drivers import Driver, DriverGradients, DriverLinearization, _normalize_inputs
 from .errors import InvalidArchitectureError
 from .stochastic import split_seed
@@ -335,9 +335,7 @@ class DriverNet:
         theta = np.asarray(theta, dtype=np.float64).ravel()
         if theta.size != self.n_params:
             raise ValueError(f"theta must have length {self.n_params}, got {theta.size}")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
-        theta = theta.copy()
+        theta = finite("theta", theta).copy()
         theta.setflags(write=False)
         self.theta = theta
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from ._check import count, per_path, real
+from ._check import count, finite, per_path, real
 from .errors import SimulationDivergedError
 
 __all__ = [
@@ -218,7 +218,7 @@ class ForwardModel:
     coupled_in_yz: bool = False
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=np.float64))
+        x0 = np.atleast_1d(finite("x0", self.x0))
         if x0.shape != (self.state_dim,):
             raise ValueError(f"x0 must have shape ({self.state_dim},), got {x0.shape}")
         object.__setattr__(self, "x0", x0)
@@ -251,6 +251,15 @@ class PathEnsemble:
         return self.states.shape[2]
 
 
+def _check_state(x: np.ndarray, step: int) -> None:
+    """SimulationDivergedError at the first path whose state x at step is non-finite."""
+    ok = np.isfinite(x)
+    if not ok.all():
+        raise SimulationDivergedError(path=np.argwhere(~ok)[0, 0], step=step)
+
+
+# A blow-up is reported by SimulationDivergedError alone, not by a warning.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_forward(
     model: ForwardModel,
     grid: TimeGrid,
@@ -285,9 +294,7 @@ def simulate_forward(
         b = per_path("drift", model.drift(*args), (m, n))
         sig = np.broadcast_to(per_path("diffusion", model.diffusion(*args), (m, n, d)), (m, n, d))
         x = x + b * dt + np.einsum("pnd,pd->pn", sig, inc[:, k, :])
-        if not np.all(np.isfinite(x)):
-            bad = np.argwhere(~np.isfinite(x))
-            raise SimulationDivergedError(path=bad[0, 0], step=k + 1)
+        _check_state(x, k + 1)
         states[k + 1] = x
 
     states.setflags(write=False)
@@ -301,8 +308,8 @@ def wasserstein2_1d(samples_a: Sequence[float], samples_b: Sequence[float]) -> f
     W2^2 = mean of squared differences of order statistics. Returns the
     metric W2 (the square root).
     """
-    a = np.asarray(samples_a, dtype=np.float64)
-    b = np.asarray(samples_b, dtype=np.float64)
+    a = finite("samples_a", samples_a)
+    b = finite("samples_b", samples_b)
     a = np.atleast_1d(per_path("samples_a", a, (a.size,)))
     b = np.atleast_1d(per_path("samples_b", b, (b.size,)))
     if a.size == 0 or b.size == 0:

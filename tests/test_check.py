@@ -1,7 +1,9 @@
 """The numeric parameter rule, once per parameter that goes through it:
-a count is an integer, a real is finite, and a bool is neither. And the
+a count is an integer, a real is finite, and a bool is neither. The
 per-path shape rule, once per site that applies it: a per-path value
-broadcasts to its shape, and is never reshaped."""
+broadcasts to its shape, and is never reshaped. And the finite rule, once
+per array a caller hands the library: a non-finite entry is rejected with
+the array's name and the entry's index."""
 
 import re
 from dataclasses import replace
@@ -10,9 +12,11 @@ import numpy as np
 import pytest
 
 from bsdelab import _check
-from bsdelab.drivers import AnalyticDriver, TruncatedDriver, zero_driver
+from bsdelab.drivers import (AnalyticDriver, TruncatedDriver, entropic_driver, linear_z_driver,
+                             quadratic_z_driver, zero_driver)
 from bsdelab.engine import (BsdeProblem, RegressionBasis, SmoothFunction, SolveOptions,
-                            check_convexity_and_jensen, closed_form_oracle, solve_bsde_lsmc)
+                            check_comparison, check_convexity_and_jensen, closed_form_oracle,
+                            dual_lower_bound, solve_bsde_lsmc, solve_truncated)
 from bsdelab.errors import InvalidArchitectureError
 from bsdelab.learning import Dataset, DatasetRecord, fd_gradient_check
 from bsdelab.meanfield import (clt_experiment, compute_features,
@@ -21,7 +25,7 @@ from bsdelab.meanfield import (clt_experiment, compute_features,
                                solve_fluctuation_system, solve_mckean_vlasov)
 from bsdelab.merton import (AllocationObservation, MarketParams, calibrate_theta, solve_hjb,
                             verify_ambiguity_properties)
-from bsdelab.nets import NetLayout, estimate_growth_and_lipschitz
+from bsdelab.nets import NetLayout, build_driver, estimate_growth_and_lipschitz
 from bsdelab.stochastic import (ForwardModel, TimeGrid, brownian_model, make_time_grid,
                                 sample_brownian, simulate_forward, wasserstein2_1d)
 
@@ -88,7 +92,9 @@ REALS = [
     ("horizon", lambda v: MarketParams(**dict(MARKET, horizon=v)), 0.0),
     ("theta", lambda v: solve_hjb(PARAMS, v), -0.1),
     ("theta_list", lambda v: verify_ambiguity_properties(PARAMS, [0.0, v]), -1.0),
+    ("time t", lambda v: AllocationObservation(v, 1.0, 1.0), None),
     ("wealth", lambda v: AllocationObservation(0.0, v, 1.0), 0.0),
+    ("allocation", lambda v: AllocationObservation(0.0, 1.0, v), None),
     ("theta_lo", lambda v: calibrate_theta(PARAMS, OBS, theta_lo=v), None),
     ("theta_hi", lambda v: calibrate_theta(PARAMS, OBS, theta_hi=v), 0.0),
     ("tol", lambda v: calibrate_theta(PARAMS, OBS, tol=v), 0.0),
@@ -245,3 +251,104 @@ def test_a_constant_terminal_solves_as_that_constant_on_every_path():
     np.testing.assert_array_equal(const.y, per_path.y)
     # The regression projects the constant with roundoff only.
     assert const.y0 == pytest.approx(0.7, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the finite rule
+# ---------------------------------------------------------------------------
+
+NET = build_driver("Free", NetLayout(hidden=(4,)))
+
+
+def _driver_call(driver, which):
+    """value and linearize of driver at M points, with input `which` given."""
+    def run(values):
+        inputs = {"t": np.zeros(M), "x": np.zeros((M, 1)), "y": np.zeros(M),
+                  "z": np.zeros((M, 1)), which: values}
+        driver.value(**inputs)
+        driver.linearize(**inputs)
+    return run
+
+
+def _claim(solve):
+    """solve(problem, terminal) on M paths of a convex, y-free driver."""
+    ens = simulate_forward(brownian_model(1), GRID, sample_brownian(GRID, M, 1, 0))
+    problem = BsdeProblem(driver=quadratic_z_driver(0.5), terminal=None, ensemble=ens)
+    return lambda values: solve(problem, lambda e: values)
+
+
+def _constant_params(values):
+    return AnalyticDriver(value_fn=lambda p, t, x, y, z: 0.0,
+                          grad_fn=lambda p, t, x, y, z: (0.0, 0.0, 0.0), params=values)
+
+
+# (site, run(values), the name in the error, finite values of an accepted shape)
+FINITE = [
+    *[(f"{kind} driver {name}", _driver_call(driver, name), f"driver {name}", shape)
+      for kind, driver in [("analytic", entropic_driver(0.5)), ("net", NET)]
+      for name, shape in [("t", (M,)), ("x", (M, 1)), ("y", (M,)), ("z", (M, 1))]],
+    ("net theta", NET.with_params, "theta", (NET.n_params,)),
+    ("analytic params", _constant_params, "params", (3,)),
+    ("analytic with_params", entropic_driver(0.5).with_params, "params", (3,)),
+    ("linear_z_driver b", linear_z_driver, "b", (3,)),
+    ("forward x0", lambda v: ForwardModel(lambda t, x: 0.0, lambda t, x: 1.0, v, 3), "x0",
+     (3,)),
+    ("engine claim: solve_bsde_lsmc",
+     _claim(lambda p, xi: solve_bsde_lsmc(replace(p, terminal=xi))), "terminal", (M,)),
+    ("engine claim: check_comparison",
+     _claim(lambda p, xi: check_comparison(p, xi, lambda e: -1.0)), "terminal", (M,)),
+    ("engine claim: check_convexity_and_jensen",
+     _claim(lambda p, xi: check_convexity_and_jensen(p, xi, _final, 0.5,
+                                                     SmoothFunction.square())),
+     "terminal", (M,)),
+    ("engine claim: solve_truncated",
+     _claim(lambda p, xi: solve_truncated(replace(p, terminal=xi), 2.0)), "terminal", (M,)),
+    ("engine claim: dual_lower_bound",
+     _claim(lambda p, xi: dual_lower_bound(replace(p, terminal=xi), [[0.0], [0.5]])),
+     "terminal", (M,)),
+    ("particle initial_states", lambda v: simulate_particles(MODEL, M, GRID, 0, initial_states=v),
+     "initial_states", (M,)),
+    ("particle claim: clt_experiment",
+     lambda v: clt_experiment(replace(MODEL, terminal=lambda x, feats: v[:x.size]), [M, 2 * M],
+                              GRID, 1, 0, n_reference=128), "terminal", (128,)),
+    ("oracle xi_samples", lambda v: closed_form_oracle("zero", v), "xi_samples", (M,)),
+    ("oracle b", lambda v: closed_form_oracle("linear", np.zeros(M), 1.0, b=v,
+                                              terminal_motion=np.zeros((M, 3))), "b", (3,)),
+    ("oracle terminal_motion", lambda v: closed_form_oracle("linear", np.zeros(M), 1.0, b=0.5,
+                                                            terminal_motion=v),
+     "terminal_motion", (M, 1)),
+    ("dual control_grid", lambda v: _claim(lambda p, xi: dual_lower_bound(p, v))(0.0),
+     "control_grid", (3, 1)),
+    ("wasserstein samples_a", lambda v: wasserstein2_1d(v, np.zeros(M)), "samples_a", (M,)),
+    ("wasserstein samples_b", lambda v: wasserstein2_1d(np.zeros(M), v), "samples_b", (M,)),
+]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("run, name, shape", [pytest.param(*row[1:], id=row[0])
+                                              for row in FINITE])
+def test_a_non_finite_entry_is_rejected_with_the_name_and_its_index(run, name, shape, bad):
+    values = np.zeros(shape)
+    values.flat[1] = bad
+    values.flat[-1] = -np.inf   # a later bad entry: the first in C order is named
+    index = tuple(int(i) for i in np.unravel_index(1, shape))
+    message = f"{name} holds non-finite values: {bad!r} at index {index}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        run(values)
+
+
+def test_the_dual_bound_names_a_nan_terminal():
+    ens = simulate_forward(brownian_model(1), GRID, sample_brownian(GRID, 64, 1, 0))
+    xi = np.zeros(64)
+    xi[5] = np.nan
+    problem = BsdeProblem(driver=quadratic_z_driver(1.0), terminal=lambda e: xi, ensemble=ens)
+    with pytest.raises(ValueError, match=r"terminal holds non-finite values: nan at index \(5,\)"):
+        dual_lower_bound(problem, np.linspace(-1.0, 1.0, 5)[:, None])
+
+
+def test_the_finite_rule_returns_float64_and_names_a_scalar():
+    assert _check.finite("v", [1, 2]).dtype == np.float64
+    row = np.arange(3.0)
+    assert _check.finite("v", row) is row
+    with pytest.raises(ValueError, match=re.escape("v holds non-finite values: -inf at index ()")):
+        _check.finite("v", -np.inf)

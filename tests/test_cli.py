@@ -448,3 +448,38 @@ class TestMainEntry:
             "epsilon": 0.1, "grid": {"T": 50.0, "n_steps": 40}, "n_paths": 1_000,
         })
         assert main(["fbsde", "--config", cfg]) == 3
+
+    # In-process under the suite's warnings-as-errors filter: a blow-up must
+    # reach the exit code through its typed error alone, with no warning.
+    @pytest.mark.parametrize("command, doc, error", [
+        ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-clt", N_list=[16, 32, 64],
+                           model_params={"c": 1e200}), "non-finite state"),
+        ("meanfield", dict(SMALL_MEANFIELD, kind="meanfield-lln", model_params={"c": 1e200}),
+         "non-finite state"),
+        ("solve", {"kind": "solve", "grid": SMALL_GRID, "n_paths": 500,
+                   "forward": {"name": "gbm", "mu": 1e300}}, "non-finite state"),
+        ("solve", {"kind": "solve", "grid": SMALL_GRID, "n_paths": 500,
+                   "driver": {"name": "entropic", "theta": 1e307}}, "non-finite values at step"),
+    ], ids=["meanfield-clt", "meanfield-lln", "forward", "backward"])
+    def test_a_diverging_run_exits_3_without_a_warning(self, tmp_path, capsys, command, doc,
+                                                       error):
+        cfg = write_config(tmp_path, dict(doc, seed=1, out=str(tmp_path / "out")))
+        assert main([command, "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: {error}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, key, header, row, named", [
+        ("calibrate", "observations_csv", "t,x,allocation", "0.0,1.0,nan", "allocation"),
+        ("train", "dataset_csv", "record_id,terminal_kind,param,observed_value",
+         "a,scaled_state,nan,0.5", "param of record 'a'"),
+    ], ids=["observations", "dataset"])
+    def test_a_nan_number_in_a_csv_exits_2_at_its_key(self, tmp_path, capsys, command, key,
+                                                      header, row, named):
+        path = tmp_path / "input.csv"
+        path.write_text(f"{header}\n{row}\n")
+        cfg = write_config(tmp_path, {"kind": command, "seed": 1, "out": str(tmp_path / "out"),
+                                      key: str(path)})
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error at '{key}': {named} must be finite reals" in err

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bsdelab import meanfield
-from bsdelab.errors import IncompleteCoefficientsError, NoFixedPointError
+from bsdelab.errors import IncompleteCoefficientsError, NoFixedPointError, SimulationDivergedError
 from bsdelab.meanfield import (
     _measure_term,
     CltResult,
@@ -206,6 +206,20 @@ class TestParticles:
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
             simulate_particles(linear_gaussian_model(), 1, make_time_grid(1.0, 4), 0)
+
+    def test_a_blow_up_names_its_first_particle_and_step(self):
+        # Particle 5 overflows in the step from t_2 and particle 2 in the
+        # step from t_4: the first non-finite state is particle 5 at step 3.
+        grid = make_time_grid(1.0, 8)
+        def drift(t, x, feats):
+            out = np.zeros_like(x)
+            out[5] = 1e308 if t >= 0.25 else 0.0
+            out[2] = 1e308 if t >= 0.5 else 0.0
+            return out * 1e10
+        model = replace(independent_model(), drift=drift)
+        with pytest.raises(SimulationDivergedError) as info:
+            simulate_particles(model, 8, grid, seed=1)
+        assert (info.value.path, info.value.step) == (5, 3)
 
 
 class TestMcKeanVlasov:
