@@ -25,6 +25,7 @@ import inspect
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from collections import namedtuple
@@ -647,10 +648,19 @@ class ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Dispatch to the owning module and assemble the report."""
+    """Dispatch to the owning module and assemble the report. A ConfigError
+    from the run removes the output directories this call made."""
+    made, parent = None, os.path.abspath(config.out_dir)
+    while not os.path.exists(parent):
+        made, parent = parent, os.path.dirname(parent)
     os.makedirs(config.out_dir, exist_ok=True)
     started = time.time()
-    checks, artifacts = _KINDS[config.kind].run(config, config.out_dir)
+    try:
+        checks, artifacts = _KINDS[config.kind].run(config, config.out_dir)
+    except ConfigError:
+        if made is not None:
+            shutil.rmtree(made)
+        raise
     doc = config.to_dict()
     return RunReport(
         config=doc,

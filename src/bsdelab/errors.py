@@ -54,17 +54,6 @@ class NoContractionError(BsdelabError):
         )
 
 
-class NoFixedPointError(BsdelabError):
-    """Measure-flow fixed-point iteration did not converge."""
-
-    def __init__(self, residuals):
-        self.residuals = list(residuals)
-        super().__init__(
-            "no fixed point after %d iterations (last residual %.3e)"
-            % (len(self.residuals), self.residuals[-1] if self.residuals else float("nan"))
-        )
-
-
 class IncompleteCoefficientsError(BsdelabError):
     """A required derivative callback is missing."""
 

@@ -3,16 +3,19 @@
 Scalar state throughout (the experiment oracles are one-dimensional).
 Measure dependence enters coefficients only through declared empirical
 features (mean, second moment; see `_FEATURES`). The mean-field limit is
-computed as a fixed point of the feature flow with a frozen cloud and
-common noise per iteration; the propagation-of-chaos experiment couples
-each particle to a limit copy driven by the same Brownian rows.
+the fixed point of the map that runs a large cloud on common noise with a
+frozen feature flow and reads off its features. The Euler step to node
+k + 1 reads only node k's features, so that fixed point is the interacting
+cloud itself, computed in one live pass. The propagation-of-chaos
+experiment couples each particle to a limit copy on the same Brownian rows.
 
 Both backward solves here, the cloud's valuation with its frozen feature
 flow and the fluctuation system's V loop, call the engine's backward
 kernel `_backward_solve` directly, with their own step designs and a
 driver callback indexed by step. Every per-particle value (coefficient,
-claim, driver value, state derivative) obeys the library's per-path rule
-(`_check.per_path`): it broadcasts to (N,), so a scalar, (1,) or (N,).
+claim, driver value, state derivative, initial sample) obeys the library's
+per-path rule (`_check.per_path`): it broadcasts to (N,), so a scalar, (1,)
+or (N,). Initial samples and claims obey the finite rule too.
 
 The fluctuation solver integrates the linear limit system with derivative
 callbacks supplied by the caller: the measure derivatives are partials
@@ -42,7 +45,7 @@ from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
 # `meanfield.solve_bsde_lsmc` and fails without it; the import can go when
 # the library owns its timing spans (ROADMAP item 1).
 from .engine import solve_bsde_lsmc  # noqa: F401
-from .errors import IncompleteCoefficientsError, NoFixedPointError
+from .errors import IncompleteCoefficientsError
 from .stochastic import TimeGrid, _check_state, sample_brownian, split_seed
 
 __all__ = [
@@ -96,13 +99,6 @@ def compute_features(x: np.ndarray, names: tuple) -> EmpiricalFeatures:
     x = np.atleast_1d(per_path("cloud", x, (x.size,)))
     return EmpiricalFeatures(**{name: float(np.mean(np.sort(_FEATURES[name][0](x))))
                                 for name in names})
-
-
-def _flow_distance(a: list, b: list) -> float:
-    gap = 0.0
-    for fa, fb in zip(a, b):
-        gap = max(gap, abs(fa.mean - fb.mean), abs(fa.second_moment - fb.second_moment))
-    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +191,32 @@ def _solve_cloud_backward(model: MeanFieldModel, grid: TimeGrid, states: np.ndar
     return ParticleRun(states=states, y=y[0].T, z=z[0, :, :, 0].T, features=flow)
 
 
+def _initial_cloud(x, n: int) -> np.ndarray:
+    """An initial sample x of n particles, checked and broadcast to (n,)."""
+    x = finite("initial_states", per_path("initial_sampler", x, (n,)))
+    return np.broadcast_to(x, (n,))
+
+
+def _live_cloud(model: MeanFieldModel, n_particles: int, grid: TimeGrid, seed: int,
+                labels: tuple, basis: RegressionBasis, opts: SolveOptions,
+                solve_backward: bool, increments: np.ndarray | None = None,
+                initial_states: np.ndarray | None = None):
+    """(flow, run) of a cloud with live features: the draws seeded by the
+    noise and initial labels unless overridden, the forward pass and, if
+    solve_backward, the backward valuation (run is None otherwise)."""
+    noise_label, initial_label = labels
+    if increments is None:
+        increments = sample_brownian(grid, n_particles, 1,
+                                     split_seed(seed, noise_label)).increments
+    if initial_states is None:
+        initial_states = model.initial_sampler(n_particles, split_seed(seed, initial_label))
+    states, flow = _simulate_cloud(model, grid, increments,
+                                   _initial_cloud(initial_states, n_particles), flow=None)
+    run = (_solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
+           if solve_backward else None)
+    return flow, run
+
+
 def simulate_particles(
     model: MeanFieldModel,
     n_particles: int,
@@ -212,14 +234,8 @@ def simulate_particles(
     exchangeability experiments rely on passing permuted or shared rows.
     """
     count("n_particles", n_particles, 2)
-    if increments is None:
-        increments = sample_brownian(grid, n_particles, 1,
-                                     split_seed(seed, "particles")).increments
-    if initial_states is None:
-        initial_states = model.initial_sampler(n_particles, split_seed(seed, "initial"))
-    states, flow = _simulate_cloud(model, grid, increments,
-                                   finite("initial_states", initial_states), None)
-    return _solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
+    return _live_cloud(model, n_particles, grid, seed, ("particles", "initial"), basis, opts,
+                       True, increments, initial_states)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +246,8 @@ def simulate_particles(
 class McKeanVlasovResult:
     flow: list
     run: ParticleRun | None
-    residuals: list
+    # Always 1: the fixed point takes one pass. perfbench's tracer still
+    # reads it; it goes when the library owns its timing spans (ROADMAP item 1).
     iterations: int
     model: MeanFieldModel
     grid: TimeGrid
@@ -245,50 +262,21 @@ def solve_mckean_vlasov(
     n_cloud: int,
     grid: TimeGrid,
     seed: int,
-    max_iters: int = 40,
-    tol: float = 1e-6,
     basis: RegressionBasis = RegressionBasis(),
     opts: SolveOptions = SolveOptions(),
     solve_backward: bool = True,
 ) -> McKeanVlasovResult:
-    """Fixed point of the measure-feature flow with a frozen cloud.
+    """Fixed point of the measure-feature flow on a cloud of n_cloud particles.
 
-    The flow is initialized from the run with features frozen at their
-    initial values; each iteration re-simulates the same noise with the
-    previous flow and recomputes features until the sup-over-time change
-    drops below tol.
+    The flow map runs the cloud on common noise with a frozen flow. Its
+    step to node k + 1 reads only flow[k], so the fixed point is the
+    interacting cloud's own flow, exact from one pass with live features;
+    Picard iteration reaches it bit for bit, one node per pass.
     """
     count("n_cloud", n_cloud, MIN_CLOUD)
-    increments = sample_brownian(grid, n_cloud, 1, split_seed(seed, "mkv-cloud")).increments
-    x0 = np.asarray(model.initial_sampler(n_cloud, split_seed(seed, "mkv-initial")))
-
-    feats0 = compute_features(x0, model.feature_names)
-    states, _ = _simulate_cloud(model, grid, increments, x0,
-                                flow=[feats0] * (grid.n_steps + 1))
-    flow = [compute_features(states[:, k], model.feature_names)
-            for k in range(grid.n_steps + 1)]
-
-    residuals = []
-    converged = False
-    iterations = 0
-    for iteration in range(1, max_iters + 1):
-        states, _ = _simulate_cloud(model, grid, increments, x0, flow=flow)
-        new_flow = [compute_features(states[:, k], model.feature_names)
-                    for k in range(grid.n_steps + 1)]
-        residual = _flow_distance(new_flow, flow)
-        residuals.append(residual)
-        flow = new_flow
-        iterations = iteration
-        if residual < tol:
-            converged = True
-            break
-    if not converged:
-        raise NoFixedPointError(residuals)
-
-    run = (_solve_cloud_backward(model, grid, states, increments, flow, basis, opts)
-           if solve_backward else None)
-    return McKeanVlasovResult(flow=flow, run=run, residuals=residuals,
-                              iterations=iterations, model=model, grid=grid)
+    flow, run = _live_cloud(model, n_cloud, grid, seed, ("mkv-cloud", "mkv-initial"), basis,
+                            opts, solve_backward)
+    return McKeanVlasovResult(flow=flow, run=run, iterations=1, model=model, grid=grid)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +349,8 @@ def lln_experiment(
     for trial in range(n_trials):
         inc_full = sample_brownian(grid, n_max, 1,
                                    split_seed(seed, "lln-noise", trial)).increments
-        x0_full = np.asarray(model.initial_sampler(n_max, split_seed(seed, "lln-x0", trial)))
+        x0_full = _initial_cloud(model.initial_sampler(n_max, split_seed(seed, "lln-x0", trial)),
+                                 n_max)
         for j, n_particles in enumerate(n_values):
             inc = inc_full[:n_particles]
             x0 = x0_full[:n_particles]
@@ -458,7 +447,8 @@ def clt_experiment(
     for trial in range(n_trials):
         inc_full = sample_brownian(grid, n_max, 1,
                                    split_seed(seed, "clt-noise", trial)).increments
-        x0_full = np.asarray(model.initial_sampler(n_max, split_seed(seed, "clt-x0", trial)))
+        x0_full = _initial_cloud(model.initial_sampler(n_max, split_seed(seed, "clt-x0", trial)),
+                                 n_max)
         zeta_full = sample_brownian(TimeGrid(1.0, 1), n_max, 1,
                                     split_seed(seed, "clt-zeta", trial)).increments[:, 0, 0]
         for n_particles in n_values:
@@ -623,13 +613,15 @@ def solve_fluctuation_system(
     for w in range(n_worlds):
         inc = sample_brownian(grid, per_world, 1,
                               split_seed(seed, "fluct-noise", w)).increments
-        x0 = np.asarray(model.initial_sampler(per_world, split_seed(seed, "fluct-x0", w)))
+        x0 = _initial_cloud(model.initial_sampler(per_world, split_seed(seed, "fluct-x0", w)),
+                            per_world)
         states, _ = _simulate_cloud(model, grid, inc, x0, flow=flow)
 
         ghost = None
         if include_sampling_noise:
             g_inc = sample_brownian(grid, 1, 1, split_seed(seed, "fluct-ghost", w)).increments
-            g_x0 = np.asarray(model.initial_sampler(1, split_seed(seed, "fluct-ghost-x0", w)))
+            g_x0 = _initial_cloud(
+                model.initial_sampler(1, split_seed(seed, "fluct-ghost-x0", w)), 1)
             ghost, _ = _simulate_cloud(model, grid, g_inc, g_x0, flow=flow)
 
         def linear_term(c, k, *time):

@@ -20,7 +20,9 @@ to check the partitioned quartiles against bit for bit. The particle
 cloud's backward valuation is kept as it was written, through a `Driver`
 adapter that finds the step from the float time and `solve_bsde_lsmc` on a
 `PathEnsemble`, to check the direct call of the backward kernel against
-bit for bit.
+bit for bit. The mean-field fixed point is kept as it was written, Picard
+iteration of the frozen-flow map on the seeded cloud until the flow moves
+by less than tol, to check the one live pass against bit for bit.
 """
 
 import itertools
@@ -236,6 +238,41 @@ def broadcast_simulate_cloud(model, grid, increments, x0, flow=None):
         s = _broadcast(model.diffusion(nodes[k], states[:, k], feats), n_particles)
         states[:, k + 1] = states[:, k] + b * dt + s * increments[:, k, 0]
     return states
+
+
+def _flow_distance(a: list, b: list) -> float:
+    gap = 0.0
+    for fa, fb in zip(a, b):
+        gap = max(gap, abs(fa.mean - fb.mean), abs(fa.second_moment - fb.second_moment))
+    return gap
+
+
+def picard_mckean_vlasov(model, n_cloud, grid, seed, max_iters=40, tol=1e-6):
+    """The fixed point by Picard iteration: the flow is initialized from the
+    run with features frozen at their initial values; each iteration
+    re-simulates the same noise with the previous flow and recomputes
+    features until the sup-over-time change drops below tol. Returns
+    (flow, states, residuals)."""
+    increments = sample_brownian(grid, n_cloud, 1, split_seed(seed, "mkv-cloud")).increments
+    x0 = np.asarray(model.initial_sampler(n_cloud, split_seed(seed, "mkv-initial")))
+
+    feats0 = compute_features(x0, model.feature_names)
+    states, _ = _simulate_cloud(model, grid, increments, x0,
+                                flow=[feats0] * (grid.n_steps + 1))
+    flow = [compute_features(states[:, k], model.feature_names)
+            for k in range(grid.n_steps + 1)]
+
+    residuals = []
+    for _ in range(max_iters):
+        states, _ = _simulate_cloud(model, grid, increments, x0, flow=flow)
+        new_flow = [compute_features(states[:, k], model.feature_names)
+                    for k in range(grid.n_steps + 1)]
+        residual = _flow_distance(new_flow, flow)
+        residuals.append(residual)
+        flow = new_flow
+        if residual < tol:
+            return flow, states, residuals
+    raise AssertionError(f"no fixed point after {max_iters} iterations: {residuals[-1]:.3e}")
 
 
 class _FlowDriver:

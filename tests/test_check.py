@@ -163,6 +163,36 @@ def _fluctuation(which):
     return run
 
 
+def _initial(n_sampled, run_model):
+    """run_model(model) for a model whose initial sampler gives the values
+    when it draws n_sampled particles, and its own draws otherwise."""
+    def run(values):
+        sampler = lambda n, seed: values if n == n_sampled else MODEL.initial_sampler(n, seed)
+        run_model(replace(MODEL, initial_sampler=sampler))
+    return run
+
+
+def _fluctuation_worlds(model):
+    """Two worlds of M paths with their one-particle ghosts."""
+    mean_field = replace(solve_mckean_vlasov(MODEL, 100, GRID, 0), model=model)
+    solve_fluctuation_system(linear_gaussian_fluctuation_coefficients(), mean_field,
+                             lambda n, seed: np.zeros(n), 2 * M, 0, n_worlds=2,
+                             include_sampling_noise=True)
+
+
+# (site, n_sampled, run_model): every initial sample of a cloud
+INITIAL = [
+    ("particle", M, lambda model: simulate_particles(model, M, GRID, 0)),
+    ("fixed point", 100, lambda model: solve_mckean_vlasov(model, 100, GRID, 0)),
+    ("lln trial", 2 * M, lambda model: lln_experiment(model, [M, 2 * M], GRID, 1, 0,
+                                                      n_reference=128)),
+    ("clt trial", 2 * M, lambda model: clt_experiment(model, [M, 2 * M], GRID, 1, 0,
+                                                      n_reference=128)),
+    ("fluctuation world", M, _fluctuation_worlds),
+    ("fluctuation ghost", 1, _fluctuation_worlds),
+]
+
+
 def _analytic(which):
     """value and linearize of an analytic driver with one parameter, at M points."""
     def run(values):
@@ -200,6 +230,11 @@ PER_PATH = [
     ("particle diffusion", _particles("diffusion"), "diffusion", (M,), (), (M, 1)),
     ("particle terminal", _particles("terminal"), "terminal", (M,), (), (M, 1)),
     ("particle driver", _particles("driver"), "driver", (M,), (1,), (M, 1)),
+    ("particle initial_states", lambda v: simulate_particles(MODEL, M, GRID, 0,
+                                                             initial_states=v),
+     "initial_sampler", (M,), (), (M, 1)),
+    *[(f"{site} initial_sampler", _initial(n, run), "initial_sampler", (n,), (1,), (n, 1))
+      for site, n, run in INITIAL],
     *[(f"fluctuation {name}", _fluctuation(name), name, (M,), (1,), (M, 1))
       for name in ("dx_b", "dx_sigma", "dx_f", "dx_g", "dy_f", "dz_f")],
     *[(f"fluctuation {name}", _fluctuation(name), name, (M, 1), (M, 1), (M,))
@@ -308,6 +343,8 @@ FINITE = [
      "terminal", (M,)),
     ("particle initial_states", lambda v: simulate_particles(MODEL, M, GRID, 0, initial_states=v),
      "initial_states", (M,)),
+    *[(f"{site} initial_sampler", _initial(n, run), "initial_states", (n,))
+      for site, n, run in INITIAL if n > 1],
     ("particle claim: clt_experiment",
      lambda v: clt_experiment(replace(MODEL, terminal=lambda x, feats: v[:x.size]), [M, 2 * M],
                               GRID, 1, 0, n_reference=128), "terminal", (128,)),
@@ -335,6 +372,12 @@ def test_a_non_finite_entry_is_rejected_with_the_name_and_its_index(run, name, s
     message = f"{name} holds non-finite values: {bad!r} at index {index}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         run(values)
+
+
+def test_a_ghost_names_its_non_finite_initial_sample():
+    with pytest.raises(ValueError, match=re.escape(
+            "initial_states holds non-finite values: nan at index (0,)")):
+        _initial(1, _fluctuation_worlds)(np.full(1, np.nan))
 
 
 def test_the_dual_bound_names_a_nan_terminal():

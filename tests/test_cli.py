@@ -483,3 +483,15 @@ class TestMainEntry:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert f"config error at '{key}': {named} must be finite reals" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["runs", "runs/out", "runs/a/out"])
+    def test_a_missing_csv_removes_only_the_directories_the_run_made(self, tmp_path, capsys,
+                                                                     out):
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / "kept.txt").write_text("")
+        cfg = write_config(tmp_path, {"kind": "calibrate", "seed": 1, "out": str(tmp_path / out),
+                                      "observations_csv": str(tmp_path / "missing.csv")})
+        assert main(["calibrate", "--config", cfg]) == 2
+        assert "config error at 'observations_csv'" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == ["kept.txt"]

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from bsdelab import meanfield
-from bsdelab.errors import IncompleteCoefficientsError, NoFixedPointError, SimulationDivergedError
+from bsdelab.errors import IncompleteCoefficientsError, SimulationDivergedError
 from bsdelab.meanfield import (
     _measure_term,
     CltResult,
@@ -222,12 +222,83 @@ class TestParticles:
         assert (info.value.path, info.value.step) == (5, 3)
 
 
+def count_cloud_passes(monkeypatch):
+    """Count calls of meanfield._simulate_cloud, from the library and from
+    the Picard reference."""
+    calls = []
+    original = meanfield._simulate_cloud
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (meanfield, lstsq_reference):
+        monkeypatch.setattr(module, "_simulate_cloud", counted)
+    return calls
+
+
+# The Picard reference stops below this tol only at a residual of exactly 0.
+EXACT = np.finfo(float).smallest_subnormal
+
+DIVERGENT = MeanFieldModel(
+    drift=lambda t, x, feats: 5.0 * feats.mean,
+    diffusion=lambda t, x, feats: 0.1,
+    terminal=lambda x, feats: x,
+    initial_sampler=linear_gaussian_model(m0=1.0).initial_sampler,
+    feature_names=("mean",),
+)
+
+FIXED_POINTS = [
+    pytest.param(linear_gaussian_model(a=0.4, c=-0.5, sigma=0.4, m0=0.3, s0=0.3), 4096, 1.0,
+                 50, 11, id="linear-gaussian"),
+    pytest.param(linear_gaussian_model(a=0.5, c=0.5, sigma=0.1, m0=1.0, s0=0.2), 4096, 1.0,
+                 50, 3, id="growing-mean"),
+    pytest.param(mean_reversion_to_crowd_model(), 1024, 1.0, 25, 7, id="crowd"),
+    pytest.param(independent_model(), 256, 1.0, 20, 3, id="independent"),
+    pytest.param(DIVERGENT, 256, 2.0, 20, 1, id="divergent"),
+]
+
+
 class TestMcKeanVlasov:
-    def test_no_measure_dependence_one_iteration(self):
-        res = solve_mckean_vlasov(independent_model(), 256, make_time_grid(1.0, 20),
+    def test_one_live_pass(self, monkeypatch):
+        calls = count_cloud_passes(monkeypatch)
+        res = solve_mckean_vlasov(linear_gaussian_model(), 256, make_time_grid(1.0, 20),
                                   seed=3, solve_backward=False)
-        assert res.iterations == 1
-        assert res.residuals == [0.0]
+        assert len(calls) == 1
+        assert res.iterations == 1 and res.run is None
+
+    @pytest.mark.parametrize("model, n_cloud, horizon, n_steps, seed", FIXED_POINTS)
+    def test_picard_run_to_a_zero_residual_is_the_live_flow(self, model, n_cloud, horizon,
+                                                            n_steps, seed, monkeypatch):
+        # Each Picard pass of the frozen-flow map fixes one more node, so
+        # the iteration settles on the live cloud's flow and states bit for
+        # bit: its residual is exactly 0 within n_steps passes after its
+        # first frozen run.
+        grid = make_time_grid(horizon, n_steps)
+        res = solve_mckean_vlasov(model, n_cloud, grid, seed)
+        calls = count_cloud_passes(monkeypatch)
+        flow, states, residuals = lstsq_reference.picard_mckean_vlasov(
+            model, n_cloud, grid, seed, tol=EXACT)
+        assert residuals[-1] == 0.0 and len(residuals) <= n_steps
+        assert len(calls) == 1 + len(residuals)
+        assert flow == res.flow
+        np.testing.assert_array_equal(states, res.run.states)
+
+    @pytest.mark.parametrize("model, n_cloud, horizon, n_steps, seed", FIXED_POINTS)
+    def test_the_flow_is_the_features_of_its_own_states(self, model, n_cloud, horizon,
+                                                        n_steps, seed):
+        res = solve_mckean_vlasov(model, n_cloud, make_time_grid(horizon, n_steps), seed)
+        for k, feats in enumerate(res.flow):
+            assert compute_features(res.run.states[:, k], model.feature_names) == feats
+
+    def test_picard_at_its_old_tolerance_is_within_it(self):
+        grid = make_time_grid(1.0, 50)
+        model = linear_gaussian_model(a=0.4, c=-0.5, sigma=0.4, m0=0.3, s0=0.3)
+        res = solve_mckean_vlasov(model, 4096, grid, seed=11, solve_backward=False)
+        flow, _, _ = lstsq_reference.picard_mckean_vlasov(model, 4096, grid, 11, tol=1e-6)
+        gap = max(max(abs(a.mean - b.mean), abs(a.second_moment - b.second_moment))
+                  for a, b in zip(flow, res.flow))
+        assert gap <= 1e-6
 
     def test_linear_mean_flow_matches_moment_ode(self):
         # b = 0.5 mean + 0.5 x: the mean solves m' = m, so m(1) = e.
@@ -236,25 +307,12 @@ class TestMcKeanVlasov:
         res = solve_mckean_vlasov(model, 16384, grid, seed=3, solve_backward=False)
         assert res.flow[-1].mean == pytest.approx(np.e, rel=0.01)
 
-    def test_residuals_contract(self):
-        grid = make_time_grid(1.0, 50)
-        model = linear_gaussian_model(a=0.5, c=0.5, sigma=0.1, m0=1.0, s0=0.2)
-        res = solve_mckean_vlasov(model, 4096, grid, seed=3, solve_backward=False)
-        ratios = [b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 1e-12]
-        assert ratios and max(ratios) <= 0.9
-
-    def test_divergent_coupling_raises(self):
-        grid = make_time_grid(2.0, 20)
-        model = MeanFieldModel(
-            drift=lambda t, x, feats: 5.0 * feats.mean,
-            diffusion=lambda t, x, feats: 0.1,
-            terminal=lambda x, feats: x,
-            initial_sampler=linear_gaussian_model(m0=1.0).initial_sampler,
-            feature_names=("mean",),
-        )
-        with pytest.raises(NoFixedPointError):
-            solve_mckean_vlasov(model, 256, grid, seed=1, max_iters=8,
-                                solve_backward=False)
+    def test_a_strong_coupling_has_its_fixed_point(self):
+        # Drift 5 mean on T = 2: the mean grows like e^{5t}. The Picard route
+        # takes 19 iterations to reach this flow; the live pass takes one.
+        res = solve_mckean_vlasov(DIVERGENT, 256, make_time_grid(2.0, 20), seed=1,
+                                  solve_backward=False)
+        assert res.flow[-1].mean == pytest.approx(3331.384332505889, rel=1e-12)
 
     def test_cloud_size_validated(self):
         with pytest.raises(ValueError):
@@ -369,6 +427,12 @@ class TestClt:
                        n_reference=256)
         assert len(solves) == 2 * 2 * 2
         assert len(factorizations) == 2 * 2 * 2 * grid.n_steps
+
+    def test_one_reference_pass_then_two_clouds_per_trial_and_n(self, monkeypatch):
+        calls = count_cloud_passes(monkeypatch)
+        clt_experiment(linear_gaussian_model(), [8, 16, 32], make_time_grid(0.5, 6),
+                       n_trials=3, seed=5, n_reference=256, u0_std=0.3)
+        assert len(calls) == 1 + 2 * 3 * 3
 
     def test_csv_export(self, tmp_path):
         grid = make_time_grid(0.5, 8)
