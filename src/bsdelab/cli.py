@@ -431,7 +431,8 @@ def _run_calibrate(config, out_dir):
         theta_true = None
     else:
         theta_true = opt["theta_true"]
-        surface = merton.extract_policy(merton.solve_hjb(params, theta_true, spec))
+        surface = merton.extract_policy(
+            _from_config("theta_true", merton.solve_hjb, params, theta_true, spec))
         xs = [0.6, 0.8, 1.0, 1.25, 1.6]
         ts = [0.0, 0.25, 0.5]
         obs = [merton.AllocationObservation(t, x, surface(t, x) * x)

@@ -234,6 +234,10 @@ def simulate_particles(
     exchangeability experiments rely on passing permuted or shared rows.
     """
     count("n_particles", n_particles, 2)
+    if increments is not None:
+        shape = (n_particles, grid.n_steps, 1)
+        increments = np.broadcast_to(
+            finite("increments", per_path("increments", increments, shape)), shape)
     return _live_cloud(model, n_particles, grid, seed, ("particles", "initial"), basis, opts,
                        True, increments, initial_states)[1]
 
@@ -639,7 +643,8 @@ def solve_fluctuation_system(
         forcing = np.empty((n, per_world))
         dy_f = np.empty((n, per_world))
         dz_f = np.empty((n, per_world))
-        u[0] = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
+        u0 = u0_sampler(per_world, split_seed(seed, "fluct-u0", w))
+        u[0] = finite("u0", per_path("u0_sampler", u0, (per_world,)))
         for k in range(n):
             drift = linear_term("b", k, nodes[k])
             diff = linear_term("sigma", k, nodes[k])

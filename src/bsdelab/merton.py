@@ -11,10 +11,11 @@ terminal data is exponential and coefficients are wealth-free:
 The supremum is a concave quadratic in pi with the closed-form maximizer
 pi* = -(mu - r) u_l / (sigma^2 (u_ll - u_l - theta u_l^2)); the bracket is
 the log-coordinate form of V_xx - theta V_x^2, whose negativity is the
-second-order condition and is asserted at every interior node. Explicit
-time stepping with upwinded first differences; one-sided second-order
-stencils at the boundaries (the domain is wide enough that their influence
-stays outside the interior band used for all assertions).
+second-order condition. It, V_x > 0 and V_xx < 0 are checked on every
+slice's interior after the march, in march order. Explicit time stepping
+with upwinded first differences; one-sided second-order stencils at the
+boundaries (the domain is wide enough that their influence stays outside
+the interior band used for all assertions).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 
 from ._check import real
 from ._csv import write_csv
-from .errors import ExtrapolationWarning, SolverInconsistentError, UnstableGridError
+from .errors import (ExtrapolationWarning, SolverDivergedError, SolverInconsistentError,
+                     UnstableGridError)
 
 __all__ = [
     "MarketParams",
@@ -155,37 +157,27 @@ def _interior(n_nodes: int, margin: float) -> slice:
     return slice(skirt, n_nodes - skirt)
 
 
-def _derivatives(u: np.ndarray, h: float):
-    """Central differences inside, second-order one-sided at the ends."""
-    ul = np.empty_like(u)
-    ull = np.empty_like(u)
+def _derivatives(u: np.ndarray, h: float, ul, ull, fwd, bwd) -> None:
+    """Central differences inside, second-order one-sided at the ends, and the
+    forward and backward first differences, written into ul, ull, fwd and bwd."""
     ul[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
     ull[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
     ul[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
     ul[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
     ull[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (h * h)
     ull[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (h * h)
-    return ul, ull
+    fwd[:-1] = (u[1:] - u[:-1]) / h
+    fwd[-1] = (u[-1] - u[-2]) / h
+    bwd[1:] = fwd[:-1]
+    bwd[0] = fwd[0]
 
 
-def _policy_from_derivatives(params: MarketParams, theta: float,
-                             ul: np.ndarray, ull: np.ndarray,
-                             interior: slice):
-    bracket = ull - ul - theta * ul * ul
-    inner_l = ul[interior]
-    inner_b = bracket[interior]
-    if np.any(inner_l <= 0):
-        node = interior.start + int(np.argmax(inner_l <= 0))
-        raise SolverInconsistentError(node, "V_x lost positivity")
-    if np.any((ull - ul)[interior] >= 0):
-        node = interior.start + int(np.argmax((ull - ul)[interior] >= 0))
-        raise SolverInconsistentError(node, "V_xx lost concavity")
-    if np.any(inner_b >= 0):
-        node = interior.start + int(np.argmax(inner_b >= 0))
-        raise SolverInconsistentError(node, "second-order condition violated")
-    return -(params.mu - params.r) * ul / (params.sigma ** 2 * bracket)
+# The sign conditions in the order they are checked within a slice.
+_SIGN_FAILURES = ("V_x lost positivity", "V_xx lost concavity", "second-order condition violated")
 
 
+# A slice past a sign failure may overflow: the failure is reported, not a warning.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_hjb(
     params: MarketParams,
     theta: float,
@@ -195,12 +187,16 @@ def solve_hjb(
     """Backward explicit finite differences with exact pointwise maximization.
 
     fixed_pi freezes the control (no supremum); used to cross-validate the
-    value computation against the backward-equation route. Raises
-    UnstableGridError when the requested time resolution violates the
-    stability bound, and SolverInconsistentError when a sign condition
-    fails at an interior node.
+    value computation against the backward-equation route. Without it, the
+    sign conditions V_x > 0, V_xx < 0 and the bracket < 0 are checked on
+    every slice's interior after the march, in march order (slice n_time
+    first); the first failure raises SolverInconsistentError at its first
+    node. Raises UnstableGridError for fewer time steps than the stability
+    bound, and SolverDivergedError for a non-finite value.
     """
     real("theta", theta, at_least=0)
+    if fixed_pi is not None:
+        fixed_pi = real("fixed_pi", fixed_pi)
     spec = HjbGridSpec.default(params) if spec is None else spec
     g = params.gamma
     excess = params.mu - params.r
@@ -222,39 +218,44 @@ def solve_hjb(
 
     times = np.linspace(0.0, params.horizon, n_time + 1)
     value = np.empty((n_time + 1, j_nodes))
-    policy = np.empty((n_time + 1, j_nodes))
+    policy = np.full((n_time + 1, j_nodes), np.nan if fixed_pi is None else fixed_pi)
     value[n_time] = np.exp(g * ell) / g
 
     interior = _interior(j_nodes, spec.interior_margin)
-
-    def policy_at(u):
-        """Derivatives of the slice u and the allocation they give."""
-        ul, ull = _derivatives(u, h)
-        pi = (np.full(j_nodes, fixed_pi) if fixed_pi is not None
-              else _policy_from_derivatives(params, theta, ul, ull, interior))
-        return ul, ull, pi
+    ul, ull, fwd, bwd = (np.empty(j_nodes) for _ in range(4))
+    # failed[c, m, i]: sign condition c fails on slice m at interior node i.
+    failed = np.zeros((3, n_time + 1, interior.stop - interior.start), dtype=bool)
 
     # Each slice's derivatives and policy are computed once, when the slice
     # is, and carried into the step that reads them.
-    ul, ull, policy[n_time] = policy_at(value[n_time])
-    for m in range(n_time - 1, -1, -1):
-        u = value[m + 1]
-        pi = policy[m + 1]
+    for m in range(n_time, -1, -1):
+        if m < n_time:
+            u, pi = value[m + 1], policy[m + 1]
+            diffusion = 0.5 * sig2 * pi * pi
+            advection = params.r + pi * excess - diffusion
+            penalty = -0.5 * theta * sig2 * pi * pi * ul * ul
+            ul_upwind = np.where(advection >= 0, fwd, bwd)
+            value[m] = u + dt * (advection * ul_upwind + diffusion * ull + penalty)
+        _derivatives(value[m], h, ul, ull, fwd, bwd)
+        if fixed_pi is not None:
+            continue
+        concave = ull - ul
+        bracket = concave - theta * ul * ul
+        np.less_equal(ul[interior], 0, out=failed[0, m])
+        np.greater_equal(concave[interior], 0, out=failed[1, m])
+        np.greater_equal(bracket[interior], 0, out=failed[2, m])
+        policy[m] = -excess * ul / (sig2 * bracket)
 
-        advection = params.r + pi * excess - 0.5 * sig2 * pi * pi
-        diffusion = 0.5 * sig2 * pi * pi
-        penalty = -0.5 * theta * sig2 * pi * pi * ul * ul
-
-        fwd = np.empty_like(u)
-        bwd = np.empty_like(u)
-        fwd[:-1] = (u[1:] - u[:-1]) / h
-        fwd[-1] = (u[-1] - u[-2]) / h
-        bwd[1:] = (u[1:] - u[:-1]) / h
-        bwd[0] = (u[1] - u[0]) / h
-        ul_upwind = np.where(advection >= 0, fwd, bwd)
-
-        value[m] = u + dt * (advection * ul_upwind + diffusion * ull + penalty)
-        ul, ull, policy[m] = policy_at(value[m])
+    if failed.any():
+        # The slices before the first failure in march order were marched from
+        # passing slices: a check after each step stops at the same node.
+        m = n_time - int(np.argmax(failed.any(axis=(0, 2))[::-1]))
+        c = int(np.argmax(failed[:, m].any(axis=1)))
+        raise SolverInconsistentError(interior.start + int(np.argmax(failed[c, m])),
+                                      _SIGN_FAILURES[c])
+    if not np.isfinite(value[0]).all():   # a step keeps a non-finite value non-finite
+        m = n_time - int(np.argmin(np.isfinite(value).all(axis=1)[::-1]))
+        raise SolverDivergedError(f"non-finite HJB values from slice {m} of {n_time}")
 
     return HjbGrid(ell=ell, times=times, value=value, policy=policy, theta=theta,
                    params=params, interior_margin=spec.interior_margin)
@@ -419,7 +420,7 @@ def calibrate_theta(
     the bracket, the loss is not unimodal and a dense 64-point scan with a
     warning replaces the search.
     """
-    real("theta_hi", theta_hi, above=real("theta_lo", theta_lo))
+    real("theta_hi", theta_hi, above=real("theta_lo", theta_lo, at_least=0))
     real("tol", tol, above=0)
     obs = list(observations)
     if not obs:
@@ -429,7 +430,6 @@ def calibrate_theta(
     evaluated = {}
 
     def loss(theta: float) -> float:
-        theta = max(theta, 0.0)
         if theta not in evaluated:
             surface = extract_policy(solve_hjb(params, theta, spec))
             err = [surface(o.t, o.x) * o.x - o.amount for o in obs]

@@ -22,14 +22,20 @@ adapter that finds the step from the float time and `solve_bsde_lsmc` on a
 `PathEnsemble`, to check the direct call of the backward kernel against
 bit for bit. The mean-field fixed point is kept as it was written, Picard
 iteration of the frozen-flow map on the seeded cloud until the flow moves
-by less than tol, to check the one live pass against bit for bit.
+by less than tol, to check the one live pass against bit for bit. The HJB
+march is kept as it was written, with the three sign checks on each
+slice's interior as the slice is computed, to check the march that checks
+its sign table once at the end against bit for bit, and against its error
+node and message.
 """
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 
+from bsdelab._check import real
 from bsdelab.engine import (
     _COND_LIMIT,
     BsdeProblem,
@@ -39,7 +45,8 @@ from bsdelab.engine import (
     SolveOptions,
     solve_bsde_lsmc,
 )
-from bsdelab.errors import NoContractionError, SingularRegressionError
+from bsdelab.errors import (NoContractionError, SingularRegressionError,
+                            SolverInconsistentError, UnstableGridError)
 from bsdelab.meanfield import (
     CltResult,
     _jackknife_var_se,
@@ -49,6 +56,7 @@ from bsdelab.meanfield import (
     compute_features,
     solve_mckean_vlasov,
 )
+from bsdelab.merton import HjbGrid, HjbGridSpec, MarketParams, _interior, classical_merton
 from bsdelab.stochastic import (
     BrownianBundle,
     PathEnsemble,
@@ -523,3 +531,102 @@ def per_terminal_convexity(problem, terminal_1, terminal_2, lam, phi, basis=Regr
                      sol_mix.y0_standard_error, sol_phi.y0_standard_error),
         tol=tol, passed=(delta_cvx >= -tol) and (delta_jen >= -tol),
     )
+
+
+def _derivatives(u: np.ndarray, h: float):
+    """Central differences inside, second-order one-sided at the ends."""
+    ul = np.empty_like(u)
+    ull = np.empty_like(u)
+    ul[1:-1] = (u[2:] - u[:-2]) / (2.0 * h)
+    ull[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / (h * h)
+    ul[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * h)
+    ul[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * h)
+    ull[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / (h * h)
+    ull[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / (h * h)
+    return ul, ull
+
+
+def _policy_from_derivatives(params: MarketParams, theta: float,
+                             ul: np.ndarray, ull: np.ndarray,
+                             interior: slice):
+    bracket = ull - ul - theta * ul * ul
+    inner_l = ul[interior]
+    inner_b = bracket[interior]
+    if np.any(inner_l <= 0):
+        node = interior.start + int(np.argmax(inner_l <= 0))
+        raise SolverInconsistentError(node, "V_x lost positivity")
+    if np.any((ull - ul)[interior] >= 0):
+        node = interior.start + int(np.argmax((ull - ul)[interior] >= 0))
+        raise SolverInconsistentError(node, "V_xx lost concavity")
+    if np.any(inner_b >= 0):
+        node = interior.start + int(np.argmax(inner_b >= 0))
+        raise SolverInconsistentError(node, "second-order condition violated")
+    return -(params.mu - params.r) * ul / (params.sigma ** 2 * bracket)
+
+
+def per_slice_solve_hjb(
+    params: MarketParams,
+    theta: float,
+    spec: HjbGridSpec | None = None,
+    fixed_pi: float | None = None,
+) -> HjbGrid:
+    """The HJB march with its sign conditions checked on each slice as it is
+    computed: the first failing slice raises before the next is marched."""
+    real("theta", theta, at_least=0)
+    spec = HjbGridSpec.default(params) if spec is None else spec
+    g = params.gamma
+    excess = params.mu - params.r
+    sig2 = params.sigma ** 2
+
+    j_nodes = spec.n_space + 1
+    ell = np.linspace(spec.ell_lo, spec.ell_hi, j_nodes)
+    h = ell[1] - ell[0]
+
+    pi_bound = abs(fixed_pi) if fixed_pi is not None else abs(classical_merton(params).pi)
+    b_max = 0.5 * sig2 * pi_bound ** 2
+    a_max = abs(params.r) + pi_bound * abs(excess) + 0.5 * sig2 * pi_bound ** 2
+    dt_max = 0.9 / (2.0 * b_max / h ** 2 + a_max / h)
+    required = int(math.ceil(params.horizon / dt_max))
+    n_time = required if spec.n_time is None else spec.n_time
+    if n_time < required:
+        raise UnstableGridError(n_time, required)
+    dt = params.horizon / n_time
+
+    times = np.linspace(0.0, params.horizon, n_time + 1)
+    value = np.empty((n_time + 1, j_nodes))
+    policy = np.empty((n_time + 1, j_nodes))
+    value[n_time] = np.exp(g * ell) / g
+
+    interior = _interior(j_nodes, spec.interior_margin)
+
+    def policy_at(u):
+        """Derivatives of the slice u and the allocation they give."""
+        ul, ull = _derivatives(u, h)
+        pi = (np.full(j_nodes, fixed_pi) if fixed_pi is not None
+              else _policy_from_derivatives(params, theta, ul, ull, interior))
+        return ul, ull, pi
+
+    # Each slice's derivatives and policy are computed once, when the slice
+    # is, and carried into the step that reads them.
+    ul, ull, policy[n_time] = policy_at(value[n_time])
+    for m in range(n_time - 1, -1, -1):
+        u = value[m + 1]
+        pi = policy[m + 1]
+
+        advection = params.r + pi * excess - 0.5 * sig2 * pi * pi
+        diffusion = 0.5 * sig2 * pi * pi
+        penalty = -0.5 * theta * sig2 * pi * pi * ul * ul
+
+        fwd = np.empty_like(u)
+        bwd = np.empty_like(u)
+        fwd[:-1] = (u[1:] - u[:-1]) / h
+        fwd[-1] = (u[-1] - u[-2]) / h
+        bwd[1:] = (u[1:] - u[:-1]) / h
+        bwd[0] = (u[1] - u[0]) / h
+        ul_upwind = np.where(advection >= 0, fwd, bwd)
+
+        value[m] = u + dt * (advection * ul_upwind + diffusion * ull + penalty)
+        ul, ull, policy[m] = policy_at(value[m])
+
+    return HjbGrid(ell=ell, times=times, value=value, policy=policy, theta=theta,
+                   params=params, interior_margin=spec.interior_margin)

@@ -91,11 +91,12 @@ REALS = [
     ("gamma", lambda v: MarketParams(**dict(MARKET, gamma=v)), 0.0),
     ("horizon", lambda v: MarketParams(**dict(MARKET, horizon=v)), 0.0),
     ("theta", lambda v: solve_hjb(PARAMS, v), -0.1),
+    ("fixed_pi", lambda v: solve_hjb(PARAMS, 0.0, fixed_pi=v), None),
     ("theta_list", lambda v: verify_ambiguity_properties(PARAMS, [0.0, v]), -1.0),
     ("time t", lambda v: AllocationObservation(v, 1.0, 1.0), None),
     ("wealth", lambda v: AllocationObservation(0.0, v, 1.0), 0.0),
     ("allocation", lambda v: AllocationObservation(0.0, 1.0, v), None),
-    ("theta_lo", lambda v: calibrate_theta(PARAMS, OBS, theta_lo=v), None),
+    ("theta_lo", lambda v: calibrate_theta(PARAMS, OBS, theta_lo=v), -1.0),
     ("theta_hi", lambda v: calibrate_theta(PARAMS, OBS, theta_hi=v), 0.0),
     ("tol", lambda v: calibrate_theta(PARAMS, OBS, tol=v), 0.0),
 ]
@@ -161,6 +162,16 @@ def _fluctuation(which):
         solve_fluctuation_system(coeffs, solve_mckean_vlasov(MODEL, 100, GRID, 0),
                                  lambda n, seed: np.zeros(n), M, 0)
     return run
+
+
+def _u0(values):
+    solve_fluctuation_system(linear_gaussian_fluctuation_coefficients(),
+                             solve_mckean_vlasov(MODEL, 100, GRID, 0), lambda n, seed: values,
+                             M, 0)
+
+
+def _increments(values):
+    simulate_particles(MODEL, M, GRID, 0, increments=values)
 
 
 def _initial(n_sampled, run_model):
@@ -235,6 +246,10 @@ PER_PATH = [
      "initial_sampler", (M,), (), (M, 1)),
     *[(f"{site} initial_sampler", _initial(n, run), "initial_sampler", (n,), (1,), (n, 1))
       for site, n, run in INITIAL],
+    ("particle increments", _increments, "increments", (M, 2, 1), (1, 2, 1), (M, 2)),
+    ("particle increments rows", _increments, "increments", (M, 2, 1), (M, 2, 1),
+     (M // 2, 2, 1)),
+    ("fluctuation u0_sampler", _u0, "u0_sampler", (M,), (1,), (M, 1)),
     *[(f"fluctuation {name}", _fluctuation(name), name, (M,), (1,), (M, 1))
       for name in ("dx_b", "dx_sigma", "dx_f", "dx_g", "dy_f", "dz_f")],
     *[(f"fluctuation {name}", _fluctuation(name), name, (M, 1), (M, 1), (M,))
@@ -345,6 +360,8 @@ FINITE = [
      "initial_states", (M,)),
     *[(f"{site} initial_sampler", _initial(n, run), "initial_states", (n,))
       for site, n, run in INITIAL if n > 1],
+    ("particle increments", _increments, "increments", (M, 2, 1)),
+    ("fluctuation u0_sampler", _u0, "u0", (M,)),
     ("particle claim: clt_experiment",
      lambda v: clt_experiment(replace(MODEL, terminal=lambda x, feats: v[:x.size]), [M, 2 * M],
                               GRID, 1, 0, n_reference=128), "terminal", (128,)),

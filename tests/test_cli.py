@@ -161,6 +161,8 @@ class TestConfigValidation:
         ("merton", {"kind": "merton", "params": {"sigma": 10 ** 400}}, "params"),
         ("calibrate", {"kind": "calibrate", "search": {"theta_lo": 0.5, "theta_hi": 0.5}},
          "search"),
+        ("calibrate", {"kind": "calibrate", "search": {"theta_lo": -1.0}}, "search"),
+        ("calibrate", {"kind": "calibrate", "theta_true": -0.5}, "theta_true"),
         ("merton", {"kind": "merton", "theta_list": [0.0]}, "theta_list"),
         ("merton", {"kind": "merton", "theta_list": [0.5, 0.25]}, "theta_list"),
         ("merton", {"kind": "merton", "theta_list": []}, "theta_list"),
@@ -184,7 +186,8 @@ class TestConfigValidation:
             "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
             "space-without-interior", "calibrate-space-without-interior", "bool-element",
             "nan-element", "nan-bound", "nan-market", "nan-theta", "huge-market",
-            "empty-bracket", "zero-theta", "decreasing-thetas", "no-thetas", "no-particles",
+            "empty-bracket", "negative-bracket", "negative-theta-true", "zero-theta",
+            "decreasing-thetas", "no-thetas", "no-particles",
             "one-lln-size", "no-clt-sizes", "small-lln-reference", "small-clt-reference",
             "no-lln-trials", "no-clt-trials", "two-clt-sizes", "net-state-dim", "net-z-dim",
             "loaded-net-state-dim", "net-z-dim-of-2d-noise"])

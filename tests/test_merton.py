@@ -1,10 +1,14 @@
+import itertools
+import re
 import warnings
 
 import numpy as np
 import pytest
 
+import lstsq_reference
 from bsdelab import merton
-from bsdelab.errors import ExtrapolationWarning, SolverInconsistentError, UnstableGridError
+from bsdelab.errors import (ExtrapolationWarning, SolverDivergedError, SolverInconsistentError,
+                            UnstableGridError)
 from bsdelab.merton import (
     AllocationObservation,
     HjbGridSpec,
@@ -127,6 +131,139 @@ class TestHjbSolver:
         cls = classical_merton(params)
         inner = grid.interior
         assert np.max(grid.policy[:, inner]) < cls.pi
+
+
+# A market, theta = 0 and a grid on which V_x fails naturally mid-march, at
+# slice 416 of 5000 (call 4584 of the per-slice route's derivatives).
+MID_MARCH = (MarketParams(mu=0.08, r=0.02, sigma=0.2, gamma=-2.0),
+             HjbGridSpec(ell_lo=-0.5, ell_hi=3.0, n_space=40, interior_margin=0.0,
+                         n_time=5000))
+INJECT_SPEC = HjbGridSpec.default(PARAMS, n_space=40, n_time=40)
+
+
+def _break(ul, ull, node, condition):
+    """Make condition fail at node (the second-order one only for theta < 0)."""
+    if condition == "positivity":
+        ul[node], ull[node] = -1.0, -2.0
+    elif condition == "concavity":
+        ull[node] = ul[node] + 1.0
+    else:   # concave = -1, bracket = -1 - theta 1e8
+        ul[node], ull[node] = 1e4, 1e4 - 1.0
+
+
+def _inject(monkeypatch, module, n_time, breaks):
+    """module's derivatives with _break applied at each (slice, node, condition)
+    of breaks, right after that slice's derivatives are taken; both routes
+    take them once per slice, slice n_time first."""
+    derive = module._derivatives
+    calls = itertools.count()
+
+    def injected(u, h, *buffers):
+        out = derive(u, h, *buffers)
+        m = n_time - next(calls)
+        ul, ull = buffers[:2] or out
+        for at, node, condition in breaks:
+            if at == m:
+                _break(ul, ull, node, condition)
+        return out
+
+    monkeypatch.setattr(module, "_derivatives", injected)
+
+
+class TestSignTable:
+    """solve_hjb marches every slice and then checks the sign table once; the
+    per-slice route of lstsq_reference checks each slice as it is computed."""
+
+    @pytest.mark.parametrize("gamma", [0.5, -2.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.25, 1.0])
+    def test_grids_are_the_per_slice_grids_bit_for_bit(self, gamma, theta):
+        params = MarketParams(mu=0.08, r=0.02, sigma=0.2, gamma=gamma)
+        new = solve_hjb(params, theta)
+        old = lstsq_reference.per_slice_solve_hjb(params, theta)
+        np.testing.assert_array_equal(new.value, old.value)
+        np.testing.assert_array_equal(new.policy, old.policy)
+        np.testing.assert_array_equal(new.times, old.times)
+
+    @pytest.mark.parametrize("gamma, theta, fixed_pi", [(0.5, 0.5, 1.5), (0.5, 1.0, 3.0),
+                                                        (-2.0, 0.25, 1.5), (-2.0, 0.0, 3.0)])
+    def test_fixed_control_grids_are_the_per_slice_grids_bit_for_bit(self, gamma, theta,
+                                                                     fixed_pi):
+        params = MarketParams(mu=0.08, r=0.02, sigma=0.2, gamma=gamma)
+        new = solve_hjb(params, theta, fixed_pi=fixed_pi)
+        old = lstsq_reference.per_slice_solve_hjb(params, theta, fixed_pi=fixed_pi)
+        np.testing.assert_array_equal(new.value, old.value)
+        np.testing.assert_array_equal(new.policy, old.policy)
+        assert np.all(new.policy == fixed_pi)
+
+    def test_a_diverging_march_raises_where_the_per_slice_route_warned(self):
+        # The fixed control ignores the theta penalty in its step bound; the
+        # per-slice route returned a non-finite table with RuntimeWarnings.
+        params = MarketParams(mu=0.08, r=0.02, sigma=0.2, gamma=-2.0)
+        with pytest.warns(RuntimeWarning):
+            old = lstsq_reference.per_slice_solve_hjb(params, 1.0, fixed_pi=1.5)
+        n_time = old.times.size - 1
+        first = max(m for m in range(n_time + 1) if not np.isfinite(old.value[m]).all())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverDivergedError,
+                               match=f"^non-finite HJB values from slice {first} of {n_time}$"):
+                solve_hjb(params, 1.0, fixed_pi=1.5)
+
+    def test_a_natural_failure_mid_march_raises_the_per_slice_error(self, monkeypatch):
+        params, spec = MID_MARCH
+        slices = itertools.count(spec.n_time, -1)
+        derive = lstsq_reference._derivatives
+        monkeypatch.setattr(lstsq_reference, "_derivatives",
+                            lambda u, h: (next(slices), derive(u, h))[1])
+        message = "^" + re.escape("V_x lost positivity (node=38)") + "$"
+        # No floating-point warning escapes the march past the failure.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (solve_hjb, lstsq_reference.per_slice_solve_hjb):
+                with pytest.raises(SolverInconsistentError, match=message) as info:
+                    solve(params, 0.0, spec)
+                assert info.value.node == 38
+        assert next(slices) == 416 - 1
+
+    @pytest.mark.parametrize("theta, breaks, message, node", [
+        (0.0, [(25, 3, "positivity")], "V_x lost positivity", 3),
+        (0.0, [(25, 5, "concavity")], "V_xx lost concavity", 5),
+        (-1e-6, [(25, 2, "second-order")], "second-order condition violated", 2),
+        (-1e-6, [(25, 1, "second-order"), (25, 2, "concavity"), (25, 6, "positivity")],
+         "V_x lost positivity", 6),
+        (-1e-6, [(25, 1, "second-order"), (25, 4, "concavity")], "V_xx lost concavity", 4),
+        (0.0, [(25, 7, "positivity"), (25, 3, "positivity")], "V_x lost positivity", 3),
+        (0.0, [(25, 2, "positivity"), (26, 5, "concavity")], "V_xx lost concavity", 5),
+        (0.0, [(40, 4, "concavity"), (0, 1, "positivity")], "V_xx lost concavity", 4),
+        (0.0, [(0, 9, "positivity")], "V_x lost positivity", 9),
+    ], ids=["positivity", "concavity", "second-order", "first-condition-wins",
+            "concavity-beats-second-order", "first-node-wins", "first-slice-in-march-order-wins",
+            "terminal-slice", "slice-0"])
+    def test_an_injected_failure_raises_the_per_slice_error(self, monkeypatch, theta, breaks,
+                                                            message, node):
+        # The bracket is concave - theta u_l^2, so for theta >= 0 it fails only
+        # where concavity fails first; a negative theta, let past the range
+        # rule in both routes, reaches the third message.
+        start = INJECT_SPEC.n_space // 5   # the interior's first node at margin 0.2
+        breaks = [(m, start + offset, condition) for m, offset, condition in breaks]
+        expected = "^" + re.escape(f"{message} (node={start + node})") + "$"
+        for module, solve in [(merton, solve_hjb),
+                              (lstsq_reference, lstsq_reference.per_slice_solve_hjb)]:
+            monkeypatch.setattr(module, "real", lambda name, value, **rule: float(value))
+            _inject(monkeypatch, module, INJECT_SPEC.n_time, breaks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SolverInconsistentError, match=expected):
+                    solve(PARAMS, theta, INJECT_SPEC)
+
+    @pytest.mark.parametrize("theta", [0.0, -1e-6])
+    def test_the_injection_grid_passes_without_a_break(self, monkeypatch, theta):
+        for module in (merton, lstsq_reference):
+            monkeypatch.setattr(module, "real", lambda name, value, **rule: float(value))
+        new = solve_hjb(PARAMS, theta, INJECT_SPEC)
+        old = lstsq_reference.per_slice_solve_hjb(PARAMS, theta, INJECT_SPEC)
+        np.testing.assert_array_equal(new.value, old.value)
+        np.testing.assert_array_equal(new.policy, old.policy)
 
 
 class TestPolicySurface:
