@@ -166,7 +166,7 @@ def _ensemble(config, label: str, model: ForwardModel | None = None):
 
 
 def _basis(opt: dict) -> engine.RegressionBasis:
-    return engine.RegressionBasis(degree=opt["basis_degree"])
+    return _from_config("basis_degree", engine.RegressionBasis, degree=opt["basis_degree"])
 
 
 def _market(opt: dict):
@@ -303,9 +303,9 @@ def _run_train(config, out_dir):
         dataset = learning.Dataset(records=records, grid=grid)
     dataset = _from_config("n_paths", dataclasses.replace, dataset, n_paths=opt["n_paths"])
 
-    schedule = learning.TrainSchedule(learning_rate=opt["learning_rate"],
-                                      max_iters=opt["max_iters"], loss_tol=opt["loss_tol"],
-                                      seed=split_seed(config.seed, "train"))
+    schedule = _from_config("loss_tol", learning.TrainSchedule,
+                            learning_rate=opt["learning_rate"], max_iters=opt["max_iters"],
+                            loss_tol=opt["loss_tol"], seed=split_seed(config.seed, "train"))
     log_path = os.path.join(out_dir, "training_log.csv")
     state, final = learning.train(dataset, drivers.entropic_driver(opt["theta_init"]),
                                   schedule, log_path=log_path)
@@ -358,9 +358,9 @@ def _run_meanfield(config, out_dir):
         ]
         return checks, [path]
 
-    res = meanfield.clt_experiment(model, n_list, grid, n_trials,
-                                   split_seed(config.seed, "clt"),
-                                   n_reference=n_reference, u0_std=opt["u0_std"])
+    res = _from_config("u0_std", meanfield.clt_experiment, model, n_list, grid, n_trials,
+                       split_seed(config.seed, "clt"), n_reference=n_reference,
+                       u0_std=opt["u0_std"])
     path = os.path.join(out_dir, "clt.csv")
     meanfield.export_clt_csv(res, path)
     checks = [CheckResult("clt_variance_stabilizes", res.stabilized(),

@@ -17,16 +17,17 @@ partitions of each row and equal `np.percentile`'s linear rule.
 comparison and convexity checks solve their terminals in that one sweep;
 `solve_bsde_lsmc` is its one-column case.
 
-Per-path data is time-major, as in `stochastic`: the sweep keeps Y, Z and
-the continuation values in record-major (R, n + 1, m), (R, n, m, d) and
-(R, n, m) buffers, so each step of each record is one contiguous row of m
-values, and the R rows of a step are the R m stacked rows of the driver
-call. A solution's y, z and continuation are (m, n + 1), (m, n, d) and
-(m, n) views of its one contiguous record, and responses are projected
-as rows of m values. The design stays row-major (m, p): a column-major
-design builds faster, but BLAS then sums every projection's A^T b in
-another order, which moves Z by several 1e-13 of its scale at 100 000
-paths.
+Per-path data is time-major, as in `stochastic`: the sweep keeps Y and Z
+in record-major (R, n + 1, m) and (R, n, m, d) buffers, so each step of
+each record is one contiguous row of m values, and the R rows of a step
+are the R m stacked rows of the driver call. A solution's y and z are
+(m, n + 1) and (m, n, d) views of its one contiguous record, and
+responses are projected as rows of m values. The continuation values are
+not kept: the sweep sums Y_k - C_k into one (R, m) buffer for the
+standard error, and the adjoint projects C_k again from Y. The design
+stays row-major (m, p): a column-major design builds faster, but BLAS
+then sums every projection's A^T b in another order, which moves Z by
+several 1e-13 of its scale at 100 000 paths.
 
 Conditional expectations use global polynomial least squares on
 standardized monomials, with one factorization per step: the R factor of
@@ -319,7 +320,6 @@ class BsdeSolution:
     # are contiguous blocks.
     y: np.ndarray              # (m, n_steps + 1)
     z: np.ndarray              # (m, n_steps, d)
-    continuation: np.ndarray   # (m, n_steps) regressed continuation values
     y0: float
     y0_standard_error: float
     passes: int                # inner fixed-point passes per step
@@ -421,15 +421,16 @@ def _backward_solve(
     component j of column r.
     step_design(k) gives step k's (design, Projection) and
     step_value(k, y, z) the driver value on the R * m stacked rows, column
-    r in rows r * m to (r + 1) * m. Returns (y, z, continuation, clip
-    counts): record-major buffers (R, n + 1, m), (R, n, m, d), (R, n, m)
-    and (R, n).
+    r in rows r * m to (r + 1) * m. Returns (y, z, euler, clip counts):
+    record-major buffers (R, n + 1, m), (R, n, m, d), (R, m) and (R, n).
+    euler[r] is record r's sum over the steps of Y_k - C_k, the driver
+    increments, summed from the last step back.
     """
     m, n, d = increments.shape
     n_cols = len(terminal_values)
     y = np.empty((n_cols, n + 1, m))
     z = np.empty((n_cols, n, m, d))
-    cont = np.empty((n_cols, n, m))
+    euler = np.zeros((n_cols, m))
     clips = np.zeros((n_cols, n), dtype=int)
 
     y[:, n] = terminal_values
@@ -458,9 +459,9 @@ def _backward_solve(
         _check_finite(y_rows, n_cols, f"non-finite values at step {k}")
 
         y[:, k] = y_rows.reshape(n_cols, m)
-        cont[:, k] = c_k
+        euler += y[:, k] - c_k
 
-    return y, z, cont, clips
+    return y, z, euler, clips
 
 
 def _driver_value(driver: Driver, ens: PathEnsemble, n_cols: int = 1) -> Callable:
@@ -498,10 +499,10 @@ def _sweep(problem: BsdeProblem, terminals: Sequence[Callable],
            basis: RegressionBasis, opts: SolveOptions):
     """One backward sweep for the terminals on the problem's ensemble.
 
-    Returns (plan, y, z, continuation, clip counts), the last four
-    record-major as `_backward_solve` keeps them. An error that belongs to
-    one terminal, a non-finite terminal value or a divergence, carries its
-    position as `terminal_index`.
+    Returns (plan, y, z, euler, clip counts), the last four as
+    `_backward_solve` returns them. An error that belongs to one terminal,
+    a non-finite terminal value or a divergence, carries its position as
+    `terminal_index`.
     """
     if len(terminals) == 0:
         raise ValueError("terminals must be non-empty")
@@ -537,22 +538,21 @@ def solve_bsde_many(
     single terminal), and its arrays are views of record r of the sweep's
     buffers. An error that belongs to one terminal, a non-finite terminal
     value or a divergence, carries its position as `terminal_index`.
+
+    The standard error is that of the pathwise Euler-sum estimator
+    xi + sum_k f dt of the root value (Y_k - C_k equals f dt at step k).
+    The sweep sums it from the last step back, as it walks the steps; a
+    forward sum may move the standard error by a few ulps.
     """
-    plan, y, z, cont, clips = _sweep(problem, terminals, basis, opts)
-    _, n, m = cont.shape
+    plan, y, z, euler, clips = _sweep(problem, terminals, basis, opts)
+    m = y.shape[2]
     solutions = []
     for r, terminal in enumerate(terminals):
-        # Monte Carlo error of the root value, estimated from the pathwise
-        # Euler-sum estimator xi + sum_k f dt (y_k - cont_k equals f dt),
-        # summed step by step rather than through an (n, m) temporary.
-        euler_sum = np.zeros(m)
-        for k in range(n):
-            euler_sum += y[r, k] - cont[r, k]
-        se = float(np.std(y[r, -1] + euler_sum, ddof=1) / np.sqrt(m))
+        se = float(np.std(y[r, -1] + euler[r], ddof=1) / np.sqrt(m))
         solutions.append(BsdeSolution(
             problem if terminal is problem.terminal else replace(problem, terminal=terminal),
             plan,
-            y=y[r].T, z=np.swapaxes(z[r], 0, 1), continuation=cont[r].T,
+            y=y[r].T, z=np.swapaxes(z[r], 0, 1),
             y0=float(y[r, 0, 0]),
             y0_standard_error=se,
             passes=opts.inner_picard_iters,

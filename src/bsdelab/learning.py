@@ -11,9 +11,9 @@ its least-squares projections are symmetric, its transpose gives the same
 gradient from one m-vector carried forward in time, with each driver
 evaluation contributing through a pullback w -> sum_i w_i grad_theta f_i
 (Giles & Glasserman, "Smoking adjoints: fast Monte Carlo Greeks", Risk,
-2006). The cost per step is two projections onto the designs the primary
-solve already factored and one reverse pass of the driver, whatever the
-number of parameters.
+2006). The cost per step is three projections onto the designs the
+primary solve already factored and one reverse pass of the driver,
+whatever the number of parameters.
 
 The Z clip is not differentiated: clipped Z entries count as unclipped,
 so the gradient is exact only where the primary's `z_clip_count` is all
@@ -21,8 +21,8 @@ zero. `train` defaults to `z_clip=10`; at `z_clip=2` a Free net with a
 cubic terminal showed a 4.3e-3 gap to finite differences of the loss.
 
 The loss solves all its records in one backward sweep, the one
-`solve_bsde_many` runs, and reads Z and the continuation values from the
-sweep's record-major buffers: step k of every record is one block there.
+`solve_bsde_many` runs, and reads Y and Z from the sweep's record-major
+buffers: step k of every record is one block there.
 The adjoint is linear in its weights, so the loss gradient, the data term
 weighted 2 (Y0_i - O_i) / n at path 0 of record i and the normalization
 penalty's continuation weights together, is one adjoint per call: it
@@ -95,25 +95,24 @@ def _adjoint_gradient(
     plan: RegressionPlan,
     passes: int,
     z: np.ndarray,
-    continuation: np.ndarray,
+    y: np.ndarray,
     roots: np.ndarray,
     continuation_weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Parameter gradient of sum_r [roots[r] . V_0^r
     + sum_k continuation_weights[r, k] . C_k^r] over R primaries.
 
-    Primary r is the solution, with Z paths z[r] (n, m, d) and regressed
-    continuation values continuation[r] (n, m), of the problem's driver on
-    its ensemble, projected with plan in `passes` inner passes per step, as
-    the records of one backward sweep are; z, continuation and the weights
-    are record-major, as the sweep stores them. V_k^r is its sensitivity
-    slice dY_k/dtheta and C_k^r that of its continuation values, both of
-    the discrete scheme along that primary. The scheme is linear in (V, C),
-    so the gradient is read from its transpose: one adjoint lam_k of shape
-    (R, m), carried forward in time, with V_0's weights roots and V_n = 0.
-    Each step linearizes the driver once per pass on the R * m stacked
-    rows, and each pullback sums the R columns' gradients. The primaries'
-    Y paths are not read.
+    Primary r is the solution, with Z paths z[r] (n, m, d) and Y paths
+    y[r] (n + 1, m), of the problem's driver on its ensemble, projected
+    with plan in `passes` inner passes per step, as the records of one
+    sweep are; z, y and the weights are record-major, as the sweep stores
+    them. V_k^r and C_k^r are the discrete scheme's sensitivities of Y_k
+    and C_k along it. The scheme is linear in (V, C), so the gradient
+    is read from its transpose: one adjoint lam_k of shape (R, m), carried
+    forward in time, with V_0's weights roots and V_n = 0. Each step
+    projects C_k again from y, all R records in one product as the sweep
+    did, which keeps its bits, linearizes the driver once per pass on the
+    R * m stacked rows, and sums the R columns' gradients in each pullback.
 
     Per step the linearized update is, pass by pass from v = C_k,
         v <- C_k + (dtheta f + dz f . Z_k + dy f v) dt,
@@ -136,12 +135,12 @@ def _adjoint_gradient(
     grad = np.zeros(driver.params.size)
     lam = roots.reshape(-1)
     for k in range(n):
+        design, fit = plan.step(k)
         x_k = state_rows(k)
         z_k = z[:, k].reshape(n_cols * m, d)
-        cont = continuation[:, k].reshape(n_cols * m)
+        cont = fit.project(design, y[:, k + 1]).reshape(-1)
 
-        # Linearize f where the primaries evaluated it: the inner-pass y
-        # iterates are rebuilt from the stored continuation values.
+        # Linearize f where the primaries evaluated it, at their inner-pass y iterates.
         lins = []
         y_iter = cont
         for _ in range(passes):
@@ -163,7 +162,6 @@ def _adjoint_gradient(
 
         if k + 1 == n:
             break   # V_n = 0: the terminal data do not depend on the parameters
-        design, fit = plan.step(k)
         # b's rows r * m + i as response rows r * d + j, one per component.
         b_rows = np.swapaxes(b.reshape(n_cols, m, d), 1, 2).reshape(n_cols * d, m)
         pb = fit.project(design, b_rows).reshape(n_cols, d, m)
@@ -183,10 +181,9 @@ def solve_sensitivity_bsde(primary: BsdeSolution) -> SensitivitySolution:
     """
     root = np.zeros((1, primary.y.shape[0]))
     root[0, 0] = 1.0
-    grad = _adjoint_gradient(primary.problem, primary.plan, primary.passes,
-                             np.swapaxes(primary.z, 0, 1)[None], primary.continuation.T[None],
-                             root)
-    return SensitivitySolution(grad_y0=grad)
+    return SensitivitySolution(grad_y0=_adjoint_gradient(
+        primary.problem, primary.plan, primary.passes,
+        np.swapaxes(primary.z, 0, 1)[None], primary.y.T[None], root))
 
 
 @dataclass(frozen=True)
@@ -348,8 +345,8 @@ def loss_and_gradient(
 
     problem = BsdeProblem(driver=driver, ensemble=ens)
     try:
-        plan, y, z, cont, _ = _sweep(problem, [rec.terminal for rec in dataset.records],
-                                     basis, opts)
+        plan, y, z, _, _ = _sweep(problem, [rec.terminal for rec in dataset.records],
+                                  basis, opts)
     except Exception as exc:
         i = getattr(exc, "terminal_index", None)
         if i is None:
@@ -361,10 +358,6 @@ def loss_and_gradient(
             raise exc from None
         raise wrapped from exc
     y0s = y[:, 0, 0].copy()
-    # The rest reads Z and the continuation values only: dropping Y frees
-    # the records' Y paths before the adjoint's driver linearizations,
-    # which grow with the R m stacked rows.
-    del y
 
     data_term = 0.0
     norm_term = 0.0
@@ -387,12 +380,14 @@ def loss_and_gradient(
         cont_weights = np.empty((n_records, dataset.grid.n_steps, m))
         scale = lam_norm * 2.0 * dt / n_records
         for k in range(dataset.grid.n_steps):
-            lin = driver.linearize(nodes[k], state_rows(k), cont[:, k].reshape(-1), z0)
+            design, fit = plan.step(k)
+            cont = fit.project(design, y[:, k + 1]).reshape(-1)
+            lin = driver.linearize(nodes[k], state_rows(k), cont, z0)
             per_record = np.mean(lin.value.reshape(n_records, m) ** 2, axis=1)
             norm_term += float(np.sum(per_record)) * dt / n_records
             grad += scale * lin.pullback(lin.value / m)
             cont_weights[:, k] = scale * (lin.value * lin.dy / m).reshape(n_records, m)
-    grad += _adjoint_gradient(problem, plan, opts.inner_picard_iters, z, cont, roots,
+    grad += _adjoint_gradient(problem, plan, opts.inner_picard_iters, z, y, roots,
                               cont_weights)
 
     reg_term = float(lam_reg * driver.params @ driver.params)
@@ -412,6 +407,10 @@ class TrainSchedule:
     max_iters: int
     seed: int
     loss_tol: float | None = None
+
+    def __post_init__(self):
+        if self.loss_tol is not None:
+            real("loss_tol", self.loss_tol, above=0)
 
 
 @dataclass(frozen=True)
@@ -442,7 +441,7 @@ def train(
     factored once; each iteration solves on that one ensemble.
     Raw parameters are unconstrained, so architectural invariants survive
     every step by construction. Stops at max_iters or when the loss change
-    drops below loss_tol.
+    drops below loss_tol, None or a finite real > 0 (ValueError otherwise).
     """
     bundle = sample_brownian(dataset.grid, dataset.n_paths, 1,
                              split_seed(schedule.seed, "train-bundle"))

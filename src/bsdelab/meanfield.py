@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._check import count, finite, per_path
+from ._check import count, finite, per_path, real
 from ._csv import write_csv
 from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
                      _backward_solve, _workspace, fit_projection)
@@ -427,10 +427,10 @@ def clt_experiment(
 ) -> CltResult:
     """Variance of the sqrt(N)-scaled terminal fluctuations per N.
 
-    u0_std injects i.i.d. initial fluctuations: the particle system starts
-    at the copy positions perturbed by u0_std * zeta / sqrt(N). With
-    u0_std = 0 the coupling has exactly equal initial data and a
-    non-interacting model fluctuates by exactly zero.
+    u0_std, a finite real >= 0, injects i.i.d. initial fluctuations: the
+    particle system starts at the copy positions perturbed by
+    u0_std * zeta / sqrt(N). With u0_std = 0 the coupling has exactly equal
+    initial data and a non-interacting model fluctuates by exactly zero.
 
     Both fluctuations are read at T from the forward clouds: U from the
     states, V from the terminal functional, evaluated with the particles'
@@ -440,6 +440,7 @@ def clt_experiment(
     """
     n_values = sorted(count("n_list", n, 1) for n in n_list)
     count("n_trials", n_trials, 1)
+    real("u0_std", u0_std, at_least=0)
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "clt-reference"),
                               solve_backward=False)
     n_max = n_values[-1]

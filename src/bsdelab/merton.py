@@ -192,7 +192,8 @@ def solve_hjb(
     every slice's interior after the march, in march order (slice n_time
     first); the first failure raises SolverInconsistentError at its first
     node. Raises UnstableGridError for fewer time steps than the stability
-    bound, and SolverDivergedError for a non-finite value.
+    bound, ValueError when that bound overflows a float, and
+    SolverDivergedError for a non-finite value.
     """
     real("theta", theta, at_least=0)
     if fixed_pi is not None:
@@ -207,10 +208,15 @@ def solve_hjb(
     h = ell[1] - ell[0]
 
     pi_bound = abs(fixed_pi) if fixed_pi is not None else abs(classical_merton(params).pi)
-    b_max = 0.5 * sig2 * pi_bound ** 2
-    a_max = abs(params.r) + pi_bound * abs(excess) + 0.5 * sig2 * pi_bound ** 2
-    dt_max = 0.9 / (2.0 * b_max / h ** 2 + a_max / h)
-    required = int(math.ceil(params.horizon / dt_max))
+    try:
+        b_max = 0.5 * sig2 * pi_bound ** 2
+        rate = 2.0 * b_max / h ** 2 + (abs(params.r) + pi_bound * abs(excess) + b_max) / h
+        # Zero coefficients leave every slice equal to the terminal one.
+        required = int(math.ceil(params.horizon / (0.9 / rate))) if rate > 0 else 1
+    except OverflowError:   # from pi_bound ** 2, or from ceil of an infinite ratio
+        name = "fixed_pi" if fixed_pi is not None else "the classical fraction"
+        raise ValueError(f"{name} of size {pi_bound!r} overflows the explicit scheme's "
+                         "step bound") from None
     n_time = required if spec.n_time is None else spec.n_time
     if n_time < required:
         raise UnstableGridError(n_time, required)

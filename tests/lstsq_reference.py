@@ -424,6 +424,13 @@ def clt_reference(model, n_list, grid, n_trials, seed, basis=RegressionBasis(),
                      u0_std=u0_std, n_trials=n_trials)
 
 
+def continuation(sol, k):
+    """C_k = Pi_k Y_{k+1} of a one-terminal solution, projected with its plan
+    as one (1, m) response row, the shape in which its sweep projected it."""
+    design, fit = sol.plan.step(k)
+    return fit.project(design, sol.y[:, k + 1][None])[0]
+
+
 def single_adjoint_gradient(primary, root, continuation_weights=None):
     """Parameter gradient of root . V_0 + sum_k continuation_weights[:, k] . C_k
     for one primary, with an m-vector adjoint carried forward in time."""
@@ -436,7 +443,7 @@ def single_adjoint_gradient(primary, root, continuation_weights=None):
     for k in range(n):
         x_k = ens.states[:, k, :]
         z_k = primary.z[:, k, :]
-        cont = primary.continuation[:, k]
+        cont = continuation(primary, k)
         lins = []
         y_iter = cont
         for _ in range(primary.passes):
@@ -491,7 +498,7 @@ def per_record_loss(dataset, driver, ensemble, lam_reg=0.0, lam_norm=0.0,
             cont_weights = np.empty((m, dataset.grid.n_steps))
             scale = lam_norm * 2.0 * dt / n_records
             for k in range(dataset.grid.n_steps):
-                lin = driver.linearize(nodes[k], ens.states[:, k, :], sol.continuation[:, k], z0)
+                lin = driver.linearize(nodes[k], ens.states[:, k, :], continuation(sol, k), z0)
                 norm_term += float(np.mean(lin.value ** 2)) * dt / n_records
                 grad += scale * lin.pullback(lin.value / m)
                 cont_weights[:, k] = lin.value * lin.dy / m

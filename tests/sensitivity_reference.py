@@ -22,7 +22,7 @@ from bsdelab.drivers import (
 )
 from bsdelab.engine import _COND_LIMIT, SolveOptions
 from bsdelab.nets import DriverNet
-from lstsq_reference import fit_design, regress
+from lstsq_reference import continuation, fit_design, regress
 
 
 def _stack_param_gradients(stack, tape, dtheta):
@@ -91,13 +91,14 @@ def forward_sensitivity(primary, driver=None, opts=SolveOptions(), store_paths=F
             z_theta[:, :, j] = design @ coef_z / dt
 
         z_k = primary.z[:, k, :]
-        y_iter = primary.continuation[:, k]
+        c_k = continuation(primary, k)
+        y_iter = c_k
         v = cont
         for _ in range(passes):
             g = per_sample_gradients(driver, nodes[k], x_k, y_iter, z_k)
             source = g.dtheta + np.einsum("md,mpd->mp", g.dz, z_theta)
             v = cont + (source + g.dy[:, None] * v) * dt
-            y_iter = primary.continuation[:, k] + g.value * dt
+            y_iter = c_k + g.value * dt
         v_next = v
         if stored is not None:
             stored[:, k, :] = v

@@ -18,7 +18,7 @@ from bsdelab.engine import (BsdeProblem, RegressionBasis, SmoothFunction, SolveO
                             check_comparison, check_convexity_and_jensen, closed_form_oracle,
                             dual_lower_bound, solve_bsde_lsmc, solve_truncated)
 from bsdelab.errors import InvalidArchitectureError
-from bsdelab.learning import Dataset, DatasetRecord, fd_gradient_check
+from bsdelab.learning import Dataset, DatasetRecord, TrainSchedule, fd_gradient_check
 from bsdelab.meanfield import (clt_experiment, compute_features,
                                linear_gaussian_fluctuation_coefficients,
                                linear_gaussian_model, lln_experiment, simulate_particles,
@@ -84,6 +84,9 @@ REALS = [
     ("theta", lambda v: closed_form_oracle("entropic", [1.0], theta=v), 0.0),
     ("observation 'a'", lambda v: Dataset(records=(DatasetRecord(_final, v, "a"),), grid=GRID),
      None),
+    ("loss_tol", lambda v: TrainSchedule(learning_rate=0.1, max_iters=1, seed=0, loss_tol=v),
+     0.0),
+    ("u0_std", lambda v: clt_experiment(MODEL, [16, 32], GRID, 1, 0, u0_std=v), -1.0),
     ("mu", lambda v: MarketParams(**dict(MARKET, mu=v)), 0.02),
     ("r", lambda v: MarketParams(**dict(MARKET, r=v)), None),
     ("sigma", lambda v: MarketParams(**dict(MARKET, sigma=v)), 0.0),

@@ -181,6 +181,9 @@ class TestConfigValidation:
             "name": "net", "path": saved_net(tmp, state_dim=2)}}, "driver.path"),
         ("solve", {"kind": "solve", "forward": {"name": "brownian", "dim": 2},
                    "driver": {"name": "net", "state_dim": 2}}, "driver.z_dim"),
+        ("solve", {"kind": "solve", "basis_degree": -1}, "basis_degree"),
+        ("meanfield", {"kind": "meanfield-clt", "u0_std": -1.0}, "u0_std"),
+        ("train", {"kind": "train", "loss_tol": -1.0}, "loss_tol"),
     ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
             "market-rejected", "grid-rejected", "layout-rejected", "nested-width",
             "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
@@ -190,7 +193,8 @@ class TestConfigValidation:
             "decreasing-thetas", "no-thetas", "no-particles",
             "one-lln-size", "no-clt-sizes", "small-lln-reference", "small-clt-reference",
             "no-lln-trials", "no-clt-trials", "two-clt-sizes", "net-state-dim", "net-z-dim",
-            "loaded-net-state-dim", "net-z-dim-of-2d-noise"])
+            "loaded-net-state-dim", "net-z-dim-of-2d-noise", "negative-basis-degree",
+            "negative-u0-std", "negative-loss-tol"])
     def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
                                                     dotted):
         doc = doc(tmp_path) if callable(doc) else doc

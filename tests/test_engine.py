@@ -192,6 +192,35 @@ class TestSolver:
         # the gap tracks the analytic Euler-mean difference
         assert abs(y10 - y20) == pytest.approx(abs(1.1 ** 10 - 1.05 ** 20), rel=0.05)
 
+    def test_standard_error_matches_the_forward_euler_sum(self):
+        # The sweep sums Y_k - C_k from the last step back; summed forward,
+        # with C_k projected again from the plan, the standard error moves
+        # by at most 4 ulps.
+        problem = brownian_problem(entropic_driver(1.0), n_paths=5_000, n_steps=20)
+        terminals = [W_T, lambda e: np.cos(W_T(e)), lambda e: W_T(e) ** 2]
+        for sols in ([solve_bsde_lsmc(problem)], solve_bsde_many(problem, terminals)):
+            y = np.stack([sol.y.T for sol in sols])
+            euler = np.zeros((len(sols), y.shape[2]))
+            for k in range(y.shape[1] - 1):
+                design, fit = sols[0].plan.step(k)
+                euler += y[:, k] - fit.project(design, y[:, k + 1])
+            for sol, xi, path_sum in zip(sols, y[:, -1], euler):
+                se = np.std(xi + path_sum, ddof=1) / np.sqrt(len(xi))
+                assert abs(sol.y0_standard_error - se) <= 4 * np.spacing(se)
+
+    def test_a_solve_keeps_only_its_y_and_z_paths(self):
+        # Per-step work allocates a few (m,) rows whatever the step count,
+        # so a third (n, m) buffer would exceed the bound by n - 32 rows.
+        m, n = 10_000, 100
+        problem = brownian_problem(entropic_driver(1.0), n_paths=m, n_steps=n)
+        tracemalloc.start()
+        try:
+            sol = solve_bsde_lsmc(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sol.y.nbytes + sol.z.nbytes + 32 * 8 * m
+
     def test_singular_regression_detected(self):
         grid = make_time_grid(1.0, 2)
         bundle = sample_brownian(grid, 64, 1, seed=1)
@@ -611,7 +640,7 @@ class TestBatchedSweep:
         solo = solve_bsde_lsmc(problem, basis, opts)
         assert solo.z_clip_count.sum() > 0
         assert many.problem is problem and many.plan is solo.plan
-        for field in ("y", "z", "continuation", "z_clip_count"):
+        for field in ("y", "z", "z_clip_count"):
             np.testing.assert_array_equal(getattr(many, field), getattr(solo, field))
         for field in ("y0", "y0_standard_error", "passes", "max_abs_y"):
             assert getattr(many, field) == getattr(solo, field)
@@ -631,7 +660,7 @@ class TestBatchedSweep:
         for terminal, sol in zip(terminals, batched):
             ref = solve_bsde_lsmc(replace(problem, terminal=terminal), opts=opts)
             assert sol.problem.terminal is terminal
-            for field in ("y", "z", "continuation"):
+            for field in ("y", "z"):
                 assert_close(getattr(sol, field), getattr(ref, field))
             assert abs(sol.y0 - ref.y0) <= 1e-12 * max(np.max(np.abs(ref.y)), 1e-300)
             assert sol.y0_standard_error == pytest.approx(ref.y0_standard_error, rel=1e-10)
@@ -673,7 +702,6 @@ class TestBatchedSweep:
                 assert sol.y[:, k].flags.c_contiguous
             for k in range(n):
                 assert sol.z[:, k, :].flags.c_contiguous
-                assert sol.continuation[:, k].flags.c_contiguous
         path_major = np.ascontiguousarray(ens.states)
         assert not path_major[:, 0, :].flags.c_contiguous
         copy = PathEnsemble(states=path_major, grid=ens.grid, bundle=ens.bundle)

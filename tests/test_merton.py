@@ -106,6 +106,19 @@ class TestHjbSolver:
             solve_hjb(PARAMS, 0.0, spec)
         assert info.value.required > 10
 
+    # 1e160 overflows pi ** 2; 1.3e154 overflows the step rate to inf.
+    @pytest.mark.parametrize("fixed_pi", [1e160, -1e200, 1.3e154])
+    def test_an_overflowing_step_bound_names_fixed_pi(self, fixed_pi):
+        size = re.escape(repr(abs(fixed_pi)))
+        with pytest.raises(ValueError, match=f"^fixed_pi of size {size} overflows"):
+            solve_hjb(PARAMS, 0.0, HjbGridSpec.default(PARAMS, n_space=40), fixed_pi=fixed_pi)
+
+    def test_zero_coefficients_march_in_one_step(self):
+        params = MarketParams(mu=0.08, r=0.0, sigma=0.2, gamma=-2.0)
+        grid = solve_hjb(params, 0.5, HjbGridSpec.default(params, n_space=40), fixed_pi=0.0)
+        assert grid.times.size == 2
+        np.testing.assert_array_equal(grid.value[0], grid.value[1])
+
     def test_negative_theta_rejected(self):
         with pytest.raises(ValueError):
             solve_hjb(PARAMS, -0.1, HjbGridSpec.default(PARAMS))
