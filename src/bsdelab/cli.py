@@ -34,9 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import drivers, engine, learning, meanfield, merton, nets, stochastic
-from ._check import count, real
 from ._csv import write_csv
-from .errors import BsdelabError, ConfigError
+from .errors import BsdelabError, ConfigError, ParameterError
 from .stochastic import (ForwardModel, brownian_model, geometric_brownian_model,
                          make_time_grid, sample_brownian, split_seed)
 
@@ -132,8 +131,8 @@ def parse_report(text: str) -> RunReport:
 # ---------------------------------------------------------------------------
 
 def _from_config(key: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs) on values read at key, reporting a missing or
-    malformed file or a rejected value as a config error at key."""
+    """fn(*args, **kwargs) on the file or net read at key, reporting a
+    missing or malformed one as a config error at key."""
     try:
         return fn(*args, **kwargs)
     except (OSError, ValueError, KeyError) as exc:
@@ -149,14 +148,14 @@ def _scaled_state(scale):
 
 
 def _grid(opt: dict):
-    return _from_config("grid", make_time_grid, opt["grid"]["T"], opt["grid"]["n_steps"])
+    return make_time_grid(opt["grid"]["T"], opt["grid"]["n_steps"])
 
 
 def _paths(config, label: str, dim: int = 1):
     """The config's time grid and its Brownian draws, seeded under label."""
     grid = _grid(config.options)
-    return grid, _from_config("n_paths", sample_brownian, grid, config.options["n_paths"], dim,
-                              split_seed(config.seed, label))
+    return grid, sample_brownian(grid, config.options["n_paths"], dim,
+                                 split_seed(config.seed, label))
 
 
 def _ensemble(config, label: str, model: ForwardModel | None = None):
@@ -166,15 +165,13 @@ def _ensemble(config, label: str, model: ForwardModel | None = None):
 
 
 def _basis(opt: dict) -> engine.RegressionBasis:
-    return _from_config("basis_degree", engine.RegressionBasis, degree=opt["basis_degree"])
+    return engine.RegressionBasis(degree=opt["basis_degree"])
 
 
 def _market(opt: dict):
     p = opt["params"]
-    params = _from_config("params", merton.MarketParams, mu=p["mu"], r=p["r"],
-                          sigma=p["sigma"], gamma=p["gamma"], horizon=p["T"])
-    return params, _from_config("n_space", merton.HjbGridSpec.default, params,
-                                n_space=opt["n_space"])
+    params = merton.MarketParams(p["mu"], p["r"], p["sigma"], p["gamma"], horizon=p["T"])
+    return params, merton.HjbGridSpec.default(params, n_space=opt["n_space"])
 
 
 def _run_solve(config, out_dir):
@@ -301,11 +298,10 @@ def _run_train(config, out_dir):
             observed=engine.closed_form_oracle("entropic", c * w_t, theta=theta_true))
             for c in opt["scales"])
         dataset = learning.Dataset(records=records, grid=grid)
-    dataset = _from_config("n_paths", dataclasses.replace, dataset, n_paths=opt["n_paths"])
+    dataset = dataclasses.replace(dataset, n_paths=opt["n_paths"])
 
-    schedule = _from_config("loss_tol", learning.TrainSchedule,
-                            learning_rate=opt["learning_rate"], max_iters=opt["max_iters"],
-                            loss_tol=opt["loss_tol"], seed=split_seed(config.seed, "train"))
+    schedule = learning.TrainSchedule(opt["learning_rate"], opt["max_iters"],
+                                      split_seed(config.seed, "train"), opt["loss_tol"])
     log_path = os.path.join(out_dir, "training_log.csv")
     state, final = learning.train(dataset, drivers.entropic_driver(opt["theta_init"]),
                                   schedule, log_path=log_path)
@@ -316,36 +312,14 @@ def _run_train(config, out_dir):
     return checks, [log_path]
 
 
-def _particle_counts(values: list, least: int) -> list:
-    """values as counts >= 1, at least `least` of them."""
-    if len(values) < least:
-        raise ValueError(f"N_list needs at least {least} entries, got {values!r}")
-    return [count("N_list", n, 1) for n in values]
-
-
-def _increasing_thetas(values: list) -> list:
-    """values as positive finite reals, strictly increasing, at least one."""
-    thetas = [real("theta_list", t, above=0) for t in values]
-    if not thetas or any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ValueError(f"theta_list must be a non-empty, strictly increasing list, "
-                         f"got {values!r}")
-    return thetas
-
-
 def _run_meanfield(config, out_dir):
     opt = config.options
     grid = _grid(opt)
     model = meanfield.MODEL_REGISTRY[opt["model"]](**opt["model_params"])
-    lln = config.kind == "meanfield-lln"
-    n_list = _from_config("N_list", _particle_counts, opt["N_list"], 2 if lln else 3)
-    n_trials = _from_config("n_trials", count, "n_trials", opt["n_trials"], 1)
-    n_reference = _from_config("n_reference", count, "n_reference", opt["n_reference"],
-                               meanfield.MIN_CLOUD)
-
-    if lln:
-        res = meanfield.lln_experiment(model, n_list, grid, n_trials,
+    if config.kind == "meanfield-lln":
+        res = meanfield.lln_experiment(model, opt["N_list"], grid, opt["n_trials"],
                                        split_seed(config.seed, "lln"), _basis(opt),
-                                       n_reference=n_reference)
+                                       n_reference=opt["n_reference"])
         path = os.path.join(out_dir, "lln.csv")
         meanfield.export_lln_csv(res, path)
         total = res.err_x + res.err_y + res.err_z
@@ -358,9 +332,12 @@ def _run_meanfield(config, out_dir):
         ]
         return checks, [path]
 
-    res = _from_config("u0_std", meanfield.clt_experiment, model, n_list, grid, n_trials,
-                       split_seed(config.seed, "clt"), n_reference=n_reference,
-                       u0_std=opt["u0_std"])
+    # The stabilization check compares two successive variance gaps.
+    if len(opt["N_list"]) < 3:
+        raise ConfigError("N_list", f"needs at least 3 entries, got {opt['N_list']!r}")
+    res = meanfield.clt_experiment(model, opt["N_list"], grid, opt["n_trials"],
+                                   split_seed(config.seed, "clt"),
+                                   n_reference=opt["n_reference"], u0_std=opt["u0_std"])
     path = os.path.join(out_dir, "clt.csv")
     meanfield.export_clt_csv(res, path)
     checks = [CheckResult("clt_variance_stabilizes", res.stabilized(),
@@ -395,7 +372,9 @@ def _run_fbsde(config, out_dir):
 
 def _run_merton(config, out_dir):
     params, spec = _market(config.options)
-    thetas = _from_config("theta_list", _increasing_thetas, config.options["theta_list"])
+    thetas = config.options["theta_list"]
+    if not thetas:   # the library would accept the [0.0] the run makes of it
+        raise ConfigError("theta_list", "needs at least one theta > 0")
     cls = merton.classical_merton(params)
 
     grid0 = merton.solve_hjb(params, 0.0, spec)
@@ -431,13 +410,12 @@ def _run_calibrate(config, out_dir):
         theta_true = None
     else:
         theta_true = opt["theta_true"]
-        surface = merton.extract_policy(
-            _from_config("theta_true", merton.solve_hjb, params, theta_true, spec))
+        surface = merton.extract_policy(merton.solve_hjb(params, theta_true, spec))
         xs = [0.6, 0.8, 1.0, 1.25, 1.6]
         ts = [0.0, 0.25, 0.5]
         obs = [merton.AllocationObservation(t, x, surface(t, x) * x)
                for t in ts for x in xs]
-    result = _from_config("search", merton.calibrate_theta, params, obs, spec, **opt["search"])
+    result = merton.calibrate_theta(params, obs, spec, **opt["search"])
     path = os.path.join(out_dir, "calibration_curve.csv")
     write_csv(path, ["theta", "loss"], result.curve)
     if theta_true is not None:
@@ -542,6 +520,13 @@ _KINDS = {
         "params": _MARKET, "n_space": 120, "observations_csv": None, "theta_true": 0.4,
         "search": {"theta_lo": 0.0, "theta_hi": 1.0, "tol": 1e-3}}),
 }
+
+# A library parameter whose name is not the leaf of the key it is read at,
+# with the keys it may be read at; a kind reads one of them.
+_ALIASES = {"horizon": ("grid.T", "params.T"), "degree": ("basis_degree",),
+            "theta": ("entropic_theta", "theta_true"), "b": ("linear_b",),
+            "dataset": ("scales",), "n_list": ("N_list",), "n_cloud": ("n_reference",),
+            "initial_states": ("model_params",)}
 
 # Two spellings of one input: the keys of the second are not read when the
 # first is given.
@@ -648,16 +633,33 @@ class ExperimentConfig:
         return dict(self.document, out=self.out_dir)
 
 
+def _keys_of(name: str, options: dict, prefix: str = ""):
+    """The dotted keys of resolved options that may hold the library
+    parameter name: a block or leaf called name, or one of its aliases."""
+    for key, value in options.items():
+        if key == name or prefix + key in _ALIASES.get(name, ()):
+            yield prefix + key
+        if isinstance(value, dict):
+            yield from _keys_of(name, value, f"{prefix}{key}.")
+
+
 def run_experiment(config: ExperimentConfig) -> RunReport:
-    """Dispatch to the owning module and assemble the report. A ConfigError
-    from the run removes the output directories this call made."""
+    """Dispatch to the owning module and assemble the report. A value the
+    library rejects is a config error at the key it was read at, and a
+    config error removes the output directories this call made."""
     made, parent = None, os.path.abspath(config.out_dir)
     while not os.path.exists(parent):
         made, parent = parent, os.path.dirname(parent)
     os.makedirs(config.out_dir, exist_ok=True)
     started = time.time()
     try:
-        checks, artifacts = _KINDS[config.kind].run(config, config.out_dir)
+        try:
+            checks, artifacts = _KINDS[config.kind].run(config, config.out_dir)
+        except ParameterError as exc:
+            keys = list(_keys_of(exc.name, config.options))
+            if len(keys) != 1:
+                raise   # a bug: each name a config reaches is read at one key
+            raise ConfigError(keys[0], str(exc)) from exc
     except ConfigError:
         if made is not None:
             shutil.rmtree(made)

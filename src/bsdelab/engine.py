@@ -70,6 +70,7 @@ from .errors import (
     InvalidDriverError,
     NoContractionError,
     OracleOverflowError,
+    ParameterError,
     SimulationDivergedError,
     SingularRegressionError,
     SolverDivergedError,
@@ -607,7 +608,7 @@ def closed_form_oracle(
         return float(np.mean(xi))
     if kind == "entropic":
         if real("theta", theta) == 0.0:
-            raise ValueError("theta must be nonzero for the entropic oracle")
+            raise ParameterError("theta", "theta must be nonzero for the entropic oracle")
         with np.errstate(over="ignore"):
             val = -(logsumexp(-theta * xi) - np.log(xi.size)) / theta
         if not np.isfinite(val):

@@ -27,7 +27,16 @@ class SolverDivergedError(BsdelabError):
     """Backward recursion produced non-finite values."""
 
 
-class InvalidArchitectureError(ValueError, BsdelabError):
+class ParameterError(ValueError):
+    """A parameter value outside its rule; name is the parameter's name as the
+    message gives it."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
+
+
+class InvalidArchitectureError(ParameterError, BsdelabError):
     """Network layout is inconsistent with the requested architecture kind."""
 
 

@@ -55,7 +55,8 @@ from .engine import (
     _sweep,
     solve_bsde_lsmc,
 )
-from .errors import SimulationDivergedError, SolverDivergedError, TrainingDivergedError
+from .errors import (ParameterError, SimulationDivergedError, SolverDivergedError,
+                     TrainingDivergedError)
 from .stochastic import (
     BrownianBundle,
     ForwardModel,
@@ -258,7 +259,7 @@ class Dataset:
 
     def __post_init__(self):
         if len(self.records) == 0:
-            raise ValueError("dataset must be non-empty")
+            raise ParameterError("dataset", "dataset must be non-empty")
         count("n_paths", self.n_paths, 1)
         for rec in self.records:
             real(f"observation '{rec.label}'", rec.observed)
@@ -351,8 +352,9 @@ def loss_and_gradient(
         i = getattr(exc, "terminal_index", None)
         if i is None:
             raise
+        name = (exc.name,) if isinstance(exc, ParameterError) else ()
         try:
-            wrapped = type(exc)(f"record {i} ('{dataset.records[i].label}'): {exc}")
+            wrapped = type(exc)(*name, f"record {i} ('{dataset.records[i].label}'): {exc}")
         except TypeError:
             exc.record_index = i
             raise exc from None
@@ -409,6 +411,8 @@ class TrainSchedule:
     loss_tol: float | None = None
 
     def __post_init__(self):
+        count("max_iters", self.max_iters, 1)
+        real("learning_rate", self.learning_rate, at_least=0)
         if self.loss_tol is not None:
             real("loss_tol", self.loss_tol, above=0)
 

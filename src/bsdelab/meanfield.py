@@ -45,7 +45,7 @@ from .engine import (_COND_LIMIT, RegressionBasis, RegressionPlan, SolveOptions,
 # `meanfield.solve_bsde_lsmc` and fails without it; the import can go when
 # the library owns its timing spans (ROADMAP item 1).
 from .engine import solve_bsde_lsmc  # noqa: F401
-from .errors import IncompleteCoefficientsError
+from .errors import IncompleteCoefficientsError, ParameterError
 from .stochastic import TimeGrid, _check_state, sample_brownian, split_seed
 
 __all__ = [
@@ -341,7 +341,7 @@ def lln_experiment(
     """
     n_values = sorted(count("n_list", n, 1) for n in n_list)
     if len(n_values) < 2:
-        raise ValueError("n_list needs at least two entries")
+        raise ParameterError("n_list", "n_list needs at least two entries")
     count("n_trials", n_trials, 1)
     ref = solve_mckean_vlasov(model, n_reference, grid, split_seed(seed, "lln-reference"),
                               solve_backward=False)
@@ -737,7 +737,9 @@ def linear_gaussian_fluctuation_coefficients(a: float = 0.4, c: float = -0.5):
 def _gaussian_sampler(mean: float, std: float) -> Callable:
     def sampler(n: int, seed: int) -> np.ndarray:
         draw = sample_brownian(TimeGrid(1.0, 1), n, 1, split_seed(seed, "initial-law"))
-        return mean + std * draw.increments[:, 0, 0]
+        # An overflow is left to the finite rule on the cloud, which names it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return mean + std * draw.increments[:, 0, 0]
     return sampler
 
 

@@ -30,8 +30,8 @@ import numpy as np
 
 from ._check import real
 from ._csv import write_csv
-from .errors import (ExtrapolationWarning, SolverDivergedError, SolverInconsistentError,
-                     UnstableGridError)
+from .errors import (ExtrapolationWarning, ParameterError, SolverDivergedError,
+                     SolverInconsistentError, UnstableGridError)
 
 __all__ = [
     "MarketParams",
@@ -66,7 +66,7 @@ class MarketParams:
         real("mu", self.mu, above=real("r", self.r))
         real("sigma", self.sigma, above=0)
         if real("gamma", self.gamma, below=1) == 0:
-            raise ValueError("gamma must satisfy gamma < 1 and gamma != 0")
+            raise ParameterError("gamma", "gamma must satisfy gamma < 1 and gamma != 0")
         real("horizon", self.horizon, above=0)
 
 
@@ -114,8 +114,8 @@ class HjbGridSpec:
     def __post_init__(self):
         band = _interior(self.n_space + 1, self.interior_margin)
         if band.start >= band.stop:
-            raise ValueError(f"n_space = {self.n_space} leaves no interior nodes at "
-                             f"interior_margin = {self.interior_margin}")
+            raise ParameterError("n_space", f"n_space = {self.n_space} leaves no interior "
+                                 f"nodes at interior_margin = {self.interior_margin}")
 
     @staticmethod
     def default(params: MarketParams, x0: float = 1.0, n_space: int = 160,
@@ -192,8 +192,9 @@ def solve_hjb(
     every slice's interior after the march, in march order (slice n_time
     first); the first failure raises SolverInconsistentError at its first
     node. Raises UnstableGridError for fewer time steps than the stability
-    bound, ValueError when that bound overflows a float, and
-    SolverDivergedError for a non-finite value.
+    bound, ParameterError when that bound overflows a float or asks for a
+    table larger than numpy can index, and SolverDivergedError for a
+    non-finite value.
     """
     real("theta", theta, at_least=0)
     if fixed_pi is not None:
@@ -213,10 +214,14 @@ def solve_hjb(
         rate = 2.0 * b_max / h ** 2 + (abs(params.r) + pi_bound * abs(excess) + b_max) / h
         # Zero coefficients leave every slice equal to the terminal one.
         required = int(math.ceil(params.horizon / (0.9 / rate))) if rate > 0 else 1
+        if (required + 1) * j_nodes > np.iinfo(np.intp).max:
+            raise OverflowError   # a table numpy cannot index
     except OverflowError:   # from pi_bound ** 2, or from ceil of an infinite ratio
         name = "fixed_pi" if fixed_pi is not None else "the classical fraction"
-        raise ValueError(f"{name} of size {pi_bound!r} overflows the explicit scheme's "
-                         "step bound") from None
+        # The classical fraction is a function of the market, solve_hjb's params.
+        raise ParameterError("params" if fixed_pi is None else name,
+                             f"{name} of size {pi_bound!r} overflows the explicit scheme's "
+                             "step bound") from None
     n_time = required if spec.n_time is None else spec.n_time
     if n_time < required:
         raise UnstableGridError(n_time, required)
@@ -340,9 +345,9 @@ def verify_ambiguity_properties(
     policy is reported as a diagnostic only."""
     thetas = tuple(real("theta_list", t, at_least=0) for t in theta_list)
     if not thetas:
-        raise ValueError("theta_list must not be empty")
+        raise ParameterError("theta_list", "theta_list must not be empty")
     if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ValueError("theta_list must be strictly increasing")
+        raise ParameterError("theta_list", "theta_list must be strictly increasing")
     spec = HjbGridSpec.default(params) if spec is None else spec
     pi_cl = classical_merton(params).pi
 

@@ -258,32 +258,33 @@ def _architecture(kind: ArchitectureKind, layout: NetLayout) -> dict:
     if the layout does not fit the kind."""
     n, d, act = layout.state_dim, layout.z_dim, layout.activation
     if not layout.hidden:
-        raise InvalidArchitectureError("hidden widths must be non-empty")
+        raise InvalidArchitectureError("hidden", "hidden widths must be non-empty")
     if act not in _ACTIVATIONS:
-        raise InvalidArchitectureError(f"unknown activation '{act}'")
+        raise InvalidArchitectureError("activation", f"unknown activation '{act}'")
 
     if kind in (ArchitectureKind.FREE, ArchitectureKind.MONOTONE_Y):
         first, code = np.zeros(2 + n + d, dtype=int), _T_ID
         if kind is ArchitectureKind.MONOTONE_Y:
             if act not in _SMOOTH_ACTIVATIONS:
                 raise InvalidArchitectureError(
+                    "activation",
                     "MonotoneY requires a C1 non-decreasing activation (tanh or softplus)"
                 )
             first[1 + n], code = _T_NONPOS, _T_NONNEG  # column of the y input
         layers = {"main": _mlp_layers("in", 2 + n + d, layout.hidden, act, first, code)}
     elif kind in (ArchitectureKind.SEPARABLE, ArchitectureKind.BOUNDED_INTERACTION):
         if not layout.n2_hidden:
-            raise InvalidArchitectureError("n2_hidden widths must be non-empty")
+            raise InvalidArchitectureError("n2_hidden", "n2_hidden widths must be non-empty")
         bounded = kind is ArchitectureKind.BOUNDED_INTERACTION
         first, code = np.zeros(1, dtype=int), _T_ID
         if layout.n2_monotone:
             if bounded:
                 raise InvalidArchitectureError(
-                    "n2_monotone applies to the Separable architecture only"
+                    "n2_monotone", "n2_monotone applies to the Separable architecture only"
                 )
             if act not in _SMOOTH_ACTIVATIONS:
                 raise InvalidArchitectureError(
-                    "monotone N2 requires a C1 non-decreasing activation"
+                    "activation", "monotone N2 requires a C1 non-decreasing activation"
                 )
             first, code = np.array([_T_NONPOS]), _T_NONNEG
         txz = lambda: _mlp_layers("txz", 1 + n + d, layout.hidden, act,
@@ -295,6 +296,7 @@ def _architecture(kind: ArchitectureKind, layout: NetLayout) -> dict:
     else:
         if act not in _CONVEX_ACTIVATIONS:
             raise InvalidArchitectureError(
+                "activation",
                 "IcnnYZ requires a convex non-decreasing activation (softplus or relu)"
             )
         layers, prev = [], []
@@ -377,7 +379,7 @@ class DriverNet:
     def interaction_factor(self, t, x, y, z) -> np.ndarray:
         """The bounded factor of the BoundedInteraction architecture."""
         if self.kind is not ArchitectureKind.BOUNDED_INTERACTION:
-            raise InvalidArchitectureError("interaction_factor requires BoundedInteraction")
+            raise InvalidArchitectureError("kind", "interaction_factor requires BoundedInteraction")
         outs, _ = self._forward(t, x, y, z)
         return self.layout.interaction_bound * np.tanh(outs["interaction"])
 

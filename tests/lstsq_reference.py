@@ -45,7 +45,7 @@ from bsdelab.engine import (
     SolveOptions,
     solve_bsde_lsmc,
 )
-from bsdelab.errors import (NoContractionError, SingularRegressionError,
+from bsdelab.errors import (NoContractionError, ParameterError, SingularRegressionError,
                             SolverInconsistentError, UnstableGridError)
 from bsdelab.meanfield import (
     CltResult,
@@ -484,7 +484,8 @@ def per_record_loss(dataset, driver, ensemble, lam_reg=0.0, lam_norm=0.0,
             sol = solve_bsde_lsmc(BsdeProblem(driver=driver, terminal=rec.terminal, ensemble=ens),
                                   basis, opts)
         except Exception as exc:
-            raise type(exc)(f"record {i} ('{rec.label}'): {exc}") from exc
+            name = (exc.name,) if isinstance(exc, ParameterError) else ()
+            raise type(exc)(*name, f"record {i} ('{rec.label}'): {exc}") from exc
         root = np.zeros(ens.n_paths)
         root[0] = 1.0
         sols.append(sol)

@@ -17,14 +17,14 @@ from bsdelab.drivers import (AnalyticDriver, TruncatedDriver, entropic_driver, l
 from bsdelab.engine import (BsdeProblem, RegressionBasis, SmoothFunction, SolveOptions,
                             check_comparison, check_convexity_and_jensen, closed_form_oracle,
                             dual_lower_bound, solve_bsde_lsmc, solve_truncated)
-from bsdelab.errors import InvalidArchitectureError
+from bsdelab.errors import InvalidArchitectureError, ParameterError
 from bsdelab.learning import Dataset, DatasetRecord, TrainSchedule, fd_gradient_check
 from bsdelab.meanfield import (clt_experiment, compute_features,
                                linear_gaussian_fluctuation_coefficients,
                                linear_gaussian_model, lln_experiment, simulate_particles,
                                solve_fluctuation_system, solve_mckean_vlasov)
-from bsdelab.merton import (AllocationObservation, MarketParams, calibrate_theta, solve_hjb,
-                            verify_ambiguity_properties)
+from bsdelab.merton import (AllocationObservation, HjbGridSpec, MarketParams, calibrate_theta,
+                            solve_hjb, verify_ambiguity_properties)
 from bsdelab.nets import NetLayout, build_driver, estimate_growth_and_lipschitz
 from bsdelab.stochastic import (ForwardModel, TimeGrid, brownian_model, make_time_grid,
                                 sample_brownian, simulate_forward, wasserstein2_1d)
@@ -66,6 +66,7 @@ COUNTS = [
     ("n_list", lambda v: clt_experiment(MODEL, [v, 16], GRID, 1, 0), 0),
     ("n_trials", lambda v: lln_experiment(MODEL, [16, 32], GRID, v, 0), 0),
     ("n_trials", lambda v: clt_experiment(MODEL, [16, 32], GRID, v, 0), 0),
+    ("max_iters", lambda v: TrainSchedule(learning_rate=0.1, max_iters=v, seed=0), 0),
     ("n_worlds", lambda v: solve_fluctuation_system(
         linear_gaussian_fluctuation_coefficients(), solve_mckean_vlasov(MODEL, 100, GRID, 0),
         lambda n, seed: np.zeros(n), 64, 0, n_worlds=v), 0),
@@ -86,6 +87,7 @@ REALS = [
      None),
     ("loss_tol", lambda v: TrainSchedule(learning_rate=0.1, max_iters=1, seed=0, loss_tol=v),
      0.0),
+    ("learning_rate", lambda v: TrainSchedule(learning_rate=v, max_iters=1, seed=0), -0.4),
     ("u0_std", lambda v: clt_experiment(MODEL, [16, 32], GRID, 1, 0, u0_std=v), -1.0),
     ("mu", lambda v: MarketParams(**dict(MARKET, mu=v)), 0.02),
     ("r", lambda v: MarketParams(**dict(MARKET, r=v)), None),
@@ -97,25 +99,36 @@ REALS = [
     ("fixed_pi", lambda v: solve_hjb(PARAMS, 0.0, fixed_pi=v), None),
     ("theta_list", lambda v: verify_ambiguity_properties(PARAMS, [0.0, v]), -1.0),
     ("time t", lambda v: AllocationObservation(v, 1.0, 1.0), None),
-    ("wealth", lambda v: AllocationObservation(0.0, v, 1.0), 0.0),
+    ("wealth x", lambda v: AllocationObservation(0.0, v, 1.0), 0.0),
     ("allocation", lambda v: AllocationObservation(0.0, 1.0, v), None),
     ("theta_lo", lambda v: calibrate_theta(PARAMS, OBS, theta_lo=v), -1.0),
     ("theta_hi", lambda v: calibrate_theta(PARAMS, OBS, theta_hi=v), 0.0),
     ("tol", lambda v: calibrate_theta(PARAMS, OBS, tol=v), 0.0),
+]
+# Rules on a value's size or order rather than its range, with a value that
+# breaks them
+RULES = [
+    ("dataset", lambda v: Dataset(records=v, grid=GRID), ()),
+    ("n_list", lambda v: lln_experiment(MODEL, v, GRID, 1, 0), [16]),
+    ("n_space", lambda v: HjbGridSpec(-1.0, 1.0, n_space=v), 3),
+    ("theta_list", lambda v: verify_ambiguity_properties(PARAMS, v), []),
+    ("theta_list", lambda v: verify_ambiguity_properties(PARAMS, v), [0.5, 0.25]),
 ]
 LAYOUT = {"state_dim", "z_dim", "hidden widths", "n2_hidden widths", "interaction_bound"}
 CASES = [pytest.param(name, call, value, id=f"{name}-{label}")
          for name, call, out_of_range in COUNTS + REALS
          for label, value in [("bool", True), ("nan", np.nan), ("inf", np.inf),
                               ("-inf", -np.inf), ("str", "1"), ("range", out_of_range)]
-         if value is not None]
+         if value is not None] + [
+    pytest.param(name, call, value, id=f"{name}-{value!r}") for name, call, value in RULES]
 
 
 @pytest.mark.parametrize("name, call, value", CASES)
 def test_a_value_outside_the_rule_is_rejected_by_name(name, call, value):
-    error = InvalidArchitectureError if name in LAYOUT else ValueError
-    with pytest.raises(error, match=f"^{re.escape(name)} "):
+    error = InvalidArchitectureError if name in LAYOUT else ParameterError
+    with pytest.raises(error, match=f"^{re.escape(name)} ") as info:
         call(value)
+    assert info.value.name == name
 
 
 def test_numpy_scalars_pass_as_python_numbers():

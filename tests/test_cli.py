@@ -16,7 +16,7 @@ from bsdelab.cli import (
     parse_report,
     run_experiment,
 )
-from bsdelab.errors import ConfigError
+from bsdelab.errors import ConfigError, ParameterError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -140,8 +140,8 @@ class TestConfigValidation:
         ("train", {"kind": "train", "scales": 1.0}, "scales"),
         ("solve", {"kind": "solve", "driver": {"name": "net", "n2_monotone": 1}},
          "driver.n2_monotone"),
-        ("merton", {"kind": "merton", "params": {"gamma": 2.0}}, "params"),
-        ("solve", {"kind": "solve", "grid": {"T": -1}}, "grid"),
+        ("merton", {"kind": "merton", "params": {"gamma": 2.0}}, "params.gamma"),
+        ("solve", {"kind": "solve", "grid": {"T": -1}}, "grid.T"),
         ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [0]}}, "driver"),
         ("solve", {"kind": "solve", "driver": {"name": "net", "hidden": [[1]]}},
          "driver.hidden.0"),
@@ -158,10 +158,10 @@ class TestConfigValidation:
          "search.theta_hi"),
         ("merton", {"kind": "merton", "params": {"sigma": float("nan")}}, "params.sigma"),
         ("merton", {"kind": "merton", "theta_list": [float("nan")]}, "theta_list.0"),
-        ("merton", {"kind": "merton", "params": {"sigma": 10 ** 400}}, "params"),
+        ("merton", {"kind": "merton", "params": {"sigma": 10 ** 400}}, "params.sigma"),
         ("calibrate", {"kind": "calibrate", "search": {"theta_lo": 0.5, "theta_hi": 0.5}},
-         "search"),
-        ("calibrate", {"kind": "calibrate", "search": {"theta_lo": -1.0}}, "search"),
+         "search.theta_hi"),
+        ("calibrate", {"kind": "calibrate", "search": {"theta_lo": -1.0}}, "search.theta_lo"),
         ("calibrate", {"kind": "calibrate", "theta_true": -0.5}, "theta_true"),
         ("merton", {"kind": "merton", "theta_list": [0.0]}, "theta_list"),
         ("merton", {"kind": "merton", "theta_list": [0.5, 0.25]}, "theta_list"),
@@ -184,6 +184,13 @@ class TestConfigValidation:
         ("solve", {"kind": "solve", "basis_degree": -1}, "basis_degree"),
         ("meanfield", {"kind": "meanfield-clt", "u0_std": -1.0}, "u0_std"),
         ("train", {"kind": "train", "loss_tol": -1.0}, "loss_tol"),
+        ("verify", {"kind": "oracle-suite", "entropic_theta": 0.0, "n_paths": 500,
+                    "grid": {"T": 1.0, "n_steps": 4}}, "entropic_theta"),
+        ("train", {"kind": "train", "scales": []}, "scales"),
+        ("train", {"kind": "train", "theta_true": 0.0}, "theta_true"),
+        ("train", {"kind": "train", "max_iters": 0}, "max_iters"),
+        ("train", {"kind": "train", "learning_rate": -0.4}, "learning_rate"),
+        ("meanfield", {"kind": "meanfield-clt", "model_params": {"s0": 1e308}}, "model_params"),
     ], ids=["string-for-int", "bool-for-int", "number-for-list", "int-for-bool",
             "market-rejected", "grid-rejected", "layout-rejected", "nested-width",
             "negative-paths", "no-paths", "no-training-paths", "negative-space", "space-without-stencils",
@@ -194,7 +201,8 @@ class TestConfigValidation:
             "one-lln-size", "no-clt-sizes", "small-lln-reference", "small-clt-reference",
             "no-lln-trials", "no-clt-trials", "two-clt-sizes", "net-state-dim", "net-z-dim",
             "loaded-net-state-dim", "net-z-dim-of-2d-noise", "negative-basis-degree",
-            "negative-u0-std", "negative-loss-tol"])
+            "negative-u0-std", "negative-loss-tol", "zero-entropic-theta", "no-scales",
+            "zero-theta-true", "no-iterations", "negative-learning-rate", "overflowing-s0"])
     def test_rejected_value_exits_2_naming_its_path(self, tmp_path, capsys, command, doc,
                                                     dotted):
         doc = doc(tmp_path) if callable(doc) else doc
@@ -221,7 +229,30 @@ class TestConfigValidation:
             signal.setitimer(signal.ITIMER_REAL, 0.0)
             signal.signal(signal.SIGALRM, previous)
         assert code == 2
-        assert "config error at 'search': tol must be" in capsys.readouterr().err
+        assert "config error at 'search.tol': tol must be" in capsys.readouterr().err
+
+    def test_every_alias_is_a_key_some_kind_reads(self):
+        options = [ExperimentConfig.from_dict({"kind": kind, "seed": 1}).options
+                   for kind in cli._KINDS]
+        for name, keys in cli._ALIASES.items():
+            read = {key for opt in options for key in cli._keys_of(name, opt)}
+            assert set(keys) <= read, name
+
+    @pytest.mark.parametrize("name", ["nope", "name"])   # "name" names three blocks
+    def test_a_name_at_no_key_or_several_is_raised_unchanged(self, tmp_path, monkeypatch,
+                                                             name):
+        error = ParameterError(name, f"{name} is out of range")
+
+        def run(config, out_dir):
+            raise error
+
+        monkeypatch.setitem(cli._KINDS, "solve", cli._KINDS["solve"]._replace(run=run))
+        config = ExperimentConfig.from_dict({
+            "kind": "solve", "seed": 1, "out": str(tmp_path / "out"),
+            "forward": {"name": "gbm"}, "driver": {"name": "net"}, "terminal": {"name": "call"}})
+        with pytest.raises(ParameterError) as info:
+            run_experiment(config)
+        assert info.value is error
 
     def test_unknown_name_of_a_block(self):
         with pytest.raises(ConfigError) as info:

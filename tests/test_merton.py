@@ -7,8 +7,8 @@ import pytest
 
 import lstsq_reference
 from bsdelab import merton
-from bsdelab.errors import (ExtrapolationWarning, SolverDivergedError, SolverInconsistentError,
-                            UnstableGridError)
+from bsdelab.errors import (ExtrapolationWarning, ParameterError, SolverDivergedError,
+                            SolverInconsistentError, UnstableGridError)
 from bsdelab.merton import (
     AllocationObservation,
     HjbGridSpec,
@@ -106,12 +106,14 @@ class TestHjbSolver:
             solve_hjb(PARAMS, 0.0, spec)
         assert info.value.required > 10
 
-    # 1e160 overflows pi ** 2; 1.3e154 overflows the step rate to inf.
-    @pytest.mark.parametrize("fixed_pi", [1e160, -1e200, 1.3e154])
+    # 1e160 overflows pi ** 2; 1.3e154 overflows the step rate to inf; 1e100
+    # and 1e150 ask for more time steps than a numpy array can index.
+    @pytest.mark.parametrize("fixed_pi", [1e160, -1e200, 1.3e154, 1e100, 1e150])
     def test_an_overflowing_step_bound_names_fixed_pi(self, fixed_pi):
         size = re.escape(repr(abs(fixed_pi)))
-        with pytest.raises(ValueError, match=f"^fixed_pi of size {size} overflows"):
+        with pytest.raises(ParameterError, match=f"^fixed_pi of size {size} overflows") as info:
             solve_hjb(PARAMS, 0.0, HjbGridSpec.default(PARAMS, n_space=40), fixed_pi=fixed_pi)
+        assert info.value.name == "fixed_pi"
 
     def test_zero_coefficients_march_in_one_step(self):
         params = MarketParams(mu=0.08, r=0.0, sigma=0.2, gamma=-2.0)
